@@ -263,7 +263,7 @@ def _cmd_run(args) -> int:
         _write(out / "trajectory.jsonl", harness.log_to_jsonl(log))
     print(f"wrote {out / ('trajectory.' + args.format)}")
     if log.termination == "diverged":
-        print("run diverged: non-finite loss", file=sys.stderr)
+        print("run diverged: non-finite loss or gradient", file=sys.stderr)
         return 2
     return 0
 

@@ -160,13 +160,30 @@ def train(
     Each update averages the gradients of ``accumulation_factor``
     micro-batches of ``batch_size`` examples, applies the optional LARC
     pre-scale per layer, and steps the optimizer at the scheduled rate.
-    A non-finite loss terminates the run with reason "diverged" and a
-    valid partial log.  ``stop_after=s`` stops before step ``s`` and
-    attaches a resumable checkpoint; ``record_weight_trace`` keeps a
-    post-update weights snapshot per step (testing aid).
+    A non-finite loss or gradient terminates the run with reason
+    "diverged" and a valid partial log.  ``stop_after=s`` stops before
+    step ``s`` and attaches a resumable checkpoint; ``record_weight_trace``
+    keeps a post-update weights snapshot per step (testing aid).
     """
     _validate_config(cfg)
-    problem = build_problem(cfg.problem)
+    return _train(
+        cfg,
+        build_problem(cfg.problem),
+        stop_after=stop_after,
+        resume_from=resume_from,
+        record_weight_trace=record_weight_trace,
+    )
+
+
+def _train(
+    cfg: RunConfig,
+    problem: Problem,
+    *,
+    stop_after: int | None = None,
+    resume_from: Checkpoint | None = None,
+    record_weight_trace: bool = False,
+) -> TrajectoryLog:
+    """:func:`train` on ``problem``, already built from ``cfg.problem``."""
     params = problem.init_params(np.random.default_rng([cfg.seed, _INIT_STREAM, 0]))
     if resume_from is not None:
         driver = OptimizerDriver.from_state_dict(resume_from.optimizer)
@@ -183,18 +200,18 @@ def train(
         start = 0
 
     k = cfg.accumulation_factor
+    layer_ids = params.layer_ids
     records: list[MetricsRecord] = []
     trace: list[dict[str, np.ndarray]] | None = [] if record_weight_trace else None
     termination = "completed"
     start_ns = time.monotonic_ns()
-    accum = {layer.id: np.zeros_like(layer.grad) for layer in params} if k > 1 else None
+    accum = np.zeros_like(params.grad) if k > 1 else None
 
     t = start
     for t in range(start, cfg.total_steps):
         if stop_after is not None and t >= stop_after:
             termination = "checkpoint"
             break
-        lr_t = lr_at(cfg.schedule, t)
         indices = _batch_indices(cfg.seed, t, problem.n_examples, cfg.batch_size * k)
         # overflow to inf/nan is the divergence signal, not an anomaly
         with np.errstate(over="ignore", invalid="ignore"):
@@ -202,30 +219,26 @@ def train(
                 loss = problem.eval_grad(params, indices)
             else:
                 loss_sum = 0.0
-                for buf in accum.values():
-                    buf[...] = 0.0
+                accum[...] = 0.0
                 for j in range(k):
                     batch = None if indices is None else indices[j * cfg.batch_size : (j + 1) * cfg.batch_size]
                     loss_sum += problem.eval_grad(params, batch)
-                    for layer in params:
-                        accum[layer.id] += layer.grad
-                for layer in params:
-                    layer.grad[...] = accum[layer.id] / k
+                    accum += params.grad
+                np.divide(accum, k, out=params.grad)
                 loss = loss_sum / k
-        if not math.isfinite(loss):
+        if not (math.isfinite(loss) and np.isfinite(params.grad).all()):
             termination = "diverged"
             break
 
+        lr_t = lr_at(cfg.schedule, t)
         will_log = (t % cfg.log_every == 0) or (t == cfg.total_steps - 1)
-        grad_norms: dict[str, float] | None = None
         if will_log or cfg.larc is not None:
-            grad_norms = {layer.id: math.sqrt(l2_norm_sq(layer.grad)) for layer in params}
+            grad_norms = np.sqrt(l2_norm_sq(params.grad, params.offsets)).tolist()
         if cfg.larc is not None:
-            for layer in params:
-                w_norm = math.sqrt(l2_norm_sq(layer.weights))
-                scale = larc_scale(w_norm, grad_norms[layer.id], lr_t, cfg.larc)
-                if scale != 1.0:
-                    layer.grad *= scale
+            w_norms = np.sqrt(l2_norm_sq(params.weights, params.offsets)).tolist()
+            scales = [larc_scale(w_n, g_n, lr_t, cfg.larc) for w_n, g_n in zip(w_norms, grad_norms)]
+            if any(scale != 1.0 for scale in scales):
+                params.grad *= params.broadcast(scales, params.grad.dtype)
 
         driver.step(params, lr_t)
 
@@ -235,7 +248,7 @@ def train(
                     step=t,
                     lr_effective=lr_t,
                     loss=loss,
-                    grad_norms=grad_norms,
+                    grad_norms=dict(zip(layer_ids, grad_norms)),
                     second_moments=driver.second_moments(params),
                     wall_time_ns=time.monotonic_ns() - start_ns,
                 )
@@ -318,9 +331,9 @@ def compare_runs(
 ) -> tuple[list[ComparisonRow], list[TrajectoryLog]]:
     """Train each config and tabulate final/best loss and steps-to-threshold.
 
-    All configs must share the same problem and seed so rows are comparable.
-    Row order follows the input order; duplicate optimizer tags get
-    distinguishing labels.
+    All configs must share the same problem and seed so rows are comparable;
+    the problem is built once for all of them.  Row order follows the input
+    order; duplicate optimizer tags get distinguishing labels.
     """
     if not cfgs:
         raise ValueError("no configs to compare")
@@ -331,10 +344,13 @@ def compare_runs(
     if labels is None:
         labels = [cfg.algorithm for cfg in cfgs]
     labels = _dedupe_labels(list(labels))
+    for cfg in cfgs:
+        _validate_config(cfg)
+    problem = build_problem(base.problem)
     rows = []
     logs = []
     for label, cfg in zip(labels, cfgs):
-        log = train(cfg)
+        log = _train(cfg, problem)
         losses = [rec.loss for rec in log.records]
         final_loss = losses[-1] if losses else float("nan")
         best_loss = min(losses) if losses else float("nan")
@@ -360,15 +376,18 @@ class SweepRow:
 
 
 def lr_sweep(cfg: RunConfig, lrs: list[float]) -> tuple[list[SweepRow], list[TrajectoryLog]]:
-    """Train one run per base learning rate; divergence is a row flag, not
-    an error, so sweeps can map the stable region."""
+    """Train one run per base learning rate on one built problem;
+    divergence is a row flag, not an error, so sweeps can map the stable
+    region."""
     if not lrs:
         raise ValueError("empty learning-rate grid")
+    _validate_config(cfg)
+    problem = build_problem(cfg.problem)
     rows = []
     logs = []
     for lr in lrs:
         sched = replace(cfg.schedule, base_lr=lr)
-        log = train(replace(cfg, schedule=sched))
+        log = _train(replace(cfg, schedule=sched), problem)
         losses = [rec.loss for rec in log.records]
         rows.append(
             SweepRow(

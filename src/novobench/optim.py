@@ -197,34 +197,92 @@ def _check_lr(lr_t: float) -> None:
         raise ValueError(f"negative learning rate: {lr_t}")
 
 
-def _check_grad_finite(layer) -> None:
-    if not np.isfinite(layer.grad).all():
-        raise ValueError(f"non-finite gradient in layer '{layer.id}'")
+def _check_grad_finite(params: ModelParams) -> None:
+    """One check of the whole gradient buffer; the error names the first
+    non-finite layer."""
+    if not np.isfinite(params.grad).all():
+        bad = next(layer.id for layer in params if not np.isfinite(layer.grad).all())
+        raise ValueError(f"non-finite gradient in layer '{bad}'")
 
 
-def _novograd_init_layer(layer, state: NovoGradState, cfg: NovoGradConfig, lr_t: float) -> None:
-    """Moment init from the first nonzero gradient plus the paired update."""
-    g = layer.grad
-    w = layer.weights
-    v1 = l2_norm_sq(g)
-    if v1 == 0.0:
-        return  # deferred until a nonzero gradient arrives
-    norm = math.sqrt(v1)
-    d = cfg.weight_decay
-    if d != 0.0 and cfg.wd_placement == "in_moment":
-        m1 = g / norm + d * w
+def _gather(arrays: dict[str, np.ndarray], params: ModelParams) -> np.ndarray:
+    """Per-layer state vectors concatenated in the model's layer order."""
+    if not params.layers:
+        return np.zeros_like(params.weights)
+    return np.concatenate([arrays[layer_id] for layer_id in params.layer_ids])
+
+
+def _scatter(arrays: dict[str, np.ndarray], flat: np.ndarray, params: ModelParams) -> None:
+    """Store per-layer views of ``flat``; existing keys keep their order."""
+    arrays.update(zip(params.layer_ids, params.split(flat)))
+
+
+def _novograd_update(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig, lr_t: float) -> None:
+    """One fused NovoGrad update over the whole model.
+
+    Initialized layers take the moment update; layers holding their first
+    nonzero gradient are initialized (v_1 = ||g||^2, m_1 = g/||g|| + d*w)
+    and take the paired update; the rest stay untouched.  The per-layer
+    scalars are computed in Python floats and broadcast over their layers'
+    elements in the model's dtype, so every element sees the arithmetic of
+    a per-layer loop.
+    """
+    _check_grad_finite(params)
+    beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
+    decoupled = cfg.wd_placement == "decoupled_update"
+    g, w = params.grad, params.weights
+    denoms: list[float] = []  # divisor of each layer's gradient; 0 leaves it at 0
+    known: list[bool] = []  # initialized before this step
+    active: list[bool] = []  # updated this step
+    for layer_id, gsq in zip(params.layer_ids, l2_norm_sq(g, params.offsets).tolist()):
+        was_known = layer_id in state.v
+        if was_known:
+            v = beta2 * state.v[layer_id] + (1.0 - beta2) * gsq
+            state.v[layer_id] = v
+            if state.v_hat is not None:
+                v = max(state.v_hat[layer_id], v)
+                state.v_hat[layer_id] = v
+            denoms.append(math.sqrt(v) + eps)
+        elif gsq != 0.0:  # an all-zero first gradient defers init
+            state.v[layer_id] = gsq
+            if state.v_hat is not None:
+                state.v_hat[layer_id] = gsq
+            denoms.append(math.sqrt(gsq))
+        else:
+            denoms.append(0.0)
+        known.append(was_known)
+        active.append(was_known or gsq != 0.0)
+    denom = params.broadcast(denoms, g.dtype)
+    if all(denoms):
+        normalized = g / denom
+    else:  # zero where denom == 0 (only reachable when g == 0)
+        normalized = np.zeros_like(g)
+        np.divide(g, denom, out=normalized, where=params.broadcast([x != 0.0 for x in denoms]))
+    if d != 0.0 and not decoupled:
+        contrib = normalized + d * w
     else:
-        m1 = g / norm
-    state.v[layer.id] = v1
-    if state.v_hat is not None:
-        state.v_hat[layer.id] = v1
-    state.m[layer.id] = m1
-    if d != 0.0 and cfg.wd_placement == "decoupled_update":
+        contrib = normalized
+    m = contrib
+    if any(known):
+        m_prev = np.concatenate(
+            [state.m[layer.id] if k else np.zeros_like(layer.weights) for layer, k in zip(params, known)]
+        )
+        if cfg.first_moment_style == "ema":
+            m = beta1 * m_prev + (1.0 - beta1) * contrib
+        else:
+            m = beta1 * m_prev + contrib
+        if not all(known):
+            m = np.where(params.broadcast(known), m, contrib)
+    where = True if all(active) else params.broadcast(active)
+    if d != 0.0 and decoupled:
         decay = lr_t * d * w
-        w -= lr_t * m1
-        w -= decay
+        np.subtract(w, lr_t * m, out=w, where=where)
+        np.subtract(w, decay, out=w, where=where)
     else:
-        w -= lr_t * m1
+        np.subtract(w, lr_t * m, out=w, where=where)
+    for layer_id, is_active, m_l in zip(params.layer_ids, active, params.split(m)):
+        if is_active:
+            state.m[layer_id] = m_l
 
 
 def novograd_init(params: ModelParams, cfg: NovoGradConfig, lr_t: float) -> NovoGradState:
@@ -239,9 +297,7 @@ def novograd_init(params: ModelParams, cfg: NovoGradConfig, lr_t: float) -> Novo
         raise ValueError("no layers to optimize")
     _check_lr(lr_t)
     state = NovoGradState(v_hat={} if cfg.ams else None)
-    for layer in params:
-        _check_grad_finite(layer)
-        _novograd_init_layer(layer, state, cfg, lr_t)
+    _novograd_update(params, state, cfg, lr_t)
     state.step_count = 1
     return state
 
@@ -254,74 +310,33 @@ def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig
     nonzero.
     """
     _check_lr(lr_t)
-    beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
-    ema = cfg.first_moment_style == "ema"
-    decoupled = cfg.wd_placement == "decoupled_update"
-    for layer in params:
-        _check_grad_finite(layer)
-        if not state.initialized(layer.id):
-            _novograd_init_layer(layer, state, cfg, lr_t)
-            continue
-        g = layer.grad
-        w = layer.weights
-        gsq = l2_norm_sq(g)
-        v = beta2 * state.v[layer.id] + (1.0 - beta2) * gsq
-        state.v[layer.id] = v
-        if state.v_hat is not None:
-            v_used = max(state.v_hat[layer.id], v)
-            state.v_hat[layer.id] = v_used
-        else:
-            v_used = v
-        denom = math.sqrt(v_used) + eps
-        if denom == 0.0:
-            normalized = np.zeros_like(g)  # only reachable when g == 0
-        else:
-            normalized = g / denom
-        if d != 0.0 and not decoupled:
-            contrib = normalized + d * w
-        else:
-            contrib = normalized
-        if ema:
-            m = beta1 * state.m[layer.id] + (1.0 - beta1) * contrib
-        else:
-            m = beta1 * state.m[layer.id] + contrib
-        state.m[layer.id] = m
-        if d != 0.0 and decoupled:
-            decay = lr_t * d * w
-            w -= lr_t * m
-            w -= decay
-        else:
-            w -= lr_t * m
+    _novograd_update(params, state, cfg, lr_t)
     state.step_count += 1
 
 
 def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: float, decoupled: bool) -> None:
     _check_lr(lr_t)
+    _check_grad_finite(params)
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     state.step_count += 1
     t = state.step_count
+    w = params.weights
+    g = params.grad
+    if d != 0.0 and not decoupled:
+        g = g + d * w
+    m = beta1 * _gather(state.m, params) + (1.0 - beta1) * g
+    v = beta2 * _gather(state.v, params) + (1.0 - beta2) * g * g
+    _scatter(state.m, m, params)
+    _scatter(state.v, v, params)
     if cfg.bias_correction:
-        bc1 = 1.0 - beta1**t
-        bc2 = 1.0 - beta2**t
-    for layer in params:
-        _check_grad_finite(layer)
-        w = layer.weights
-        g = layer.grad
-        if d != 0.0 and not decoupled:
-            g = g + d * w
-        m = beta1 * state.m[layer.id] + (1.0 - beta1) * g
-        v = beta2 * state.v[layer.id] + (1.0 - beta2) * g * g
-        state.m[layer.id] = m
-        state.v[layer.id] = v
-        if cfg.bias_correction:
-            m_hat = m / bc1
-            v_hat = v / bc2
-        else:
-            m_hat, v_hat = m, v
-        update = m_hat / (np.sqrt(v_hat) + eps)
-        if d != 0.0 and decoupled:
-            update = update + d * w
-        w -= lr_t * update
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+    else:
+        m_hat, v_hat = m, v
+    update = m_hat / (np.sqrt(v_hat) + eps)
+    if d != 0.0 and decoupled:
+        update = update + d * w
+    w -= lr_t * update
 
 
 def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: float) -> None:
@@ -338,28 +353,27 @@ def adamw_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: flo
 def sgd_momentum_step(params: ModelParams, state: SgdMomentumState, cfg: SgdMomentumConfig, lr_t: float) -> None:
     """One heavy-ball SGD update with coupled L2 decay."""
     _check_lr(lr_t)
+    _check_grad_finite(params)
     mu, d = cfg.momentum, cfg.weight_decay
-    for layer in params:
-        _check_grad_finite(layer)
-        g = layer.grad
-        w = layer.weights
-        if d != 0.0:
-            g = g + d * w
-        m = mu * state.m[layer.id] + g
-        state.m[layer.id] = m
-        w -= lr_t * m
+    w = params.weights
+    g = params.grad
+    if d != 0.0:
+        g = g + d * w
+    m = mu * _gather(state.m, params) + g
+    _scatter(state.m, m, params)
+    w -= lr_t * m
     state.step_count += 1
 
 
 def sngd_step(params: ModelParams, cfg: SngdConfig, lr_t: float) -> None:
     """One normalized-gradient step; layers with zero gradient are no-ops."""
     _check_lr(lr_t)
-    for layer in params:
-        _check_grad_finite(layer)
-        norm = math.sqrt(l2_norm_sq(layer.grad))
-        if norm == 0.0:
-            continue
-        layer.weights -= lr_t * (layer.grad / (norm + cfg.epsilon))
+    _check_grad_finite(params)
+    norms = np.sqrt(l2_norm_sq(params.grad, params.offsets))
+    moving = norms != 0.0
+    denom = params.broadcast(np.where(moving, norms + cfg.epsilon, 1.0), params.grad.dtype)
+    where = True if moving.all() else params.broadcast(moving)
+    np.subtract(params.weights, lr_t * (params.grad / denom), out=params.weights, where=where)
 
 
 ALGORITHMS = ("novograd", "adam", "adamw", "sgd", "sngd")

@@ -2,15 +2,20 @@
 
 A model is an ordered list of named flat vectors ("layers"); the layer is
 the unit of all layer-wise computations (gradient norms, second moments,
-trust ratios).  Norms are accumulated in a fixed left-to-right order so
-that identical inputs give bit-identical results and power-of-two gradient
-scaling is exact.
+trust ratios).  A :class:`ModelParams` stores all of its weights in one
+contiguous buffer and all of its gradients in another; each layer's
+arrays are views into them, located by an offset table, so per-step work
+can run over the whole model at once.  Norms accumulate in float64 in an
+order fixed by the layer sizes, so identical inputs give bit-identical
+results on one machine and numpy build, and power-of-two gradient scaling
+is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,23 +30,30 @@ __all__ = [
 ]
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+_START = np.zeros(1, dtype=np.intp)  # offsets of a single segment
+_START.setflags(write=False)
 
 
-def l2_norm_sq(v) -> float:
-    """Sum of squares of ``v`` with fixed left-to-right sequential summation.
+def l2_norm_sq(v, offsets=None):
+    """Sum of squares of ``v``, accumulated in float64.
 
-    The sequential order is deliberate: it keeps the result bit-reproducible
-    for a given element order, and scaling every element by a power of two
-    scales the result exactly (each square and each partial sum scales
-    exactly in binary floating point).
+    Without ``offsets`` the result is one float.  With ``offsets`` (the
+    ascending start index of each segment, e.g. ``ModelParams.offsets``)
+    it is a float64 array holding one sum per segment, so every layer of a
+    model takes one call.  A segment's sum does not depend on where the
+    segment sits in ``v``.  The summation order is fixed by the segment
+    length, so results are bit-reproducible for one numpy build, and
+    scaling every element by a power of two scales each sum exactly while
+    no square under- or overflows.  An overflowing sum is ``inf``, without
+    a warning.
     """
-    arr = np.asarray(v)
-    if arr.size == 0:
+    x = np.asarray(v, dtype=np.float64).ravel()
+    single = offsets is None
+    if single and x.size == 0:
         raise ValueError("empty layer")
-    total = 0.0
-    for x in arr.ravel().tolist():
-        total += x * x
-    return total
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(x * x, _START if single else offsets)
+    return float(sums[0]) if single else sums
 
 
 def l2_norm(v) -> float:
@@ -55,7 +67,9 @@ class ParameterLayer:
 
     Arrays default to float64; passing float32 arrays selects the
     reduced-precision mode (all downstream arithmetic follows the array
-    dtype, while norms still accumulate in 64-bit).
+    dtype, while norms still accumulate in 64-bit).  Once the layer joins a
+    :class:`ModelParams`, ``weights`` and ``grad`` are views into the
+    model's buffers: write them in place (``grad[...] = g``, ``w -= u``).
     """
 
     id: str
@@ -94,16 +108,42 @@ class ModelParams:
     """Ordered collection of :class:`ParameterLayer` with unique ids.
 
     Layer order is fixed for the lifetime of a run; every consumer iterates
-    layers in this order so runs are deterministic.
+    layers in this order so runs are deterministic.  Construction copies
+    the layers' arrays into one contiguous ``weights`` buffer and one
+    ``grad`` buffer and rebinds each layer's arrays to views into them
+    (layer ``i`` spans ``offsets[i]`` to ``offsets[i] + sizes[i]``).  All
+    layers share one dtype.
     """
 
     layers: list[ParameterLayer] = field(default_factory=list)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    grad: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    layer_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [layer.id for layer in self.layers]
         if len(set(ids)) != len(ids):
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate layer ids: {dup}")
+        dtypes = {layer.weights.dtype for layer in self.layers}
+        if len(dtypes) > 1:
+            raise ValueError(f"layers mix dtypes: {sorted(str(d) for d in dtypes)}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+        sizes = [layer.size for layer in self.layers]
+        ends = list(accumulate(sizes))
+        self.sizes = np.array(sizes, dtype=np.intp)
+        self.offsets = np.array(ends, dtype=np.intp) - self.sizes
+        self.layer_ids = tuple(ids)
+        self._slices = [slice(end - n, end) for n, end in zip(sizes, ends)]
+        self._index = dict(zip(ids, self.layers))
+        empty = np.zeros(0, dtype=dtype)
+        self.weights = np.concatenate([layer.weights for layer in self.layers] or [empty])
+        self.grad = np.concatenate([layer.grad for layer in self.layers] or [empty])
+        for layer, s in zip(self.layers, self._slices):
+            layer.weights = self.weights[s]
+            layer.grad = self.grad[s]
 
     def __iter__(self):
         return iter(self.layers)
@@ -113,17 +153,21 @@ class ModelParams:
 
     @property
     def total_elements(self) -> int:
-        return sum(layer.size for layer in self.layers)
-
-    @property
-    def layer_ids(self) -> list[str]:
-        return [layer.id for layer in self.layers]
+        return self.weights.size
 
     def layer(self, layer_id: str) -> ParameterLayer:
-        for layer in self.layers:
-            if layer.id == layer_id:
-                return layer
-        raise KeyError(f"no layer '{layer_id}'")
+        try:
+            return self._index[layer_id]
+        except KeyError:
+            raise KeyError(f"no layer '{layer_id}'") from None
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Per-layer views of a flat array laid out like ``weights``."""
+        return [flat[s] for s in self._slices]
+
+    def broadcast(self, per_layer, dtype=None) -> np.ndarray:
+        """Repeat one value per layer over that layer's elements."""
+        return np.repeat(np.asarray(per_layer, dtype=dtype), self.sizes)
 
     def copy(self) -> "ModelParams":
         return ModelParams([layer.copy() for layer in self.layers])
@@ -170,5 +214,4 @@ def state_report(algorithm: str, params: ModelParams, *, ams: bool = False) -> S
 
 def zero_grads(params: ModelParams) -> None:
     """Zero every gradient buffer in place; weights are untouched."""
-    for layer in params.layers:
-        layer.grad[...] = 0.0
+    params.grad[...] = 0.0

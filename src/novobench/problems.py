@@ -379,8 +379,7 @@ class GradientScaledProblem(Problem):
 
     def eval_grad(self, params, batch=None):
         loss = self.inner.eval_grad(params, batch)
-        for layer in params:
-            layer.grad *= self.scale
+        params.grad *= self.scale
         return loss
 
 

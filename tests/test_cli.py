@@ -64,6 +64,14 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "diverged" in capsys.readouterr().err
 
+    def test_gradient_overflow_exit_code(self, tmp_path, capsys):
+        tree = run_config_tree(problem={"kind": "quadratic", "dim": 256, "gradient_scale": 1e308})
+        cfg = write_config(tmp_path / "cfg.json", tree)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path), "--format", "jsonl"]) == 2
+        assert "diverged" in capsys.readouterr().err
+        footer = json.loads((tmp_path / "trajectory.jsonl").read_text().splitlines()[-1])
+        assert footer["termination"] == "diverged"
+
     def test_jsonl_format(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", run_config_tree())
         assert main(["run", "--config", cfg, "--out", str(tmp_path), "--format", "jsonl"]) == 0

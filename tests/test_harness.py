@@ -19,6 +19,7 @@ from novobench.harness import (
     sweep_to_csv,
     train,
 )
+from novobench import problems as problems_mod
 from novobench.problems import build
 from novobench.schedule import LarcConfig, ScheduleSpec
 
@@ -85,6 +86,31 @@ class TestTrainBasics:
         log = train(cfg)
         assert log.termination == "diverged"
         assert 0 < len(log.records) < 400
+        assert all(np.isfinite(rec.loss) for rec in log.records)
+        assert all(np.isfinite(w).all() for w in log.final_weights.values())
+
+    def test_overflowing_gradient_ends_diverged(self):
+        # the loss stays finite while the scaled gradient overflows at step 0
+        cfg = quadratic_config(
+            "novograd",
+            problem=ProblemSpec("quadratic", {"dim": 256, "matrix_seed": 0}, gradient_scale=1e308),
+            log_every=1,
+        )
+        log = train(cfg)
+        assert log.termination == "diverged"
+        assert log.records == []
+        initial = build("quadratic", {"dim": 256, "matrix_seed": 0}).init_params(np.random.default_rng([0, 0, 0]))
+        np.testing.assert_array_equal(log.final_weights["w"], initial.layer("w").weights)
+
+    def test_gradient_overflow_mid_run_keeps_partial_log(self):
+        # SGD at an effective rate of 1 diverges on diag [2, 4]; the 1e300
+        # gradient scale makes the gradient overflow long before the loss
+        schedule = ScheduleSpec(base_lr=1e-300, total_steps=100, family="constant")
+        spec = ProblemSpec("quadratic", {"diag": [2.0, 4.0], "w0": [5.0, 5.0]}, gradient_scale=1e300)
+        log = train(quadratic_config("sgd", problem=spec, schedule=schedule, total_steps=100, log_every=1))
+        assert log.termination == "diverged"
+        assert 0 < len(log.records) < 100
+        assert [rec.step for rec in log.records] == list(range(len(log.records)))
         assert all(np.isfinite(rec.loss) for rec in log.records)
         assert all(np.isfinite(w).all() for w in log.final_weights.values())
 
@@ -220,6 +246,52 @@ class TestCompareRuns:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             compare_runs([])
+
+
+def _count_builds(monkeypatch):
+    calls = []
+    original = problems_mod.build
+
+    def counting(kind, options=None):
+        calls.append(kind)
+        return original(kind, options)
+
+    monkeypatch.setattr(problems_mod, "build", counting)
+    return calls
+
+
+def _same_run(a, b):
+    assert log_to_jsonl(a) == log_to_jsonl(b)
+    for layer_id, w in b.final_weights.items():
+        assert a.final_weights[layer_id].tobytes() == w.tobytes()
+
+
+class TestSharedProblem:
+    def test_sweep_builds_once_and_rows_equal_standalone_runs(self, monkeypatch):
+        cfg = logreg_config("novograd", total_steps=25)
+        lrs = [0.01, 0.05, 0.2]
+        calls = _count_builds(monkeypatch)
+        rows, logs = lr_sweep(cfg, lrs)
+        assert calls == ["logreg"]
+        for lr, row, log in zip(lrs, rows, logs):
+            standalone = train(replace(cfg, schedule=replace(cfg.schedule, base_lr=lr)))
+            _same_run(log, standalone)
+            assert row.final_loss == standalone.records[-1].loss
+
+    def test_compare_builds_once_and_rows_equal_standalone_runs(self, monkeypatch):
+        cfgs = [logreg_config(a, total_steps=25) for a in ("novograd", "adam", "sgd")]
+        calls = _count_builds(monkeypatch)
+        _, logs = compare_runs(cfgs)
+        assert calls == ["logreg"]
+        for cfg, log in zip(cfgs, logs):
+            _same_run(log, train(cfg))
+
+    def test_invalid_config_rejected_before_any_run(self, monkeypatch):
+        cfgs = [logreg_config(total_steps=5), logreg_config(total_steps=5, log_every=0)]
+        calls = _count_builds(monkeypatch)
+        with pytest.raises(ValueError, match="log_every"):
+            compare_runs(cfgs)
+        assert calls == []
 
 
 class TestSweep:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalar_oracle as oracle
 from novobench.optim import (
+    ALGORITHMS,
     AdamConfig,
     AdamState,
     NovoGradConfig,
@@ -23,7 +26,7 @@ from novobench.optim import (
     state_from_dict,
     state_to_dict,
 )
-from novobench.params import ModelParams, ParameterLayer
+from novobench.params import ModelParams, ParameterLayer, l2_norm_sq
 
 
 def single_layer(weights, grad):
@@ -535,3 +538,179 @@ def test_float32_footprint_mode_runs_in_reduced_precision():
     assert params.layer("w").weights.dtype == np.float32
     assert driver.state.m["w"].dtype == np.float32
     assert np.isfinite(params.layer("w").weights).all()
+
+
+# --- fused steps against per-layer reference loops -------------------------
+#
+# The step functions update the whole model's flat buffers at once.  These
+# references are the per-layer loops they replace; each layer's norm comes
+# from l2_norm_sq on that layer alone, which the kernel tests show equals
+# its segment of the whole-model call.
+
+
+def _ref_novograd(layers, state, cfg, lr):
+    d, eps = cfg.weight_decay, cfg.epsilon
+    in_moment = d != 0.0 and cfg.wd_placement == "in_moment"
+    decoupled = d != 0.0 and cfg.wd_placement == "decoupled_update"
+    for layer_id, w, g in layers:
+        gsq = l2_norm_sq(g)
+        if layer_id not in state.v:
+            if gsq == 0.0:
+                continue
+            m = g / math.sqrt(gsq) + d * w if in_moment else g / math.sqrt(gsq)
+            state.v[layer_id] = gsq
+            if state.v_hat is not None:
+                state.v_hat[layer_id] = gsq
+        else:
+            v = cfg.beta2 * state.v[layer_id] + (1.0 - cfg.beta2) * gsq
+            state.v[layer_id] = v
+            if state.v_hat is not None:
+                v = max(state.v_hat[layer_id], v)
+                state.v_hat[layer_id] = v
+            denom = math.sqrt(v) + eps
+            normalized = np.zeros_like(g) if denom == 0.0 else g / denom
+            contrib = normalized + d * w if in_moment else normalized
+            if cfg.first_moment_style == "ema":
+                m = cfg.beta1 * state.m[layer_id] + (1.0 - cfg.beta1) * contrib
+            else:
+                m = cfg.beta1 * state.m[layer_id] + contrib
+        state.m[layer_id] = m
+        decay = lr * d * w
+        w -= lr * m
+        if decoupled:
+            w -= decay
+
+
+def _ref_adam(layers, state, cfg, lr):
+    d = cfg.weight_decay
+    decoupled = cfg.decoupled
+    state.step_count += 1
+    t = state.step_count
+    for layer_id, w, g in layers:
+        if d != 0.0 and not decoupled:
+            g = g + d * w
+        m = cfg.beta1 * state.m[layer_id] + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * state.v[layer_id] + (1.0 - cfg.beta2) * g * g
+        state.m[layer_id], state.v[layer_id] = m, v
+        if cfg.bias_correction:
+            m, v = m / (1.0 - cfg.beta1**t), v / (1.0 - cfg.beta2**t)
+        update = m / (np.sqrt(v) + cfg.epsilon)
+        if d != 0.0 and decoupled:
+            update = update + d * w
+        w -= lr * update
+
+
+def _ref_sgd(layers, state, cfg, lr):
+    for layer_id, w, g in layers:
+        if cfg.weight_decay != 0.0:
+            g = g + cfg.weight_decay * w
+        state.m[layer_id] = cfg.momentum * state.m[layer_id] + g
+        w -= lr * state.m[layer_id]
+
+
+def _ref_sngd(layers, cfg, lr):
+    for _, w, g in layers:
+        norm = math.sqrt(l2_norm_sq(g))
+        if norm != 0.0:
+            w -= lr * (g / (norm + cfg.epsilon))
+
+
+_FUSED_CASES = [
+    ("novograd", {}),
+    ("novograd", {"ams": True, "weight_decay": 0.02}),
+    ("novograd", {"first_moment_style": "ema", "weight_decay": 0.01}),
+    ("novograd", {"wd_placement": "decoupled_update", "weight_decay": 0.03, "ams": True}),
+    ("novograd", {"beta2": 0.0, "epsilon": 0.0}),
+    ("adam", {"weight_decay": 0.01}),
+    ("adam", {"bias_correction": False, "beta1": 0.5}),
+    ("adamw", {"weight_decay": 0.05}),
+    ("sgd", {"weight_decay": 0.01, "momentum": 0.5}),
+    ("sngd", {}),
+    ("sngd", {"epsilon": 0.0}),
+]
+
+
+def _assert_same_state(algorithm, state, ref):
+    if algorithm == "sngd":
+        return
+    assert list(state.m) == list(ref.m)
+    for layer_id in ref.m:
+        assert state.m[layer_id].dtype == ref.m[layer_id].dtype
+        assert state.m[layer_id].tobytes() == ref.m[layer_id].tobytes()
+    if algorithm == "novograd":
+        assert list(state.v.items()) == list(ref.v.items())
+        assert state.v_hat == ref.v_hat
+    elif algorithm in ("adam", "adamw"):
+        for layer_id in ref.v:
+            assert state.v[layer_id].tobytes() == ref.v[layer_id].tobytes()
+
+
+@pytest.mark.parametrize("algorithm,hyperparams", _FUSED_CASES)
+@settings(max_examples=15, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_step_equals_per_layer_reference(algorithm, hyperparams, sizes, dtype, seed):
+    rng = np.random.default_rng(seed)
+    cfg = make_config(algorithm, hyperparams)
+    params = ModelParams(
+        [ParameterLayer(f"l{i}", rng.standard_normal(n).astype(dtype)) for i, n in enumerate(sizes)]
+    )
+    ref_weights = [layer.weights.copy() for layer in params]
+    driver = OptimizerDriver(algorithm, cfg)
+    if algorithm == "novograd":
+        ref = NovoGradState(v_hat={} if cfg.ams else None)
+    elif algorithm in ("adam", "adamw"):
+        ref = AdamState.zeros(params)
+    elif algorithm == "sgd":
+        ref = SgdMomentumState.zeros(params)
+    else:
+        ref = None
+    for step in range(6):
+        grads = []
+        for i, layer in enumerate(params):
+            # the first layer's first gradient is zero: NovoGrad defers its init
+            zero = (step == 0 and i == 0) or rng.uniform() < 0.2
+            scale = 0.0 if zero else 10.0 ** rng.uniform(-3, 3)
+            grads.append((scale * rng.standard_normal(layer.size)).astype(dtype))
+            layer.grad[...] = grads[-1]
+        lr = float(rng.uniform(0.0, 0.1))
+        driver.step(params, lr)
+        layers = [(layer.id, w, g) for layer, w, g in zip(params, ref_weights, grads)]
+        if algorithm == "novograd":
+            _ref_novograd(layers, ref, cfg, lr)
+        elif algorithm in ("adam", "adamw"):
+            _ref_adam(layers, ref, cfg, lr)
+        elif algorithm == "sgd":
+            _ref_sgd(layers, ref, cfg, lr)
+        else:
+            _ref_sngd(layers, cfg, lr)
+        for layer, w in zip(params, ref_weights):
+            assert layer.weights.dtype == w.dtype
+            assert layer.weights.tobytes() == w.tobytes(), (step, layer.id)
+        _assert_same_state(algorithm, driver.state, ref)
+
+
+def test_non_finite_gradient_leaves_the_model_untouched():
+    params = ModelParams(
+        [
+            ParameterLayer("ok", np.array([1.0]), np.array([1.0])),
+            ParameterLayer("bad", np.array([1.0]), np.array([np.inf])),
+        ]
+    )
+    for algorithm in ALGORITHMS:
+        driver = OptimizerDriver(algorithm)
+        with pytest.raises(ValueError, match="non-finite gradient in layer 'bad'"):
+            driver.step(params, 0.1)
+        np.testing.assert_array_equal(params.weights, [1.0, 1.0])
+
+
+def test_steps_on_an_empty_model_only_count():
+    params = ModelParams([])
+    state = NovoGradState()
+    novograd_step(params, state, NovoGradConfig(), 0.1)
+    assert (state.step_count, state.m, state.v) == (1, {}, {})
+    for algorithm in ("adam", "adamw", "sgd", "sngd"):
+        OptimizerDriver(algorithm).step(params, 0.1)
