@@ -1,14 +1,6 @@
 """NovoGrad and reference optimizers with a deterministic benchmark harness."""
 
-from .params import (
-    ModelParams,
-    ParameterLayer,
-    StateReport,
-    l2_norm,
-    l2_norm_sq,
-    state_report,
-    zero_grads,
-)
+from .params import ModelParams, ParameterLayer, l2_norm, l2_norm_sq, zero_grads
 from .optim import (
     AdamConfig,
     AdamState,
@@ -18,6 +10,7 @@ from .optim import (
     SgdMomentumConfig,
     SgdMomentumState,
     SngdConfig,
+    StateReport,
     adam_step,
     adamw_step,
     make_config,
@@ -25,6 +18,7 @@ from .optim import (
     novograd_step,
     sgd_momentum_step,
     sngd_step,
+    state_report,
 )
 from .schedule import LarcConfig, ScheduleSpec, larc_scale, lr_at
 from .problems import (

@@ -14,8 +14,9 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -31,21 +32,15 @@ class ConfigError(ValueError):
     pass
 
 
-_RUN_KEYS = {
-    "problem",
-    "optimizer",
-    "schedule",
-    "larc",
-    "batch_size",
-    "accumulation_factor",
-    "total_steps",
-    "seed",
-    "log_every",
-}
+# JSON value types accepted for a field of each annotated type (bool is not a number)
+_JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
+_HINTS = {cls: get_type_hints(cls) for cls in (RunConfig, ScheduleSpec, LarcConfig)}
+_RUN_SCALARS = [key for key, hint in _HINTS[RunConfig].items() if hint is int]
+
+# the file names the optimizer and its hyperparameters in one "optimizer" object
+_RUN_KEYS = (_HINTS[RunConfig].keys() - {"algorithm", "hyperparams"}) | {"optimizer"}
 _COMPARE_KEYS = (_RUN_KEYS - {"optimizer"}) | {"optimizers", "loss_threshold"}
 _SWEEP_KEYS = _RUN_KEYS | {"sweep"}
-_SCHEDULE_KEYS = {"base_lr", "family", "power", "warmup_steps", "min_lr"}
-_LARC_KEYS = {"trust_coefficient", "clip", "eps_div"}
 _SWEEP_SECTION_KEYS = {"lr_grid", "lr_min", "lr_max", "points", "spacing"}
 
 # representative instances for `gradcheck <tag>`
@@ -98,51 +93,42 @@ def _parse_optimizer(section, where="optimizer") -> tuple[str, dict]:
     return algorithm, section
 
 
-def _parse_schedule(section, total_steps: int) -> ScheduleSpec:
-    if not isinstance(section, dict):
-        raise ConfigError("schedule must be an object")
-    _check_keys(section, _SCHEDULE_KEYS, "schedule")
-    base_lr = _require(section, "base_lr", "schedule")
-    try:
-        return ScheduleSpec(
-            base_lr=base_lr,
-            total_steps=total_steps,
-            family=section.get("family", "cosine"),
-            power=section.get("power", 1.0),
-            warmup_steps=section.get("warmup_steps", 0),
-            min_lr=section.get("min_lr", 0.0),
-        )
-    except ValueError as err:
-        raise ConfigError(f"{err} (in schedule)") from None
+def _typed(cls, key: str, value, where: str):
+    """``value`` for field ``key`` of ``cls``, checked against the field's type."""
+    expected = _HINTS[cls][key]
+    if type(value) not in _JSON_TYPES[expected]:
+        raise ConfigError(f"{key} must be of type {expected.__name__}, got {value!r} (in {where})")
+    return value
 
 
-def _parse_larc(section) -> LarcConfig | None:
-    if section is None:
-        return None
+def _parse_section(cls, section, where: str, **fixed):
+    """Build dataclass ``cls`` from a config object keyed by its field names
+    (those in ``fixed`` excepted); absent keys take the field defaults."""
     if not isinstance(section, dict):
-        raise ConfigError("larc must be an object")
-    _check_keys(section, _LARC_KEYS, "larc")
+        raise ConfigError(f"{where} must be an object")
+    keys = {f.name for f in fields(cls)} - fixed.keys()
+    _check_keys(section, keys, where)
+    for f in fields(cls):
+        if f.name in keys and f.default is MISSING:
+            _require(section, f.name, where)
+    kwargs = {key: _typed(cls, key, value, where) for key, value in section.items()}
     try:
-        return LarcConfig(
-            trust_coefficient=section.get("trust_coefficient", 0.001),
-            clip=section.get("clip", True),
-            eps_div=section.get("eps_div", 1e-8),
-        )
+        return cls(**kwargs, **fixed)
     except ValueError as err:
-        raise ConfigError(f"{err} (in larc)") from None
+        raise ConfigError(f"{err} (in {where})") from None
 
 
 def _parse_common(tree: dict) -> dict:
-    total_steps = _require(tree, "total_steps", "config")
+    _require(tree, "total_steps", "config")
+    scalars = {key: _typed(RunConfig, key, tree[key], "config") for key in _RUN_SCALARS if key in tree}
+    larc = tree.get("larc")
     return {
         "problem": _parse_problem(_require(tree, "problem", "config")),
-        "schedule": _parse_schedule(_require(tree, "schedule", "config"), total_steps),
-        "larc": _parse_larc(tree.get("larc")),
-        "batch_size": tree.get("batch_size", 32),
-        "accumulation_factor": tree.get("accumulation_factor", 1),
-        "total_steps": total_steps,
-        "seed": tree.get("seed", 0),
-        "log_every": tree.get("log_every", 10),
+        "schedule": _parse_section(
+            ScheduleSpec, _require(tree, "schedule", "config"), "schedule", total_steps=scalars["total_steps"]
+        ),
+        "larc": None if larc is None else _parse_section(LarcConfig, larc, "larc"),
+        **scalars,
     }
 
 
@@ -244,7 +230,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _echo_header(tree: dict) -> str:
-    return "# config: " + json.dumps(tree, sort_keys=True, separators=(",", ":")) + "\n"
+    return "# config: " + harness._dumps(tree) + "\n"
 
 
 def _safe_label(label: str) -> str:

@@ -238,7 +238,11 @@ def _train(
             w_norms = np.sqrt(l2_norm_sq(params.weights, params.offsets)).tolist()
             scales = [larc_scale(w_n, g_n, lr_t, cfg.larc) for w_n, g_n in zip(w_norms, grad_norms)]
             if any(scale != 1.0 for scale in scales):
-                params.grad *= params.broadcast(scales, params.grad.dtype)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    params.grad *= params.broadcast(scales, params.grad.dtype)
+                if not np.isfinite(params.grad).all():  # the trust ratio overflowed
+                    termination = "diverged"
+                    break
 
         driver.step(params, lr_t)
 

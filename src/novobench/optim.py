@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,8 @@ __all__ = [
     "state_to_dict",
     "state_from_dict",
     "OptimizerDriver",
+    "StateReport",
+    "state_report",
 ]
 
 FIRST_MOMENT_STYLES = ("cumulative", "ema")
@@ -113,7 +116,11 @@ class NovoGradState:
 
 @dataclass(frozen=True)
 class AdamConfig:
-    """Adam / AdamW hyperparameters; ``decoupled`` selects AdamW decay."""
+    """Adam / AdamW hyperparameters.
+
+    The algorithm, not the config, places weight decay: ``adam`` folds it
+    into the gradient, ``adamw`` into the weight update.
+    """
 
     lr: float = 0.001
     beta1: float = 0.9
@@ -121,7 +128,6 @@ class AdamConfig:
     epsilon: float = 1e-8
     weight_decay: float = 0.0
     bias_correction: bool = True
-    decoupled: bool = False
 
     def __post_init__(self):
         if not self.lr > 0:
@@ -295,11 +301,14 @@ def novograd_init(params: ModelParams, cfg: NovoGradConfig, lr_t: float) -> Novo
     """
     if len(params.layers) == 0:
         raise ValueError("no layers to optimize")
-    _check_lr(lr_t)
-    state = NovoGradState(v_hat={} if cfg.ams else None)
-    _novograd_update(params, state, cfg, lr_t)
-    state.step_count = 1
+    state = _new_novograd_state(params, cfg)
+    novograd_step(params, state, cfg, lr_t)
     return state
+
+
+def _new_novograd_state(params: ModelParams, cfg: NovoGradConfig) -> NovoGradState:
+    """A state with every layer awaiting initialization."""
+    return NovoGradState(v_hat={} if cfg.ams else None)
 
 
 def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig, lr_t: float) -> None:
@@ -333,7 +342,12 @@ def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: flo
         v_hat = v / (1.0 - beta2**t)
     else:
         m_hat, v_hat = m, v
-    update = m_hat / (np.sqrt(v_hat) + eps)
+    denom = np.sqrt(v_hat) + eps
+    if eps > 0.0:
+        update = m_hat / denom
+    else:  # 0/0 where a weight has only seen zero gradients: no update
+        update = np.zeros_like(m_hat)
+        np.divide(m_hat, denom, out=update, where=(m_hat != 0.0) | (denom != 0.0))
     if d != 0.0 and decoupled:
         update = update + d * w
     w -= lr_t * update
@@ -341,7 +355,7 @@ def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: flo
 
 def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: float) -> None:
     """One Adam update; coupled weight decay folds d*w into the gradient."""
-    _adam_step(params, state, cfg, lr_t, cfg.decoupled)
+    _adam_step(params, state, cfg, lr_t, False)
 
 
 def adamw_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: float) -> None:
@@ -376,39 +390,63 @@ def sngd_step(params: ModelParams, cfg: SngdConfig, lr_t: float) -> None:
     np.subtract(params.weights, lr_t * (params.grad / denom), out=params.weights, where=where)
 
 
-ALGORITHMS = ("novograd", "adam", "adamw", "sgd", "sngd")
+class _Algorithm(NamedTuple):
+    """Registry entry: config class, state constructor ``(params, cfg)``
+    (None for a stateless algorithm) and ``step(params, state, cfg, lr_t)``."""
 
-_CONFIG_TYPES = {
-    "novograd": NovoGradConfig,
-    "adam": AdamConfig,
-    "adamw": AdamConfig,
-    "sgd": SgdMomentumConfig,
-    "sngd": SngdConfig,
+    config: type
+    new_state: Callable | None
+    step: Callable
+
+
+# every per-algorithm difference outside the step functions lives here
+_REGISTRY = {
+    "novograd": _Algorithm(NovoGradConfig, _new_novograd_state, novograd_step),
+    "adam": _Algorithm(AdamConfig, lambda params, cfg: AdamState.zeros(params), adam_step),
+    "adamw": _Algorithm(AdamConfig, lambda params, cfg: AdamState.zeros(params), adamw_step),
+    "sgd": _Algorithm(SgdMomentumConfig, lambda params, cfg: SgdMomentumState.zeros(params), sgd_momentum_step),
+    "sngd": _Algorithm(SngdConfig, None, lambda params, state, cfg, lr_t: sngd_step(params, cfg, lr_t)),
 }
+
+ALGORITHMS = tuple(_REGISTRY)
+
+# v1 documents spelled AdamW as adam + decoupled=true; the flag must agree with the name
+_V1_DECOUPLED = {"adam": False, "adamw": True}
 
 
 def make_config(algorithm: str, hyperparams: dict | None = None):
     """Build the config dataclass for ``algorithm``, rejecting unknown keys."""
-    if algorithm not in _CONFIG_TYPES:
+    if algorithm not in _REGISTRY:
         raise ValueError(f"unknown algorithm '{algorithm}'")
-    cls = _CONFIG_TYPES[algorithm]
-    hp = dict(hyperparams or {})
+    cls = _REGISTRY[algorithm].config
+    hp = hyperparams or {}
     allowed = {f.name for f in fields(cls)}
     for key in hp:
         if key not in allowed:
             raise ValueError(f"unknown hyperparameter '{key}' for {algorithm}")
-    if algorithm == "adamw":
-        if hp.get("decoupled") is False:
-            raise ValueError("adamw is always decoupled; use algorithm 'adam' instead")
-        hp["decoupled"] = True
     return cls(**hp)
+
+
+def _empty_state(algorithm: str, cfg):
+    """The state ``algorithm`` keeps for a model without layers (None when stateless)."""
+    new_state = _REGISTRY[algorithm].new_state
+    return None if new_state is None else new_state(ModelParams([]), cfg)
+
+
+def _layer_fields(state) -> list[str]:
+    """Names of the state's per-layer dict fields (``m``, ``v``, ``v_hat``), in field order."""
+    if state is None:
+        return []
+    return [f.name for f in fields(state) if isinstance(getattr(state, f.name), dict)]
 
 
 def state_to_dict(algorithm: str, cfg, state) -> dict:
     """Serialize optimizer state to a JSON-compatible tree.
 
-    Floats survive a JSON round trip exactly (shortest-repr formatting),
-    so checkpoint/restore reproduces trajectories bit-for-bit.
+    Each initialized layer becomes one entry holding its value of every
+    per-layer field of the state.  Floats survive a JSON round trip
+    exactly (shortest-repr formatting), so checkpoint/restore reproduces
+    trajectories bit-for-bit.
     """
     doc = {
         "format_version": STATE_FORMAT_VERSION,
@@ -417,23 +455,13 @@ def state_to_dict(algorithm: str, cfg, state) -> dict:
         "step_count": 0 if state is None else state.step_count,
         "layers": [],
     }
-    if state is None:
-        return doc
-    if algorithm == "novograd":
-        for layer_id in state.v:
-            entry = {"id": layer_id, "m": state.m[layer_id].tolist(), "v": state.v[layer_id]}
-            if state.v_hat is not None:
-                entry["v_hat"] = state.v_hat[layer_id]
-            doc["layers"].append(entry)
-    elif algorithm in ("adam", "adamw"):
-        for layer_id in state.m:
-            doc["layers"].append(
-                {"id": layer_id, "m": state.m[layer_id].tolist(), "v": state.v[layer_id].tolist()}
-            )
-    elif algorithm == "sgd":
-        for layer_id in state.m:
-            doc["layers"].append({"id": layer_id, "m": state.m[layer_id].tolist()})
-    # sngd is stateless: layers stays empty
+    names = _layer_fields(state)
+    for layer_id in getattr(state, names[0]) if names else ():
+        entry = {"id": layer_id}
+        for name in names:
+            value = getattr(state, name)[layer_id]
+            entry[name] = value.tolist() if isinstance(value, np.ndarray) else value
+        doc["layers"].append(entry)
     return doc
 
 
@@ -443,83 +471,61 @@ def state_from_dict(doc: dict):
     if version != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format version: {version}")
     algorithm = doc["algorithm"]
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm '{algorithm}'")
-    cfg = make_config(algorithm, doc["config"])
+    config = dict(doc["config"])
+    if algorithm in _V1_DECOUPLED and "decoupled" in config:
+        if config.pop("decoupled") != _V1_DECOUPLED[algorithm]:
+            raise ValueError(f"{algorithm} requires decoupled={_V1_DECOUPLED[algorithm]}; use 'adam' or 'adamw'")
+    cfg = make_config(algorithm, config)
     step_count = doc["step_count"]
     layers = doc["layers"]
     if step_count == 0 and not layers:
         return algorithm, cfg, None  # saved before any step: recreate lazily
-    if algorithm == "novograd":
-        state = NovoGradState(v_hat={} if cfg.ams else None, step_count=step_count)
-        for entry in layers:
-            state.m[entry["id"]] = np.asarray(entry["m"], dtype=np.float64)
-            state.v[entry["id"]] = float(entry["v"])
-            if cfg.ams:
-                state.v_hat[entry["id"]] = float(entry["v_hat"])
-    elif algorithm in ("adam", "adamw"):
-        state = AdamState(step_count=step_count)
-        for entry in layers:
-            state.m[entry["id"]] = np.asarray(entry["m"], dtype=np.float64)
-            state.v[entry["id"]] = np.asarray(entry["v"], dtype=np.float64)
-    elif algorithm == "sgd":
-        state = SgdMomentumState(step_count=step_count)
-        for entry in layers:
-            state.m[entry["id"]] = np.asarray(entry["m"], dtype=np.float64)
-    else:  # sngd is stateless
-        state = None
+    state = _empty_state(algorithm, cfg)
+    if state is not None:
+        state.step_count = step_count
+    names = _layer_fields(state)
+    for entry in layers:
+        for name in names:
+            value = entry[name]
+            getattr(state, name)[entry["id"]] = (
+                np.asarray(value, dtype=np.float64) if isinstance(value, list) else float(value)
+            )
     return algorithm, cfg, state
 
 
 class OptimizerDriver:
-    """Uniform stepping facade over the per-algorithm functions.
+    """Uniform stepping facade over the registered step functions.
 
-    Owns the lazily created state, dispatches NovoGrad's first call to the
-    moment-initializing update, and provides state (de)serialization for
-    checkpointing.
+    Owns the state, created on the first step, and provides state
+    (de)serialization for checkpointing.
     """
 
     def __init__(self, algorithm: str, cfg=None, state=None):
-        if algorithm not in ALGORITHMS:
+        if algorithm not in _REGISTRY:
             raise ValueError(f"unknown algorithm '{algorithm}'")
         self.algorithm = algorithm
         self.cfg = cfg if cfg is not None else make_config(algorithm)
         self.state = state
 
     def step(self, params: ModelParams, lr_t: float) -> None:
-        a = self.algorithm
-        if a == "novograd":
-            if self.state is None:
-                self.state = novograd_init(params, self.cfg, lr_t)
-            else:
-                novograd_step(params, self.state, self.cfg, lr_t)
-        elif a == "adam":
-            if self.state is None:
-                self.state = AdamState.zeros(params)
-            adam_step(params, self.state, self.cfg, lr_t)
-        elif a == "adamw":
-            if self.state is None:
-                self.state = AdamState.zeros(params)
-            adamw_step(params, self.state, self.cfg, lr_t)
-        elif a == "sgd":
-            if self.state is None:
-                self.state = SgdMomentumState.zeros(params)
-            sgd_momentum_step(params, self.state, self.cfg, lr_t)
-        else:
-            sngd_step(params, self.cfg, lr_t)
+        entry = _REGISTRY[self.algorithm]
+        state = self.state
+        if state is None and entry.new_state is not None:
+            state = entry.new_state(params, self.cfg)
+        entry.step(params, state, self.cfg, lr_t)
+        self.state = state
 
     def second_moments(self, params: ModelParams) -> dict[str, float] | None:
-        """Per-layer second-moment summary: NovoGrad's v_l as-is, the mean
-        of Adam's element-wise v per layer; None for optimizers without one."""
-        if self.algorithm == "novograd":
-            if self.state is None:
-                return {}
-            return dict(self.state.v)
-        if self.algorithm in ("adam", "adamw"):
-            if self.state is None:
-                return {}
-            return {layer.id: float(np.mean(self.state.v[layer.id])) for layer in params}
-        return None
+        """Per-layer second-moment summary: the state's ``v`` per layer (the
+        mean of an element-wise ``v``); None for optimizers without one."""
+        state = self.state if self.state is not None else _empty_state(self.algorithm, self.cfg)
+        v = getattr(state, "v", None)
+        if v is None:
+            return None
+        return {
+            layer_id: value if isinstance(value, float) else float(np.mean(value))
+            for layer_id, value in v.items()
+        }
 
     def state_dict(self) -> dict:
         return state_to_dict(self.algorithm, self.cfg, self.state)
@@ -528,3 +534,34 @@ class OptimizerDriver:
     def from_state_dict(cls, doc: dict) -> "OptimizerDriver":
         algorithm, cfg, state = state_from_dict(doc)
         return cls(algorithm, cfg, state)
+
+
+@dataclass(frozen=True)
+class StateReport:
+    """Optimizer state footprint: element counts by storage class."""
+
+    algorithm: str
+    per_layer_scalars: int
+    full_vectors: int
+    total_state_elements: int
+
+
+def state_report(algorithm: str, params: ModelParams, *, ams: bool = False) -> StateReport:
+    """Measure the persistent state an optimizer keeps for ``params``.
+
+    A copy of ``params`` takes one step at ``lr_t = 0`` on a unit gradient,
+    which initializes every layer; the report counts the elements the
+    resulting state holds.  ``ams`` selects NovoGrad's running-max
+    variant.  NovoGrad keeps one momentum vector plus one second-moment
+    scalar per layer (two scalars with ``ams``), roughly half of Adam's
+    two full moment vectors.
+    """
+    driver = OptimizerDriver(algorithm, make_config(algorithm, {"ams": True} if ams else None))
+    model = params.copy()
+    model.grad[...] = 1.0
+    driver.step(model, 0.0)
+    per_layer = [list(getattr(driver.state, name).values()) for name in _layer_fields(driver.state)]
+    full_vectors = sum(any(isinstance(x, np.ndarray) for x in values) for values in per_layer)
+    scalars = sum(bool(values) for values in per_layer) - full_vectors
+    total = sum(np.size(x) for values in per_layer for x in values)
+    return StateReport(algorithm, scalars, full_vectors, total)

@@ -22,10 +22,8 @@ import numpy as np
 __all__ = [
     "ParameterLayer",
     "ModelParams",
-    "StateReport",
     "l2_norm_sq",
     "l2_norm",
-    "state_report",
     "zero_grads",
 ]
 
@@ -171,45 +169,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams([layer.copy() for layer in self.layers])
-
-
-@dataclass(frozen=True)
-class StateReport:
-    """Optimizer state footprint: element counts by storage class."""
-
-    algorithm: str
-    per_layer_scalars: int
-    full_vectors: int
-    total_state_elements: int
-
-
-# (full vectors of length N, scalars per layer) persisted by each algorithm
-_STATE_SHAPES = {
-    "sngd": (0, 0),
-    "sgd": (1, 0),
-    "adam": (2, 0),
-    "adamw": (2, 0),
-    "novograd": (1, 1),
-}
-
-
-def state_report(algorithm: str, params: ModelParams, *, ams: bool = False) -> StateReport:
-    """Account for the persistent state an optimizer keeps for ``params``.
-
-    NovoGrad stores one momentum vector plus one second-moment scalar per
-    layer (two scalars with the running-max variant), roughly half of
-    Adam's two full moment vectors.
-    """
-    try:
-        full_vectors, scalars = _STATE_SHAPES[algorithm]
-    except KeyError:
-        raise ValueError(f"unknown algorithm '{algorithm}'") from None
-    if algorithm == "novograd" and ams:
-        scalars = 2
-    n = params.total_elements
-    num_layers = len(params.layers)
-    total = full_vectors * n + scalars * num_layers
-    return StateReport(algorithm, scalars, full_vectors, total)
 
 
 def zero_grads(params: ModelParams) -> None:

@@ -31,8 +31,9 @@ from novobench.optim import (
     SngdConfig,
     novograd_step,
     sngd_step,
+    state_report,
 )
-from novobench.params import ModelParams, ParameterLayer, state_report
+from novobench.params import ModelParams, ParameterLayer
 from novobench.problems import build
 from novobench.schedule import ScheduleSpec, lr_at
 

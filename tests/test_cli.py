@@ -72,6 +72,43 @@ class TestRun:
         footer = json.loads((tmp_path / "trajectory.jsonl").read_text().splitlines()[-1])
         assert footer["termination"] == "diverged"
 
+    def test_larc_overflow_exit_code(self, tmp_path, capsys):
+        tree = run_config_tree(
+            problem={"kind": "quadratic", "diag": [2.0, 4.0], "w0": [1.0, 1.0]},
+            optimizer={"algorithm": "sgd"},
+            schedule={"base_lr": 1e-3, "family": "polynomial", "power": 1020.0},
+            larc={"trust_coefficient": 1.0, "clip": False},
+            total_steps=2,
+            log_every=1,
+        )
+        cfg = write_config(tmp_path / "cfg.json", tree)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path), "--format", "jsonl"]) == 2
+        assert "diverged" in capsys.readouterr().err
+        lines = (tmp_path / "trajectory.jsonl").read_text().splitlines()
+        assert [json.loads(line)["step"] for line in lines[1:-1]] == [0]
+        assert json.loads(lines[-1])["termination"] == "diverged"
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("schedule", "base_lr", "x"),
+            ("schedule", "warmup_steps", "2"),
+            ("larc", "trust_coefficient", "x"),
+            ("larc", "clip", "no"),
+            (None, "total_steps", "50"),
+            (None, "batch_size", "1"),
+            (None, "accumulation_factor", "2"),
+            (None, "log_every", "10"),
+        ],
+    )
+    def test_mistyped_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
+        tree = run_config_tree(larc={})
+        (tree if section is None else tree[section])[key] = value
+        cfg = write_config(tmp_path / "cfg.json", tree)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
     def test_jsonl_format(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", run_config_tree())
         assert main(["run", "--config", cfg, "--out", str(tmp_path), "--format", "jsonl"]) == 0

@@ -114,6 +114,19 @@ class TestTrainBasics:
         assert all(np.isfinite(rec.loss) for rec in log.records)
         assert all(np.isfinite(w).all() for w in log.final_weights.values())
 
+    def test_larc_overflow_ends_diverged(self):
+        # unclipped LARC scales by trust/lr_t; lr_t = 1e-3 * 0.5**1020 at
+        # step 1 overflows the scaled gradient, which was finite before it
+        schedule = ScheduleSpec(base_lr=1e-3, total_steps=2, family="polynomial", power=1020.0)
+        spec = ProblemSpec("quadratic", {"diag": [2.0, 4.0], "w0": [1.0, 1.0]})
+        larc = LarcConfig(trust_coefficient=1.0, clip=False)
+        cfg = quadratic_config("sgd", problem=spec, schedule=schedule, larc=larc, total_steps=2, log_every=1)
+        log = train(cfg, record_weight_trace=True)
+        assert log.termination == "diverged"
+        assert [rec.step for rec in log.records] == [0]
+        np.testing.assert_array_equal(log.final_weights["w"], log.weight_trace[0]["w"])
+        assert np.isfinite(log.final_weights["w"]).all()
+
     def test_larc_run_completes(self):
         cfg = logreg_config("sgd", larc=LarcConfig(trust_coefficient=0.02), total_steps=15)
         log = train(cfg)

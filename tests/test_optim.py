@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -275,6 +276,16 @@ class TestAdam:
         expected = oracle.adam_trace(w0, grads, lrs, 0.9, 0.999, 1e-8, d=0.05)
         np.testing.assert_allclose(params.layer("w").weights, expected[-1], rtol=1e-14)
 
+    @pytest.mark.parametrize("algorithm", ["adam", "adamw"])
+    def test_zero_epsilon_leaves_zero_gradient_weights(self, algorithm):
+        # m_hat and sqrt(v_hat) are both 0 for the first weight: 0/0 must not
+        # become NaN (or a RuntimeWarning)
+        params = single_layer([1.0, 2.0], [0.0, 1.0])
+        OptimizerDriver(algorithm, AdamConfig(epsilon=0.0)).step(params, 0.1)
+        m_hat = (1.0 - 0.9) * 1.0 / (1.0 - 0.9)
+        v_hat = (1.0 - 0.999) * 1.0 / (1.0 - 0.999)
+        np.testing.assert_array_equal(params.weights, [1.0, 2.0 - 0.1 * (m_hat / math.sqrt(v_hat))])
+
 
 class TestAdamW:
     def test_identical_to_adam_at_zero_decay(self):
@@ -398,7 +409,7 @@ def _frozen_driver_step(algorithm, cfg, lr, zero_weights):
     [
         ("novograd", NovoGradConfig(weight_decay=0.03)),
         ("adam", AdamConfig(weight_decay=0.03)),
-        ("adamw", AdamConfig(weight_decay=0.03, decoupled=True)),
+        ("adamw", AdamConfig(weight_decay=0.03)),
         ("sgd", SgdMomentumConfig(weight_decay=0.03)),
         ("sngd", SngdConfig()),
     ],
@@ -439,6 +450,53 @@ def test_layer_order_independence(algorithm):
         np.testing.assert_array_equal(
             forward.layer(layer.id).weights, backward.layer(layer.id).weights
         )
+
+
+# State documents written by the first v1 release (adam/adamw still carry the
+# `decoupled` flag), over two layers: a (2 elements) and b (1 element).
+_V1_DOCUMENTS = {
+    "novograd": (
+        '{"format_version": 1, "algorithm": "novograd", "config": {"lr0": 0.01, "beta1": 0.95, '
+        '"beta2": 0.25, "weight_decay": 0.0, "epsilon": 1e-08, "first_moment_style": "cumulative", '
+        '"wd_placement": "in_moment", "ams": false}, "step_count": 2, "layers": [{"id": "a", '
+        '"m": [0.6300485844577803, -0.4393144939842794], "v": 1.484375}, {"id": "b", '
+        '"m": [-0.20170519788184915], "v": 12.0625}]}'
+    ),
+    "adam": (
+        '{"format_version": 1, "algorithm": "adam", "config": {"lr": 0.001, "beta1": 0.9, '
+        '"beta2": 0.999, "epsilon": 1e-08, "weight_decay": 0.0, "bias_correction": true, '
+        '"decoupled": false}, "step_count": 2, "layers": [{"id": "a", "m": [0.11499999999999998, '
+        '-0.12999999999999998], "v": [0.001061500000000001, 0.004246000000000004]}, {"id": "b", '
+        '"m": [-0.3549999999999999], "v": [0.016249750000000014]}]}'
+    ),
+    "adamw": (
+        '{"format_version": 1, "algorithm": "adamw", "config": {"lr": 0.001, "beta1": 0.9, '
+        '"beta2": 0.999, "epsilon": 1e-08, "weight_decay": 0.0, "bias_correction": true, '
+        '"decoupled": true}, "step_count": 2, "layers": [{"id": "a", "m": [0.11499999999999998, '
+        '-0.12999999999999998], "v": [0.001061500000000001, 0.004246000000000004]}, {"id": "b", '
+        '"m": [-0.3549999999999999], "v": [0.016249750000000014]}]}'
+    ),
+    "sgd": (
+        '{"format_version": 1, "algorithm": "sgd", "config": {"lr": 0.1, "momentum": 0.9, '
+        '"weight_decay": 0.0}, "step_count": 2, "layers": [{"id": "a", "m": [1.15, -1.3]}, '
+        '{"id": "b", "m": [-3.55]}]}'
+    ),
+    "sngd": (
+        '{"format_version": 1, "algorithm": "sngd", "config": {"epsilon": 1e-08}, "step_count": 0, '
+        '"layers": []}'
+    ),
+    "novograd-ams-deferred-layer": (
+        '{"format_version": 1, "algorithm": "novograd", "config": {"lr0": 0.01, "beta1": 0.95, '
+        '"beta2": 0.25, "weight_decay": 0.0, "epsilon": 1e-08, "first_moment_style": "cumulative", '
+        '"wd_placement": "in_moment", "ams": true}, "step_count": 2, "layers": [{"id": "b", '
+        '"m": [1.4499999975], "v": 1.75, "v_hat": 4.0}]}'
+    ),
+    "novograd-ams-no-layers": (
+        '{"format_version": 1, "algorithm": "novograd", "config": {"lr0": 0.01, "beta1": 0.95, '
+        '"beta2": 0.25, "weight_decay": 0.0, "epsilon": 1e-08, "first_moment_style": "cumulative", '
+        '"wd_placement": "in_moment", "ams": true}, "step_count": 1, "layers": []}'
+    ),
+}
 
 
 class TestSerialization:
@@ -488,16 +546,55 @@ class TestSerialization:
         with pytest.raises(ValueError, match="format version"):
             state_from_dict(doc)
 
+    @pytest.mark.parametrize("name", sorted(_V1_DOCUMENTS))
+    def test_v1_documents_reserialize_unchanged(self, name):
+        doc = json.loads(_V1_DOCUMENTS[name])
+        expected = json.loads(_V1_DOCUMENTS[name])
+        expected["config"].pop("decoupled", None)
+        restored = OptimizerDriver.from_state_dict(doc)
+        assert restored.state_dict() == expected
+        assert json.dumps(restored.state_dict()) == json.dumps(expected)
+
+    def test_v1_ams_state_without_layers_keeps_an_empty_running_max(self):
+        restored = OptimizerDriver.from_state_dict(json.loads(_V1_DOCUMENTS["novograd-ams-no-layers"]))
+        assert (restored.state.step_count, restored.state.m, restored.state.v_hat) == (1, {}, {})
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @settings(max_examples=10, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        steps=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_state_dict_round_trip(self, algorithm, sizes, steps, seed):
+        rng = np.random.default_rng(seed)
+        params = ModelParams([ParameterLayer(f"l{i}", rng.standard_normal(n)) for i, n in enumerate(sizes)])
+        hyperparams = {"ams": True} if algorithm == "novograd" and rng.uniform() < 0.5 else {}
+        driver = OptimizerDriver(algorithm, make_config(algorithm, hyperparams))
+        for _ in range(steps):
+            # a zero layer gradient leaves a NovoGrad layer uninitialized
+            params.grad[...] = rng.standard_normal(params.grad.size) * (rng.uniform(size=params.grad.size) < 0.7)
+            driver.step(params, 0.05)
+        doc = json.loads(json.dumps(driver.state_dict()))
+        restored = OptimizerDriver.from_state_dict(doc)
+        assert restored.algorithm == algorithm and restored.cfg == driver.cfg
+        assert restored.state_dict() == doc
+        assert restored.second_moments(params) == driver.second_moments(params)
+
 
 class TestConfigs:
     def test_make_config_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown hyperparameter 'beta3'"):
             make_config("adam", {"beta3": 0.5})
 
-    def test_adamw_cannot_be_coupled(self):
-        with pytest.raises(ValueError, match="always decoupled"):
-            make_config("adamw", {"decoupled": False})
-        assert make_config("adamw", {}).decoupled is True
+    @pytest.mark.parametrize("algorithm,decoupled", [("adam", True), ("adamw", False)])
+    def test_decoupled_contradicting_the_algorithm_is_rejected(self, algorithm, decoupled):
+        with pytest.raises(ValueError, match="unknown hyperparameter 'decoupled'"):
+            make_config(algorithm, {"decoupled": decoupled})
+        doc = state_to_dict(algorithm, AdamConfig(), None)
+        doc["config"]["decoupled"] = decoupled
+        with pytest.raises(ValueError, match="decoupled"):
+            state_from_dict(doc)
 
     def test_defaults(self):
         cfg = NovoGradConfig()
@@ -581,9 +678,8 @@ def _ref_novograd(layers, state, cfg, lr):
             w -= decay
 
 
-def _ref_adam(layers, state, cfg, lr):
+def _ref_adam(layers, state, cfg, lr, decoupled):
     d = cfg.weight_decay
-    decoupled = cfg.decoupled
     state.step_count += 1
     t = state.step_count
     for layer_id, w, g in layers:
@@ -682,7 +778,7 @@ def test_fused_step_equals_per_layer_reference(algorithm, hyperparams, sizes, dt
         if algorithm == "novograd":
             _ref_novograd(layers, ref, cfg, lr)
         elif algorithm in ("adam", "adamw"):
-            _ref_adam(layers, ref, cfg, lr)
+            _ref_adam(layers, ref, cfg, lr, decoupled=algorithm == "adamw")
         elif algorithm == "sgd":
             _ref_sgd(layers, ref, cfg, lr)
         else:
@@ -712,5 +808,8 @@ def test_steps_on_an_empty_model_only_count():
     state = NovoGradState()
     novograd_step(params, state, NovoGradConfig(), 0.1)
     assert (state.step_count, state.m, state.v) == (1, {}, {})
+    driver = OptimizerDriver("novograd")
+    driver.step(params, 0.1)
+    assert (driver.state.step_count, driver.state.m, driver.state.v) == (1, {}, {})
     for algorithm in ("adam", "adamw", "sgd", "sngd"):
         OptimizerDriver(algorithm).step(params, 0.1)

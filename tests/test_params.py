@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novobench.optim import AdamState, NovoGradConfig, novograd_init
-from novobench.params import (
-    ModelParams,
-    ParameterLayer,
-    l2_norm_sq,
-    state_report,
-    zero_grads,
-)
+from novobench.optim import AdamState, NovoGradConfig, novograd_init, state_report
+from novobench.params import ModelParams, ParameterLayer, l2_norm_sq, zero_grads
 
 
 def _params(sizes, rng=None):
