@@ -33,7 +33,7 @@ class ConfigError(ValueError):
 
 
 # JSON value types accepted for a field of each annotated type (bool is not a number)
-_JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
+_JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,), list: (list,)}
 _HINTS = {cls: get_type_hints(cls) for cls in (RunConfig, ScheduleSpec, LarcConfig)}
 _RUN_SCALARS = [key for key, hint in _HINTS[RunConfig].items() if hint is int]
 
@@ -41,7 +41,8 @@ _RUN_SCALARS = [key for key, hint in _HINTS[RunConfig].items() if hint is int]
 _RUN_KEYS = (_HINTS[RunConfig].keys() - {"algorithm", "hyperparams"}) | {"optimizer"}
 _COMPARE_KEYS = (_RUN_KEYS - {"optimizer"}) | {"optimizers", "loss_threshold"}
 _SWEEP_KEYS = _RUN_KEYS | {"sweep"}
-_SWEEP_SECTION_KEYS = {"lr_grid", "lr_min", "lr_max", "points", "spacing"}
+# the sweep section has no dataclass; its keys and their types
+_SWEEP_SECTION = {"lr_grid": list, "lr_min": float, "lr_max": float, "points": int, "spacing": str}
 
 # representative instances for `gradcheck <tag>`
 _GRADCHECK_OPTIONS = {
@@ -70,7 +71,7 @@ def _parse_problem(section, where="problem") -> ProblemSpec:
     section = dict(section)
     kind = _require(section, "kind", where)
     section.pop("kind")
-    gradient_scale = section.pop("gradient_scale", 1.0)
+    gradient_scale = _typed(float, "gradient_scale", section.pop("gradient_scale", 1.0), where)
     try:
         problems.validate_options(kind, section)
     except ValueError as err:
@@ -93,9 +94,8 @@ def _parse_optimizer(section, where="optimizer") -> tuple[str, dict]:
     return algorithm, section
 
 
-def _typed(cls, key: str, value, where: str):
-    """``value`` for field ``key`` of ``cls``, checked against the field's type."""
-    expected = _HINTS[cls][key]
+def _typed(expected: type, key: str, value, where: str):
+    """``value`` for ``key``, checked against the JSON types that stand for ``expected``."""
     if type(value) not in _JSON_TYPES[expected]:
         raise ConfigError(f"{key} must be of type {expected.__name__}, got {value!r} (in {where})")
     return value
@@ -111,7 +111,7 @@ def _parse_section(cls, section, where: str, **fixed):
     for f in fields(cls):
         if f.name in keys and f.default is MISSING:
             _require(section, f.name, where)
-    kwargs = {key: _typed(cls, key, value, where) for key, value in section.items()}
+    kwargs = {key: _typed(_HINTS[cls][key], key, value, where) for key, value in section.items()}
     try:
         return cls(**kwargs, **fixed)
     except ValueError as err:
@@ -120,7 +120,7 @@ def _parse_section(cls, section, where: str, **fixed):
 
 def _parse_common(tree: dict) -> dict:
     _require(tree, "total_steps", "config")
-    scalars = {key: _typed(RunConfig, key, tree[key], "config") for key in _RUN_SCALARS if key in tree}
+    scalars = {key: _typed(int, key, tree[key], "config") for key in _RUN_SCALARS if key in tree}
     larc = tree.get("larc")
     return {
         "problem": _parse_problem(_require(tree, "problem", "config")),
@@ -151,15 +151,17 @@ def parse_compare_config(tree: dict) -> tuple[list[RunConfig], list[str], float 
         if not isinstance(entry, dict):
             raise ConfigError(f"optimizers[{i}] must be an object")
         entry = dict(entry)
+        where = f"optimizers[{i}]"
         label = entry.pop("label", None)
         base_lr = entry.pop("base_lr", None)
-        algorithm, hyperparams = _parse_optimizer(entry, where=f"optimizers[{i}]")
+        algorithm, hyperparams = _parse_optimizer(entry, where=where)
         fields = dict(common)
         if base_lr is not None:
-            fields["schedule"] = replace(fields["schedule"], base_lr=base_lr)
+            fields["schedule"] = replace(fields["schedule"], base_lr=_typed(float, "base_lr", base_lr, where))
         cfgs.append(RunConfig(algorithm=algorithm, hyperparams=hyperparams, **fields))
-        labels.append(label if label is not None else algorithm)
-    return cfgs, labels, tree.get("loss_threshold")
+        labels.append(algorithm if label is None else _typed(str, "label", label, where))
+    threshold = tree.get("loss_threshold")
+    return cfgs, labels, None if threshold is None else _typed(float, "loss_threshold", threshold, "config")
 
 
 def parse_sweep_config(tree: dict) -> tuple[RunConfig, list[float]]:
@@ -169,16 +171,17 @@ def parse_sweep_config(tree: dict) -> tuple[RunConfig, list[float]]:
     section = _require(tree, "sweep", "config")
     if not isinstance(section, dict):
         raise ConfigError("sweep must be an object")
-    _check_keys(section, _SWEEP_SECTION_KEYS, "sweep")
+    _check_keys(section, _SWEEP_SECTION.keys(), "sweep")
+    section = {key: _typed(_SWEEP_SECTION[key], key, value, "sweep") for key, value in section.items()}
     if "lr_grid" in section:
-        grid = [float(x) for x in section["lr_grid"]]
+        grid = [_typed(float, "lr_grid", x, "sweep") for x in section["lr_grid"]]
     else:
         for key in ("lr_min", "lr_max", "points"):
             _require(section, key, "sweep")
         spacing = section.get("spacing", "log")
         if spacing not in ("log", "linear"):
             raise ConfigError(f"unknown spacing '{spacing}' in sweep")
-        n = int(section["points"])
+        n = section["points"]
         if n < 1:
             raise ConfigError("sweep points must be >= 1")
         if spacing == "log":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -319,6 +319,14 @@ class ComparisonRow:
     diverged: bool
 
 
+def _loss_summary(log: TrajectoryLog) -> tuple[float, float]:
+    """Final and best logged loss of a run; NaN for both when nothing was logged."""
+    losses = [rec.loss for rec in log.records]
+    if not losses:
+        return float("nan"), float("nan")
+    return losses[-1], min(losses)
+
+
 def _dedupe_labels(labels: list[str]) -> list[str]:
     seen: dict[str, int] = {}
     out = []
@@ -355,9 +363,7 @@ def compare_runs(
     logs = []
     for label, cfg in zip(labels, cfgs):
         log = _train(cfg, problem)
-        losses = [rec.loss for rec in log.records]
-        final_loss = losses[-1] if losses else float("nan")
-        best_loss = min(losses) if losses else float("nan")
+        final_loss, best_loss = _loss_summary(log)
         steps = None
         if loss_threshold is not None:
             for rec in log.records:
@@ -392,15 +398,7 @@ def lr_sweep(cfg: RunConfig, lrs: list[float]) -> tuple[list[SweepRow], list[Tra
     for lr in lrs:
         sched = replace(cfg.schedule, base_lr=lr)
         log = _train(replace(cfg, schedule=sched), problem)
-        losses = [rec.loss for rec in log.records]
-        rows.append(
-            SweepRow(
-                lr=lr,
-                final_loss=losses[-1] if losses else float("nan"),
-                best_loss=min(losses) if losses else float("nan"),
-                diverged=log.termination == "diverged",
-            )
-        )
+        rows.append(SweepRow(lr, *_loss_summary(log), diverged=log.termination == "diverged"))
         logs.append(log)
     return rows, logs
 
@@ -473,31 +471,20 @@ def log_to_csv(log: TrajectoryLog, include_timing: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def comparison_to_csv(rows: list[ComparisonRow]) -> str:
-    lines = ["label,algorithm,final_loss,best_loss,steps_to_threshold,diverged"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row.label,
-                    row.algorithm,
-                    _fmt(row.final_loss),
-                    _fmt(row.best_loss),
-                    _fmt(row.steps_to_threshold),
-                    _fmt(row.diverged),
-                ]
-            )
-        )
+def _rows_to_csv(rows: list, row_type: type) -> str:
+    """A header of ``row_type``'s field names, then one line of cells per row."""
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(names)]
+    lines += [",".join(_fmt(getattr(row, name)) for name in names) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def comparison_to_csv(rows: list[ComparisonRow]) -> str:
+    return _rows_to_csv(rows, ComparisonRow)
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
-    lines = ["lr,final_loss,best_loss,diverged"]
-    for row in rows:
-        lines.append(
-            ",".join([_fmt(row.lr), _fmt(row.final_loss), _fmt(row.best_loss), _fmt(row.diverged)])
-        )
-    return "\n".join(lines) + "\n"
+    return _rows_to_csv(rows, SweepRow)
 
 
 def checkpoint_to_dict(ckpt: Checkpoint) -> dict:

@@ -119,7 +119,9 @@ class AdamConfig:
     """Adam / AdamW hyperparameters.
 
     The algorithm, not the config, places weight decay: ``adam`` folds it
-    into the gradient, ``adamw`` into the weight update.
+    into the gradient, ``adamw`` into the weight update.  With
+    ``epsilon = 0`` a weight whose second moment is zero (its gradients
+    so far were zero or underflowed when squared) takes no step.
     """
 
     lr: float = 0.001
@@ -212,10 +214,11 @@ def _check_grad_finite(params: ModelParams) -> None:
 
 
 def _gather(arrays: dict[str, np.ndarray], params: ModelParams) -> np.ndarray:
-    """Per-layer state vectors concatenated in the model's layer order."""
+    """Per-layer state vectors concatenated in the model's layer order, in
+    the model's dtype (a float32 state loaded as float64 casts back exactly)."""
     if not params.layers:
         return np.zeros_like(params.weights)
-    return np.concatenate([arrays[layer_id] for layer_id in params.layer_ids])
+    return np.concatenate([arrays[layer_id] for layer_id in params.layer_ids], dtype=params.weights.dtype)
 
 
 def _scatter(arrays: dict[str, np.ndarray], flat: np.ndarray, params: ModelParams) -> None:
@@ -271,7 +274,8 @@ def _novograd_update(params: ModelParams, state: NovoGradState, cfg: NovoGradCon
     m = contrib
     if any(known):
         m_prev = np.concatenate(
-            [state.m[layer.id] if k else np.zeros_like(layer.weights) for layer, k in zip(params, known)]
+            [state.m[layer.id] if k else np.zeros_like(layer.weights) for layer, k in zip(params, known)],
+            dtype=w.dtype,
         )
         if cfg.first_moment_style == "ema":
             m = beta1 * m_prev + (1.0 - beta1) * contrib
@@ -345,9 +349,9 @@ def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: flo
     denom = np.sqrt(v_hat) + eps
     if eps > 0.0:
         update = m_hat / denom
-    else:  # 0/0 where a weight has only seen zero gradients: no update
+    else:  # a zero second moment (only zero or underflowing gradients so far): no update
         update = np.zeros_like(m_hat)
-        np.divide(m_hat, denom, out=update, where=(m_hat != 0.0) | (denom != 0.0))
+        np.divide(m_hat, denom, out=update, where=denom != 0.0)
     if d != 0.0 and decoupled:
         update = update + d * w
     w -= lr_t * update

@@ -2,10 +2,13 @@
 
 Every problem exposes the same contract: ``eval`` returns the loss,
 ``eval_grad`` returns the same loss bit-for-bit and writes gradients into
-the parameter buffers.  Batched problems take an index array into their
-dataset; losses and gradients are means over the batch, so gradient
-accumulation by averaging composes exactly.  ``finite_diff_grad`` is the
-independent oracle used to verify every analytic gradient.
+the parameter buffers.  Both go through the problem's one loss body,
+``_loss(params, batch, grad)``, which writes the gradient only when asked;
+``logreg`` and ``mlp`` share one dataset-backed base (training set,
+held-out split, batch selection).  Batched problems take an index array
+into their dataset; losses and gradients are means over the batch, so
+gradient accumulation by averaging composes exactly.  ``finite_diff_grad``
+is the independent oracle used to verify every analytic gradient.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ class Problem:
     fd_rtol = 1e-6  # relative tolerance the analytic gradient must meet
     n_examples: int | None = None  # None: batchless full objective
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # wrappers installed per class (benchmark tracing) look these up in the class's own __dict__
+        cls.eval, cls.eval_grad = cls.eval, cls.eval_grad
+
     def layer_layout(self) -> list[tuple[str, int]]:
         raise NotImplementedError
 
@@ -52,9 +60,15 @@ class Problem:
         )
 
     def eval(self, params: ModelParams, batch: np.ndarray | None = None) -> float:
-        raise NotImplementedError
+        """The loss; no buffer is written."""
+        return self._loss(params, batch, False)
 
     def eval_grad(self, params: ModelParams, batch: np.ndarray | None = None) -> float:
+        """The loss of :meth:`eval`, bit for bit; writes the gradient into ``params``."""
+        return self._loss(params, batch, True)
+
+    def _loss(self, params: ModelParams, batch: np.ndarray | None, grad: bool) -> float:
+        """The one loss body: returns the loss; writes the gradient only when ``grad`` is set."""
         raise NotImplementedError
 
     def _check_layout(self, params: ModelParams) -> None:
@@ -113,18 +127,12 @@ class QuadraticProblem(Problem):
     def solution(self) -> np.ndarray:
         return np.linalg.solve(self.a, self.b)
 
-    def _loss(self, w: np.ndarray) -> float:
-        return float(0.5 * (w @ (self.a @ w)) - self.b @ w)
-
-    def eval(self, params, batch=None):
-        self._check_layout(params)
-        return self._loss(params.layers[0].weights)
-
-    def eval_grad(self, params, batch=None):
+    def _loss(self, params, batch, grad):
         self._check_layout(params)
         w = params.layers[0].weights
-        loss = self._loss(w)
-        params.layers[0].grad[...] = self.a @ w - self.b
+        loss = float(0.5 * (w @ (self.a @ w)) - self.b @ w)
+        if grad:
+            params.layers[0].grad[...] = self.a @ w - self.b
         return loss
 
 
@@ -146,19 +154,14 @@ class RosenbrockProblem(Problem):
     def init_params(self, rng):
         return ModelParams([ParameterLayer("w", self.w0.copy())])
 
-    def eval(self, params, batch=None):
+    def _loss(self, params, batch, grad):
         self._check_layout(params)
         x, y = params.layers[0].weights
-        return float((self.A - x) ** 2 + self.B * (y - x * x) ** 2)
-
-    def eval_grad(self, params, batch=None):
-        self._check_layout(params)
-        w = params.layers[0].weights
-        x, y = w
         loss = float((self.A - x) ** 2 + self.B * (y - x * x) ** 2)
-        gx = -2.0 * (self.A - x) - 4.0 * self.B * x * (y - x * x)
-        gy = 2.0 * self.B * (y - x * x)
-        params.layers[0].grad[...] = (gx, gy)
+        if grad:
+            gx = -2.0 * (self.A - x) - 4.0 * self.B * x * (y - x * x)
+            gy = 2.0 * self.B * (y - x * x)
+            params.layers[0].grad[...] = (gx, gy)
         return loss
 
 
@@ -167,22 +170,44 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-class LogisticRegressionProblem(Problem):
-    """Binary mean log-loss over a fixed dataset; layers: weight vector + bias."""
+class _DatasetProblem(Problem):
+    """A mean loss over a fixed (features, labels) training set.
 
-    kind = "logreg"
+    Labels are cast to the subclass's ``_label_dtype``; batches are index
+    arrays into the training set; ``test_features``/``test_labels`` hold
+    the held-out part of a split, if any.
+    """
 
     def __init__(self, features, labels):
         self.features = np.asarray(features, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=self._label_dtype)
         if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
             raise ValueError("features must be (n, d) with n matching labels")
-        if not np.isin(self.labels, (0.0, 1.0)).all():
-            raise ValueError("labels must be binary")
-        self.n_examples = self.features.shape[0]
-        self.dim = self.features.shape[1]
+        self.n_examples, self.dim = self.features.shape
         self.test_features: np.ndarray | None = None
         self.test_labels: np.ndarray | None = None
+
+    def _select(self, batch):
+        if batch is None:
+            return self.features, self.labels
+        batch = np.asarray(batch)
+        if batch.size == 0:
+            raise ValueError("empty batch")
+        if batch.min() < 0 or batch.max() >= self.n_examples:
+            raise ValueError("batch index out of range")
+        return self.features[batch], self.labels[batch]
+
+
+class LogisticRegressionProblem(_DatasetProblem):
+    """Binary mean log-loss over a fixed dataset; layers: weight vector + bias."""
+
+    kind = "logreg"
+    _label_dtype = np.float64
+
+    def __init__(self, features, labels):
+        super().__init__(features, labels)
+        if not np.isin(self.labels, (0.0, 1.0)).all():
+            raise ValueError("labels must be binary")
 
     @classmethod
     def from_dataset(cls, dataset: "SyntheticDataset") -> "LogisticRegressionProblem":
@@ -199,36 +224,22 @@ class LogisticRegressionProblem(Problem):
             ]
         )
 
-    def _select(self, batch):
-        if batch is None:
-            return self.features, self.labels
-        batch = np.asarray(batch)
-        if batch.size == 0:
-            raise ValueError("empty batch")
-        if batch.min() < 0 or batch.max() >= self.n_examples:
-            raise ValueError("batch index out of range")
-        return self.features[batch], self.labels[batch]
-
     def _logits(self, params, x):
         self._check_layout(params)
         w = params.layer("w").weights
         b = params.layer("b").weights
         return x @ w + b[0]
 
-    def eval(self, params, batch=None):
+    def _loss(self, params, batch, grad):
         x, y = self._select(batch)
         z = self._logits(params, x)
         # per-example loss: softplus(z) - y*z  (== -log sigma(z) for y=1)
-        return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
-    def eval_grad(self, params, batch=None):
-        x, y = self._select(batch)
-        z = self._logits(params, x)
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-        r = _sigmoid(z) - y
-        n = x.shape[0]
-        params.layer("w").grad[...] = x.T @ r / n
-        params.layer("b").grad[...] = np.mean(r)
+        if grad:
+            r = _sigmoid(z) - y
+            n = x.shape[0]
+            params.layer("w").grad[...] = x.T @ r / n
+            params.layer("b").grad[...] = np.mean(r)
         return loss
 
     def predict(self, params, features) -> np.ndarray:
@@ -236,7 +247,7 @@ class LogisticRegressionProblem(Problem):
         return (z >= 0.0).astype(np.int64)
 
 
-class MlpProblem(Problem):
+class MlpProblem(_DatasetProblem):
     """One-hidden-layer perceptron: tanh hidden units, softmax cross-entropy.
 
     Four layers (w1, b1, w2, b2) with distinct shapes and gradient scales,
@@ -245,24 +256,18 @@ class MlpProblem(Problem):
 
     kind = "mlp"
     fd_rtol = 1e-5
+    _label_dtype = np.int64
 
     def __init__(self, features, labels, n_classes: int, hidden: int = 16):
-        self.features = np.asarray(features, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
-            raise ValueError("features must be (n, d) with n matching labels")
+        super().__init__(features, labels)
         if n_classes < 2:
             raise ValueError("need at least two classes")
         if self.labels.min() < 0 or self.labels.max() >= n_classes:
             raise ValueError("labels out of range")
         if hidden < 1:
             raise ValueError("hidden width must be >= 1")
-        self.n_examples = self.features.shape[0]
-        self.dim = self.features.shape[1]
         self.n_classes = n_classes
         self.hidden = hidden
-        self.test_features: np.ndarray | None = None
-        self.test_labels: np.ndarray | None = None
 
     @classmethod
     def from_dataset(cls, dataset: "SyntheticDataset", hidden: int = 16) -> "MlpProblem":
@@ -283,16 +288,6 @@ class MlpProblem(Problem):
             ]
         )
 
-    def _select(self, batch):
-        if batch is None:
-            return self.features, self.labels
-        batch = np.asarray(batch)
-        if batch.size == 0:
-            raise ValueError("empty batch")
-        if batch.min() < 0 or batch.max() >= self.n_examples:
-            raise ValueError("batch index out of range")
-        return self.features[batch], self.labels[batch]
-
     def _views(self, params):
         self._check_layout(params)
         d, h, c = self.dim, self.hidden, self.n_classes
@@ -302,8 +297,8 @@ class MlpProblem(Problem):
         b2 = params.layer("b2").weights
         return w1, b1, w2, b2
 
-    def _forward(self, params, x):
-        w1, b1, w2, b2 = self._views(params)
+    @staticmethod
+    def _forward(x, w1, b1, w2, b2):
         z1 = x @ w1 + b1
         a1 = np.tanh(z1)
         z2 = a1 @ w2 + b2
@@ -312,41 +307,32 @@ class MlpProblem(Problem):
         total = exp.sum(axis=1, keepdims=True)
         return a1, z2, zmax, exp, total
 
-    def _loss_from(self, z2, zmax, total, y):
-        n = z2.shape[0]
-        log_z = zmax[:, 0] + np.log(total[:, 0])
-        return float(np.mean(log_z - z2[np.arange(n), y]))
-
-    def eval(self, params, batch=None):
+    def _loss(self, params, batch, grad):
         x, y = self._select(batch)
-        _, z2, zmax, exp, total = self._forward(params, x)
-        return self._loss_from(z2, zmax, total, y)
-
-    def eval_grad(self, params, batch=None):
-        x, y = self._select(batch)
-        a1, z2, zmax, exp, total = self._forward(params, x)
-        loss = self._loss_from(z2, zmax, total, y)
-        n = x.shape[0]
-        probs = exp / total
-        dz2 = probs
-        dz2[np.arange(n), y] -= 1.0
-        dz2 /= n
         w1, b1, w2, b2 = self._views(params)
-        dw2 = a1.T @ dz2
-        db2 = dz2.sum(axis=0)
-        da1 = dz2 @ w2.T
-        dz1 = da1 * (1.0 - a1 * a1)
-        dw1 = x.T @ dz1
-        db1 = dz1.sum(axis=0)
-        params.layer("w1").grad[...] = dw1.ravel()
-        params.layer("b1").grad[...] = db1
-        params.layer("w2").grad[...] = dw2.ravel()
-        params.layer("b2").grad[...] = db2
+        a1, z2, zmax, exp, total = self._forward(x, w1, b1, w2, b2)
+        n = x.shape[0]
+        log_z = zmax[:, 0] + np.log(total[:, 0])
+        loss = float(np.mean(log_z - z2[np.arange(n), y]))
+        if grad:
+            dz2 = exp / total
+            dz2[np.arange(n), y] -= 1.0
+            dz2 /= n
+            dw2 = a1.T @ dz2
+            db2 = dz2.sum(axis=0)
+            da1 = dz2 @ w2.T
+            dz1 = da1 * (1.0 - a1 * a1)
+            dw1 = x.T @ dz1
+            db1 = dz1.sum(axis=0)
+            params.layer("w1").grad[...] = dw1.ravel()
+            params.layer("b1").grad[...] = db1
+            params.layer("w2").grad[...] = dw2.ravel()
+            params.layer("b2").grad[...] = db2
         return loss
 
     def class_probabilities(self, params, features) -> np.ndarray:
         x = np.asarray(features, dtype=np.float64)
-        _, _, _, exp, total = self._forward(params, x)
+        _, _, _, exp, total = self._forward(x, *self._views(params))
         return exp / total
 
     def predict(self, params, features) -> np.ndarray:
@@ -374,12 +360,10 @@ class GradientScaledProblem(Problem):
     def init_params(self, rng):
         return self.inner.init_params(rng)
 
-    def eval(self, params, batch=None):
-        return self.inner.eval(params, batch)
-
-    def eval_grad(self, params, batch=None):
-        loss = self.inner.eval_grad(params, batch)
-        params.grad *= self.scale
+    def _loss(self, params, batch, grad):
+        loss = self.inner._loss(params, batch, grad)
+        if grad:
+            params.grad *= self.scale
         return loss
 
 
@@ -520,21 +504,12 @@ def generate_dataset(spec: DatasetSpec) -> SyntheticDataset:
 
 PROBLEM_KINDS = ("quadratic", "rosenbrock", "logreg", "mlp")
 
+_DATASET_KEYS = {"task", "size", "dim", "dataset_seed", "separation", "noise", "train_fraction"}
 _OPTION_KEYS = {
     "quadratic": {"diag", "dim", "matrix_seed", "b", "b_scale", "w0"},
     "rosenbrock": {"w0"},
-    "logreg": {"task", "size", "dim", "dataset_seed", "separation", "noise", "train_fraction"},
-    "mlp": {
-        "task",
-        "size",
-        "dim",
-        "dataset_seed",
-        "n_classes",
-        "separation",
-        "noise",
-        "hidden",
-        "train_fraction",
-    },
+    "logreg": _DATASET_KEYS,
+    "mlp": _DATASET_KEYS | {"n_classes", "hidden"},
 }
 
 
@@ -545,28 +520,6 @@ def validate_options(kind: str, options: dict) -> None:
     for key in options:
         if key not in _OPTION_KEYS[kind]:
             raise ValueError(f"unknown key '{key}' for problem '{kind}'")
-
-
-def _dataset_from_options(options: dict, task_default: str, n_classes_default: int) -> SyntheticDataset:
-    spec = DatasetSpec(
-        task=options.get("task", task_default),
-        size=options.get("size", 200),
-        dim=options.get("dim", 2),
-        seed=options.get("dataset_seed", 0),
-        n_classes=options.get("n_classes", n_classes_default),
-        separation=options.get("separation", 6.0),
-        noise=options.get("noise", 1.0),
-    )
-    return generate_dataset(spec)
-
-
-def _split(dataset: SyntheticDataset, fraction: float):
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("train_fraction must be in (0, 1]")
-    n_train = max(1, round(fraction * dataset.n))
-    train = (dataset.features[:n_train], dataset.labels[:n_train])
-    test = (dataset.features[n_train:], dataset.labels[n_train:])
-    return train, test
 
 
 def build(kind: str, options: dict | None = None) -> Problem:
@@ -590,15 +543,27 @@ def build(kind: str, options: dict | None = None) -> Problem:
         raise ValueError("quadratic needs either 'diag' or 'dim'")
     if kind == "rosenbrock":
         return RosenbrockProblem(w0=options.get("w0", (-1.2, 1.0)))
+    # logreg, mlp: generate the dataset, train on its leading fraction, keep the rest as test split
+    task, n_classes = ("two-gaussians", 2) if kind == "logreg" else ("multiclass-blobs", 3)
+    dataset = generate_dataset(
+        DatasetSpec(
+            task=options.get("task", task),
+            size=options.get("size", 200),
+            dim=options.get("dim", 2),
+            seed=options.get("dataset_seed", 0),
+            n_classes=options.get("n_classes", n_classes),
+            separation=options.get("separation", 6.0),
+            noise=options.get("noise", 1.0),
+        )
+    )
+    fraction = options.get("train_fraction", 1.0)
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("train_fraction must be in (0, 1]")
+    n_train = max(1, round(fraction * dataset.n))
+    x, y = dataset.features, dataset.labels
     if kind == "logreg":
-        dataset = _dataset_from_options(options, "two-gaussians", 2)
-        (x_tr, y_tr), (x_te, y_te) = _split(dataset, options.get("train_fraction", 1.0))
-        problem = LogisticRegressionProblem(x_tr, y_tr)
-        problem.test_features, problem.test_labels = x_te, y_te
-        return problem
-    # mlp
-    dataset = _dataset_from_options(options, "multiclass-blobs", 3)
-    (x_tr, y_tr), (x_te, y_te) = _split(dataset, options.get("train_fraction", 1.0))
-    problem = MlpProblem(x_tr, y_tr, dataset.spec.n_classes, hidden=options.get("hidden", 16))
-    problem.test_features, problem.test_labels = x_te, y_te
+        problem = LogisticRegressionProblem(x[:n_train], y[:n_train])
+    else:
+        problem = MlpProblem(x[:n_train], y[:n_train], dataset.spec.n_classes, hidden=options.get("hidden", 16))
+    problem.test_features, problem.test_labels = x[n_train:], y[n_train:]
     return problem

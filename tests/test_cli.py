@@ -26,6 +26,53 @@ def run_config_tree(**overrides):
     return tree
 
 
+def compare_config_tree():
+    tree = run_config_tree(
+        problem={"kind": "logreg", "size": 64, "dim": 2, "dataset_seed": 1},
+        batch_size=16,
+        total_steps=30,
+    )
+    del tree["optimizer"]
+    tree["optimizers"] = [
+        {"algorithm": "sgd", "base_lr": 0.2},
+        {"algorithm": "adam"},
+        {"algorithm": "novograd"},
+    ]
+    tree["schedule"] = {"base_lr": 0.05, "family": "cosine"}
+    return tree
+
+
+def sweep_config_tree(**sweep):
+    tree = run_config_tree(optimizer={"algorithm": "novograd"}, total_steps=40)
+    tree["sweep"] = sweep or {"lr_min": 1e-4, "lr_max": 1.0, "points": 7, "spacing": "log"}
+    return tree
+
+
+# (command, section, key, value): a value of the wrong JSON type; section None is the root
+MISTYPED = [
+    ("run", "schedule", "base_lr", "x"),
+    ("run", "schedule", "warmup_steps", "2"),
+    ("run", "larc", "trust_coefficient", "x"),
+    ("run", "larc", "clip", "no"),
+    ("run", None, "total_steps", "50"),
+    ("run", None, "batch_size", "1"),
+    ("run", None, "accumulation_factor", "2"),
+    ("run", None, "log_every", "10"),
+    ("run", "problem", "gradient_scale", "x"),
+    ("run", "problem", "gradient_scale", True),
+    ("compare", None, "loss_threshold", "x"),
+    ("compare", None, "loss_threshold", True),
+    ("compare", "optimizers", "label", 5),
+    ("compare", "optimizers", "base_lr", "x"),
+    ("sweep", "sweep", "lr_grid", 5),
+    ("sweep", "sweep", "lr_grid", ["x"]),
+    ("sweep", "sweep", "lr_min", "x"),
+    ("sweep", "sweep", "points", 2.7),
+    ("sweep", "sweep", "points", "x"),
+]
+CONFIG_TREES = {"run": lambda: run_config_tree(larc={}), "compare": compare_config_tree, "sweep": sweep_config_tree}
+
+
 class TestRun:
     def test_happy_path_writes_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", run_config_tree())
@@ -89,23 +136,15 @@ class TestRun:
         assert json.loads(lines[-1])["termination"] == "diverged"
 
     @pytest.mark.parametrize(
-        "section,key,value",
-        [
-            ("schedule", "base_lr", "x"),
-            ("schedule", "warmup_steps", "2"),
-            ("larc", "trust_coefficient", "x"),
-            ("larc", "clip", "no"),
-            (None, "total_steps", "50"),
-            (None, "batch_size", "1"),
-            (None, "accumulation_factor", "2"),
-            (None, "log_every", "10"),
-        ],
+        "command,section,key,value",
+        [pytest.param(*case, id="-".join(str(x) for x in case[1:])) for case in MISTYPED],
     )
-    def test_mistyped_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
-        tree = run_config_tree(larc={})
-        (tree if section is None else tree[section])[key] = value
+    def test_mistyped_value_is_a_config_error(self, tmp_path, capsys, command, section, key, value):
+        tree = CONFIG_TREES[command]()
+        node = tree if section is None else tree[section]
+        (node[0] if isinstance(node, list) else node)[key] = value
         cfg = write_config(tmp_path / "cfg.json", tree)
-        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
 
@@ -160,23 +199,8 @@ class TestRun:
 
 
 class TestCompare:
-    def tree(self):
-        tree = run_config_tree(
-            problem={"kind": "logreg", "size": 64, "dim": 2, "dataset_seed": 1},
-            batch_size=16,
-            total_steps=30,
-        )
-        del tree["optimizer"]
-        tree["optimizers"] = [
-            {"algorithm": "sgd", "base_lr": 0.2},
-            {"algorithm": "adam"},
-            {"algorithm": "novograd"},
-        ]
-        tree["schedule"] = {"base_lr": 0.05, "family": "cosine"}
-        return tree
-
     def test_three_rows_and_trajectories(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", self.tree())
+        cfg = write_config(tmp_path / "cfg.json", compare_config_tree())
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "comparison.csv").read_text().splitlines()
         assert lines[0].startswith("# config: ")
@@ -186,7 +210,7 @@ class TestCompare:
             assert (tmp_path / f"trajectory_{label}.csv").exists()
 
     def test_duplicate_tags_get_labels(self, tmp_path):
-        tree = self.tree()
+        tree = compare_config_tree()
         tree["optimizers"] = [{"algorithm": "adam"}, {"algorithm": "adam", "beta1": 0.8}]
         cfg = write_config(tmp_path / "cfg.json", tree)
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -195,14 +219,14 @@ class TestCompare:
         assert (tmp_path / "trajectory_adam_2.csv").exists()
 
     def test_empty_optimizer_list_rejected(self, tmp_path, capsys):
-        tree = self.tree()
+        tree = compare_config_tree()
         tree["optimizers"] = []
         cfg = write_config(tmp_path / "cfg.json", tree)
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "non-empty" in capsys.readouterr().err
 
     def test_custom_labels(self, tmp_path):
-        tree = self.tree()
+        tree = compare_config_tree()
         tree["optimizers"] = [
             {"algorithm": "novograd", "label": "tuned", "beta2": 0.5},
             {"algorithm": "novograd", "label": "default"},
@@ -214,13 +238,8 @@ class TestCompare:
 
 
 class TestSweep:
-    def tree(self, **sweep):
-        tree = run_config_tree(optimizer={"algorithm": "novograd"}, total_steps=40)
-        tree["sweep"] = sweep or {"lr_min": 1e-4, "lr_max": 1.0, "points": 7, "spacing": "log"}
-        return tree
-
     def test_seven_rows(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", self.tree())
+        cfg = write_config(tmp_path / "cfg.json", sweep_config_tree())
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[1] == "lr,final_loss,best_loss,diverged"
@@ -239,12 +258,12 @@ class TestSweep:
         assert all(row.endswith(",true") for row in rows)
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", self.tree(lr_grid=[]))
+        cfg = write_config(tmp_path / "cfg.json", sweep_config_tree(lr_grid=[]))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "grid" in capsys.readouterr().err
 
     def test_unknown_sweep_key(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", self.tree(lr_gird=[0.1]))
+        cfg = write_config(tmp_path / "cfg.json", sweep_config_tree(lr_gird=[0.1]))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "lr_gird" in capsys.readouterr().err
 

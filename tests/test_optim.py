@@ -278,13 +278,15 @@ class TestAdam:
 
     @pytest.mark.parametrize("algorithm", ["adam", "adamw"])
     def test_zero_epsilon_leaves_zero_gradient_weights(self, algorithm):
-        # m_hat and sqrt(v_hat) are both 0 for the first weight: 0/0 must not
-        # become NaN (or a RuntimeWarning)
-        params = single_layer([1.0, 2.0], [0.0, 1.0])
-        OptimizerDriver(algorithm, AdamConfig(epsilon=0.0)).step(params, 0.1)
-        m_hat = (1.0 - 0.9) * 1.0 / (1.0 - 0.9)
-        v_hat = (1.0 - 0.999) * 1.0 / (1.0 - 0.999)
-        np.testing.assert_array_equal(params.weights, [1.0, 2.0 - 0.1 * (m_hat / math.sqrt(v_hat))])
+        # sqrt(v_hat) is 0 for the first weight, with m_hat 0 (0/0) or, when
+        # g*g underflows, nonzero (m_hat/0): neither may become NaN or -inf
+        # (or a RuntimeWarning)
+        for g0 in (0.0, 1e-200):
+            params = single_layer([1.0, 2.0], [g0, 1.0])
+            OptimizerDriver(algorithm, AdamConfig(epsilon=0.0)).step(params, 0.1)
+            m_hat = (1.0 - 0.9) * 1.0 / (1.0 - 0.9)
+            v_hat = (1.0 - 0.999) * 1.0 / (1.0 - 0.999)
+            np.testing.assert_array_equal(params.weights, [1.0, 2.0 - 0.1 * (m_hat / math.sqrt(v_hat))])
 
 
 class TestAdamW:
@@ -621,6 +623,34 @@ class TestConfigs:
     def test_beta2_zero_and_one_are_legal(self):
         NovoGradConfig(beta2=0.0)
         NovoGradConfig(beta2=1.0)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_float32_resume_through_json_is_bit_exact(algorithm):
+    # the JSON state holds float32 values as float64; stepping must cast them back
+    rng = np.random.default_rng(43)
+    w0 = rng.standard_normal(7).astype(np.float32)
+    grads = [rng.standard_normal(7).astype(np.float32) for _ in range(12)]
+    lrs = [0.05 * 0.8**t for t in range(12)]
+
+    def model():
+        return ModelParams([ParameterLayer("a", w0[:4].copy()), ParameterLayer("b", w0[4:].copy())])
+
+    def run(params, driver, steps):
+        for g, lr in steps:
+            params.grad[...] = g
+            driver.step(params, lr)
+
+    straight = model()
+    run(straight, OptimizerDriver(algorithm), zip(grads, lrs))
+    resumed = model()
+    first = OptimizerDriver(algorithm)
+    run(resumed, first, zip(grads[:3], lrs[:3]))
+    doc = json.loads(json.dumps(first.state_dict()))
+    resumed.weights[...] = json.loads(json.dumps(resumed.weights.tolist()))
+    run(resumed, OptimizerDriver.from_state_dict(doc), zip(grads[3:], lrs[3:]))
+    assert resumed.weights.dtype == np.float32
+    assert resumed.weights.tobytes() == straight.weights.tobytes()
 
 
 def test_float32_footprint_mode_runs_in_reduced_precision():

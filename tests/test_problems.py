@@ -112,7 +112,39 @@ def balanced_logreg(n=64, dim=3, seed=0):
     return LogisticRegressionProblem.from_dataset(dataset)
 
 
-class TestLogisticRegression:
+def small_mlp(n=48, dim=3, classes=3, hidden=5, seed=1):
+    dataset = generate_dataset(
+        DatasetSpec(task="multiclass-blobs", size=n, dim=dim, seed=seed, n_classes=classes)
+    )
+    return MlpProblem.from_dataset(dataset, hidden=hidden)
+
+
+class BatchSelectionChecks:
+    """Batch checks run by each dataset-backed problem's test class (``make`` builds one)."""
+
+    make = None
+
+    def test_empty_batch_rejected(self):
+        problem = self.make()
+        params = random_params(problem, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="empty batch"):
+            problem.eval(params, np.array([], dtype=int))
+        with pytest.raises(ValueError, match="empty batch"):
+            problem.eval_grad(params, np.array([], dtype=int))
+
+    def test_batch_out_of_range(self):
+        problem = self.make(n=16)
+        params = random_params(problem, np.random.default_rng(0))
+        for batch in ([16], [-1], [0, 16]):
+            with pytest.raises(ValueError, match="out of range"):
+                problem.eval(params, np.array(batch))
+            with pytest.raises(ValueError, match="out of range"):
+                problem.eval_grad(params, np.array(batch))
+
+
+class TestLogisticRegression(BatchSelectionChecks):
+    make = staticmethod(balanced_logreg)
+
     def test_uniform_predictor_loss_is_ln2(self):
         problem = balanced_logreg()
         params = ModelParams(
@@ -133,18 +165,6 @@ class TestLogisticRegression:
         rng = np.random.default_rng(107)
         fd_check(balanced_logreg(), rng, trials=20, tol=1e-6)
 
-    def test_empty_batch_rejected(self):
-        problem = balanced_logreg()
-        params = random_params(problem, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="empty batch"):
-            problem.eval(params, np.array([], dtype=int))
-
-    def test_batch_out_of_range(self):
-        problem = balanced_logreg(n=16)
-        params = random_params(problem, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="out of range"):
-            problem.eval(params, np.array([16]))
-
     def test_predict_shapes(self):
         problem = balanced_logreg()
         params = random_params(problem, np.random.default_rng(1))
@@ -163,14 +183,9 @@ class TestLogisticRegression:
             np.testing.assert_allclose(layer.grad, grads[layer.id], rtol=1e-12, atol=1e-15)
 
 
-def small_mlp(n=48, dim=3, classes=3, hidden=5, seed=1):
-    dataset = generate_dataset(
-        DatasetSpec(task="multiclass-blobs", size=n, dim=dim, seed=seed, n_classes=classes)
-    )
-    return MlpProblem.from_dataset(dataset, hidden=hidden)
+class TestMlp(BatchSelectionChecks):
+    make = staticmethod(small_mlp)
 
-
-class TestMlp:
     def test_zero_output_layer_gives_uniform_loss(self):
         problem = small_mlp(classes=4)
         rng = np.random.default_rng(2)
