@@ -112,13 +112,6 @@ def balanced_logreg(n=64, dim=3, seed=0):
     return LogisticRegressionProblem.from_dataset(dataset)
 
 
-def small_mlp(n=48, dim=3, classes=3, hidden=5, seed=1):
-    dataset = generate_dataset(
-        DatasetSpec(task="multiclass-blobs", size=n, dim=dim, seed=seed, n_classes=classes)
-    )
-    return MlpProblem.from_dataset(dataset, hidden=hidden)
-
-
 class BatchSelectionChecks:
     """Batch checks run by each dataset-backed problem's test class (``make`` builds one)."""
 
@@ -181,6 +174,13 @@ class TestLogisticRegression(BatchSelectionChecks):
         problem.eval_grad(params, np.concatenate([batch, batch]))
         for layer in params:
             np.testing.assert_allclose(layer.grad, grads[layer.id], rtol=1e-12, atol=1e-15)
+
+
+def small_mlp(n=48, dim=3, classes=3, hidden=5, seed=1):
+    dataset = generate_dataset(
+        DatasetSpec(task="multiclass-blobs", size=n, dim=dim, seed=seed, n_classes=classes)
+    )
+    return MlpProblem.from_dataset(dataset, hidden=hidden)
 
 
 class TestMlp(BatchSelectionChecks):
