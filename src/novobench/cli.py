@@ -118,6 +118,15 @@ def _parse_section(cls, section, where: str, **fixed):
         raise ConfigError(f"{err} (in {where})") from None
 
 
+def _with_base_lr(schedule: ScheduleSpec, base_lr, key: str, where: str) -> ScheduleSpec:
+    """``schedule`` at the base rate ``base_lr``, given under ``key``."""
+    base_lr = _typed(float, key, base_lr, where)
+    try:
+        return replace(schedule, base_lr=base_lr)
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err} (in {where})") from None
+
+
 def _parse_common(tree: dict) -> dict:
     _require(tree, "total_steps", "config")
     scalars = {key: _typed(int, key, tree[key], "config") for key in _RUN_SCALARS if key in tree}
@@ -157,7 +166,7 @@ def parse_compare_config(tree: dict) -> tuple[list[RunConfig], list[str], float 
         algorithm, hyperparams = _parse_optimizer(entry, where=where)
         fields = dict(common)
         if base_lr is not None:
-            fields["schedule"] = replace(fields["schedule"], base_lr=_typed(float, "base_lr", base_lr, where))
+            fields["schedule"] = _with_base_lr(fields["schedule"], base_lr, "base_lr", where)
         cfgs.append(RunConfig(algorithm=algorithm, hyperparams=hyperparams, **fields))
         labels.append(algorithm if label is None else _typed(str, "label", label, where))
     threshold = tree.get("loss_threshold")
@@ -174,7 +183,8 @@ def parse_sweep_config(tree: dict) -> tuple[RunConfig, list[float]]:
     _check_keys(section, _SWEEP_SECTION.keys(), "sweep")
     section = {key: _typed(_SWEEP_SECTION[key], key, value, "sweep") for key, value in section.items()}
     if "lr_grid" in section:
-        grid = [_typed(float, "lr_grid", x, "sweep") for x in section["lr_grid"]]
+        grid = section["lr_grid"]
+        key = "lr_grid"
     else:
         for key in ("lr_min", "lr_max", "points"):
             _require(section, key, "sweep")
@@ -184,12 +194,18 @@ def parse_sweep_config(tree: dict) -> tuple[RunConfig, list[float]]:
         n = section["points"]
         if n < 1:
             raise ConfigError("sweep points must be >= 1")
+        lo, hi = section["lr_min"], section["lr_max"]
         if spacing == "log":
-            grid = list(np.geomspace(section["lr_min"], section["lr_max"], n))
+            if not (lo > 0 and hi > 0):
+                raise ConfigError(f"log spacing needs lr_min and lr_max > 0, got {lo!r} and {hi!r} (in sweep)")
+            grid = np.geomspace(lo, hi, n).tolist()
         else:
-            grid = list(np.linspace(section["lr_min"], section["lr_max"], n))
+            grid = np.linspace(lo, hi, n).tolist()
+        key = "lr_min/lr_max"
     if not grid:
         raise ConfigError("empty learning-rate grid")
+    for lr in grid:
+        _with_base_lr(cfg.schedule, lr, key, "sweep")
     return cfg, [float(x) for x in grid]
 
 
@@ -261,11 +277,16 @@ def _cmd_compare(args) -> int:
     tree = _load_tree(args.config)
     _apply_overrides(tree, args.set, args.seed)
     cfgs, labels, threshold = parse_compare_config(tree)
+    files: dict[str, str] = {}  # trajectory file name -> row label
+    for label in harness._dedupe_labels(labels):
+        name = f"trajectory_{_safe_label(label)}.{args.format}"
+        if name in files:
+            raise ConfigError(f"labels '{files[name]}' and '{label}' map to one file name, {name}")
+        files[name] = label
     rows, logs = harness.compare_runs(cfgs, labels=labels, loss_threshold=threshold)
     out = Path(args.out)
     _write(out / "comparison.csv", _echo_header(tree) + harness.comparison_to_csv(rows))
-    for row, log in zip(rows, logs):
-        name = f"trajectory_{_safe_label(row.label)}.{args.format}"
+    for name, log in zip(files, logs):
         text = harness.log_to_csv(log) if args.format == "csv" else harness.log_to_jsonl(log)
         _write(out / name, text)
     print(f"wrote {out / 'comparison.csv'} and {len(logs)} trajectory files")

@@ -166,70 +166,53 @@ def train(
     keeps a post-update weights snapshot per step (testing aid).
     """
     _validate_config(cfg)
-    return _train(
-        cfg,
-        build_problem(cfg.problem),
-        stop_after=stop_after,
-        resume_from=resume_from,
-        record_weight_trace=record_weight_trace,
-    )
+    problem = build_problem(cfg.problem)
+    row = _Row(cfg, problem, stop_after, resume_from, record_weight_trace)
+    return _run_grid(problem, [row])[0]
 
 
-def _train(
-    cfg: RunConfig,
-    problem: Problem,
-    *,
-    stop_after: int | None = None,
-    resume_from: Checkpoint | None = None,
-    record_weight_trace: bool = False,
-) -> TrajectoryLog:
-    """:func:`train` on ``problem``, already built from ``cfg.problem``."""
-    params = problem.init_params(np.random.default_rng([cfg.seed, _INIT_STREAM, 0]))
-    if resume_from is not None:
-        driver = OptimizerDriver.from_state_dict(resume_from.optimizer)
-        if driver.algorithm != cfg.algorithm:
-            raise ValueError("checkpoint algorithm does not match config")
-        for layer in params:
-            saved = resume_from.weights[layer.id]
-            if saved.shape != layer.weights.shape:
-                raise ValueError(f"checkpoint layer '{layer.id}' has the wrong shape")
-            layer.weights[...] = saved
-        start = resume_from.step
-    else:
-        driver = OptimizerDriver(cfg.algorithm, make_config(cfg.algorithm, cfg.hyperparams))
-        start = 0
+class _Row:
+    """One run of a grid: its config, model, optimizer and log so far."""
 
-    k = cfg.accumulation_factor
-    layer_ids = params.layer_ids
-    records: list[MetricsRecord] = []
-    trace: list[dict[str, np.ndarray]] | None = [] if record_weight_trace else None
-    termination = "completed"
-    start_ns = time.monotonic_ns()
-    accum = np.zeros_like(params.grad) if k > 1 else None
+    def __init__(self, cfg, problem, stop_after=None, resume_from=None, record_weight_trace=False):
+        self.cfg = cfg
+        self.stop_after = stop_after
+        self.params = problem.init_params(np.random.default_rng([cfg.seed, _INIT_STREAM, 0]))
+        if resume_from is not None:
+            self.driver = OptimizerDriver.from_state_dict(resume_from.optimizer)
+            if self.driver.algorithm != cfg.algorithm:
+                raise ValueError("checkpoint algorithm does not match config")
+            for layer in self.params:
+                saved = resume_from.weights[layer.id]
+                if saved.shape != layer.weights.shape:
+                    raise ValueError(f"checkpoint layer '{layer.id}' has the wrong shape")
+                layer.weights[...] = saved
+            self.start = resume_from.step
+        else:
+            self.driver = OptimizerDriver(cfg.algorithm, make_config(cfg.algorithm, cfg.hyperparams))
+            self.start = 0
+        self.records: list[MetricsRecord] = []
+        self.trace: list[dict[str, np.ndarray]] | None = [] if record_weight_trace else None
+        self.termination: str | None = None  # set when the row stops
+        self.checkpoint_step: int | None = None
 
-    t = start
-    for t in range(start, cfg.total_steps):
-        if stop_after is not None and t >= stop_after:
-            termination = "checkpoint"
-            break
-        indices = _batch_indices(cfg.seed, t, problem.n_examples, cfg.batch_size * k)
-        # overflow to inf/nan is the divergence signal, not an anomaly
-        with np.errstate(over="ignore", invalid="ignore"):
-            if k == 1:
-                loss = problem.eval_grad(params, indices)
-            else:
-                loss_sum = 0.0
-                accum[...] = 0.0
-                for j in range(k):
-                    batch = None if indices is None else indices[j * cfg.batch_size : (j + 1) * cfg.batch_size]
-                    loss_sum += problem.eval_grad(params, batch)
-                    accum += params.grad
-                np.divide(accum, k, out=params.grad)
-                loss = loss_sum / k
+    def ends_before(self, t: int) -> bool:
+        """Ends the row before step ``t`` if it is complete or due for its
+        checkpoint; returns whether it ended."""
+        if t >= self.cfg.total_steps:
+            self.termination = "completed"
+        elif self.stop_after is not None and t >= self.stop_after:
+            self.termination, self.checkpoint_step = "checkpoint", t
+        return self.termination is not None
+
+    def update(self, t: int, loss: float, start_ns: int) -> None:
+        """Step ``t``, once the averaged gradient is in ``params.grad``: LARC,
+        the optimizer step and the record.  A non-finite loss, gradient or
+        LARC-scaled gradient ends the row "diverged" instead."""
+        cfg, params = self.cfg, self.params
         if not (math.isfinite(loss) and np.isfinite(params.grad).all()):
-            termination = "diverged"
-            break
-
+            self.termination = "diverged"
+            return
         lr_t = lr_at(cfg.schedule, t)
         will_log = (t % cfg.log_every == 0) or (t == cfg.total_steps - 1)
         if will_log or cfg.larc is not None:
@@ -241,37 +224,92 @@ def _train(
                 with np.errstate(over="ignore", invalid="ignore"):
                     params.grad *= params.broadcast(scales, params.grad.dtype)
                 if not np.isfinite(params.grad).all():  # the trust ratio overflowed
-                    termination = "diverged"
-                    break
+                    self.termination = "diverged"
+                    return
 
-        driver.step(params, lr_t)
+        self.driver.step(params, lr_t)
 
         if will_log:
-            records.append(
+            self.records.append(
                 MetricsRecord(
                     step=t,
                     lr_effective=lr_t,
                     loss=loss,
-                    grad_norms=dict(zip(layer_ids, grad_norms)),
-                    second_moments=driver.second_moments(params),
+                    grad_norms=dict(zip(params.layer_ids, grad_norms)),
+                    second_moments=self.driver.second_moments(params),
                     wall_time_ns=time.monotonic_ns() - start_ns,
                 )
             )
-        if trace is not None:
-            trace.append({layer.id: layer.weights.copy() for layer in params})
+        if self.trace is not None:
+            self.trace.append({layer.id: layer.weights.copy() for layer in params})
 
-    final_weights = {layer.id: layer.weights.copy() for layer in params}
-    checkpoint = None
-    if termination == "checkpoint":
-        checkpoint = Checkpoint(step=t, weights=final_weights, optimizer=driver.state_dict())
-    return TrajectoryLog(
-        config=cfg,
-        records=records,
-        final_weights=final_weights,
-        termination=termination,
-        checkpoint=checkpoint,
-        weight_trace=trace,
-    )
+    def log(self) -> TrajectoryLog:
+        final_weights = {layer.id: layer.weights.copy() for layer in self.params}
+        checkpoint = None
+        if self.termination == "checkpoint":
+            checkpoint = Checkpoint(step=self.checkpoint_step, weights=final_weights, optimizer=self.driver.state_dict())
+        return TrajectoryLog(
+            config=self.cfg,
+            records=self.records,
+            final_weights=final_weights,
+            termination=self.termination,
+            checkpoint=checkpoint,
+            weight_trace=self.trace,
+        )
+
+
+def _run_grid(problem: Problem, rows: list[_Row]) -> list[TrajectoryLog]:
+    """Train ``rows`` on ``problem`` (built from their shared spec) and
+    return their logs in order.
+
+    Rows that share seed, batch size and accumulation factor form a group
+    that runs in lockstep from its first row's start step (only a one-row
+    grid resumes): one batch draw per step and one
+    ``eval_grad`` per micro-batch on the group's row-stacked model, then
+    each row's own divergence check, LARC, schedule, optimizer step and
+    record.  A row that stops (completed, checkpointed or diverged)
+    leaves the stack; the others go on.  Every row's log is bit for bit
+    that of its run alone; ``wall_time_ns`` counts from the grid's start.
+    """
+    start_ns = time.monotonic_ns()
+    groups: dict[tuple, list[_Row]] = {}
+    for row in rows:
+        groups.setdefault((row.cfg.seed, row.cfg.batch_size, row.cfg.accumulation_factor), []).append(row)
+    for group in groups.values():
+        _run_group(problem, group, start_ns)
+    return [row.log() for row in rows]
+
+
+def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
+    cfg = rows[0].cfg
+    size, k = cfg.batch_size, cfg.accumulation_factor
+    active: list[_Row] = []
+    t = rows[0].start
+    while True:
+        running = [row for row in rows if row.termination is None and not row.ends_before(t)]
+        if not running:
+            break
+        if len(running) != len(active):  # the stack holds exactly the running rows
+            active = running
+            model = active[0].params if len(active) == 1 else ModelParams.stack([row.params for row in active])
+            accum = np.zeros_like(model.grad) if k > 1 else None
+        indices = _batch_indices(cfg.seed, t, problem.n_examples, size * k)
+        # overflow to inf/nan is the divergence signal, not an anomaly
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k == 1:
+                losses = problem.eval_grad(model, indices)
+            else:
+                losses = 0.0
+                accum[...] = 0.0
+                for j in range(k):
+                    batch = None if indices is None else indices[j * size : (j + 1) * size]
+                    losses += problem.eval_grad(model, batch)
+                    accum += model.grad
+                np.divide(accum, k, out=model.grad)
+                losses = losses / k
+        for row, loss in zip(active, [losses] if len(active) == 1 else losses.tolist()):
+            row.update(t, loss, start_ns)
+        t += 1
 
 
 @dataclass
@@ -328,11 +366,20 @@ def _loss_summary(log: TrajectoryLog) -> tuple[float, float]:
 
 
 def _dedupe_labels(labels: list[str]) -> list[str]:
-    seen: dict[str, int] = {}
+    """``labels`` with each repeat renamed ``label#n``, n = 2, 3, ..., skipping
+    any name another label already has, so every label is unique."""
+    taken = set(labels)
+    seen = set()
     out = []
     for label in labels:
-        seen[label] = seen.get(label, 0) + 1
-        out.append(label if seen[label] == 1 else f"{label}#{seen[label]}")
+        if label in seen:
+            n = 2
+            while f"{label}#{n}" in taken:
+                n += 1
+            label = f"{label}#{n}"
+            taken.add(label)
+        seen.add(label)
+        out.append(label)
     return out
 
 
@@ -359,10 +406,9 @@ def compare_runs(
     for cfg in cfgs:
         _validate_config(cfg)
     problem = build_problem(base.problem)
+    logs = _run_grid(problem, [_Row(cfg, problem) for cfg in cfgs])
     rows = []
-    logs = []
-    for label, cfg in zip(labels, cfgs):
-        log = _train(cfg, problem)
+    for label, cfg, log in zip(labels, cfgs, logs):
         final_loss, best_loss = _loss_summary(log)
         steps = None
         if loss_threshold is not None:
@@ -373,7 +419,6 @@ def compare_runs(
         rows.append(
             ComparisonRow(label, cfg.algorithm, final_loss, best_loss, steps, log.termination == "diverged")
         )
-        logs.append(log)
     return rows, logs
 
 
@@ -386,20 +431,16 @@ class SweepRow:
 
 
 def lr_sweep(cfg: RunConfig, lrs: list[float]) -> tuple[list[SweepRow], list[TrajectoryLog]]:
-    """Train one run per base learning rate on one built problem;
-    divergence is a row flag, not an error, so sweeps can map the stable
-    region."""
+    """Train one run per base learning rate, in lockstep on one built
+    problem; divergence is a row flag, not an error, so sweeps can map the
+    stable region."""
     if not lrs:
         raise ValueError("empty learning-rate grid")
     _validate_config(cfg)
+    cfgs = [replace(cfg, schedule=replace(cfg.schedule, base_lr=lr)) for lr in lrs]
     problem = build_problem(cfg.problem)
-    rows = []
-    logs = []
-    for lr in lrs:
-        sched = replace(cfg.schedule, base_lr=lr)
-        log = _train(replace(cfg, schedule=sched), problem)
-        rows.append(SweepRow(lr, *_loss_summary(log), diverged=log.termination == "diverged"))
-        logs.append(log)
+    logs = _run_grid(problem, [_Row(run, problem) for run in cfgs])
+    rows = [SweepRow(lr, *_loss_summary(log), diverged=log.termination == "diverged") for lr, log in zip(lrs, logs)]
     return rows, logs
 
 
@@ -472,11 +513,18 @@ def log_to_csv(log: TrajectoryLog, include_timing: bool = False) -> str:
 
 
 def _rows_to_csv(rows: list, row_type: type) -> str:
-    """A header of ``row_type``'s field names, then one line of cells per row."""
+    """A header of ``row_type``'s field names, then one line of cells per row;
+    a cell holding a comma, a quote or a line break is quoted."""
     names = [f.name for f in fields(row_type)]
     lines = [",".join(names)]
-    lines += [",".join(_fmt(getattr(row, name)) for name in names) for row in rows]
+    lines += [",".join(_csv_cell(_fmt(getattr(row, name))) for name in names) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _csv_cell(text: str) -> str:
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def comparison_to_csv(rows: list[ComparisonRow]) -> str:

@@ -5,7 +5,9 @@ the unit of all layer-wise computations (gradient norms, second moments,
 trust ratios).  A :class:`ModelParams` stores all of its weights in one
 contiguous buffer and all of its gradients in another; each layer's
 arrays are views into them, located by an offset table, so per-step work
-can run over the whole model at once.  Norms accumulate in float64 in an
+can run over the whole model at once.  :meth:`ModelParams.stack` holds
+several models of one layout as the rows of (R, N) buffers, so a problem
+can evaluate all of them in one call.  Norms accumulate in float64 in an
 order fixed by the layer sizes, so identical inputs give bit-identical
 results on one machine and numpy build, and power-of-two gradient scaling
 is exact.
@@ -95,7 +97,7 @@ class ParameterLayer:
 
     @property
     def size(self) -> int:
-        return self.weights.size
+        return self.weights.shape[-1]
 
     def copy(self) -> "ParameterLayer":
         return ParameterLayer(self.id, self.weights.copy(), self.grad.copy())
@@ -137,11 +139,37 @@ class ModelParams:
         self._slices = [slice(end - n, end) for n, end in zip(sizes, ends)]
         self._index = dict(zip(ids, self.layers))
         empty = np.zeros(0, dtype=dtype)
-        self.weights = np.concatenate([layer.weights for layer in self.layers] or [empty])
-        self.grad = np.concatenate([layer.grad for layer in self.layers] or [empty])
+        self._bind(
+            np.concatenate([layer.weights for layer in self.layers] or [empty]),
+            np.concatenate([layer.grad for layer in self.layers] or [empty]),
+        )
+
+    def _bind(self, weights: np.ndarray, grad: np.ndarray) -> None:
+        """Make ``weights``/``grad`` the buffers and each layer's arrays views into them."""
+        self.weights, self.grad = weights, grad
         for layer, s in zip(self.layers, self._slices):
-            layer.weights = self.weights[s]
-            layer.grad = self.grad[s]
+            layer.weights = weights[..., s]
+            layer.grad = grad[..., s]
+
+    @classmethod
+    def stack(cls, models: list["ModelParams"]) -> "ModelParams":
+        """One model holding ``models`` (all of one layout) as rows.
+
+        Its ``weights``/``grad`` are (R, N) buffers and each layer's arrays
+        (R, n) views into them.  Every model in ``models`` is rebound to
+        views of its row, so writes through either side are shared.
+        """
+        first = models[0]
+        for model in models[1:]:
+            if model.layer_ids != first.layer_ids or not np.array_equal(model.sizes, first.sizes):
+                raise ValueError("stacked models must share one layout")
+            if model.weights.dtype != first.weights.dtype:
+                raise ValueError("stacked models must share one dtype")
+        stacked = first.copy()
+        stacked._bind(np.stack([m.weights for m in models]), np.stack([m.grad for m in models]))
+        for model, weights, grad in zip(models, stacked.weights, stacked.grad):
+            model._bind(weights, grad)
+        return stacked
 
     def __iter__(self):
         return iter(self.layers)

@@ -5,7 +5,11 @@ Every problem exposes the same contract: ``eval`` returns the loss,
 the parameter buffers.  Both go through the problem's one loss body,
 ``_loss(params, batch, grad)``, which writes the gradient only when asked;
 ``logreg`` and ``mlp`` share one dataset-backed base (training set,
-held-out split, batch selection).  Batched problems take an index array
+held-out split, batch selection).  Every loss body also runs over a
+row-stacked model (:meth:`ModelParams.stack`): it then evaluates each row
+on the same batch and returns one loss per row, bit for bit the losses and
+gradients of one call per row (Rosenbrock loops over the rows to keep
+that promise).  Batched problems take an index array
 into their dataset; losses and gradients are means over the batch, so
 gradient accumulation by averaging composes exactly.  ``finite_diff_grad``
 is the independent oracle used to verify every analytic gradient.
@@ -59,16 +63,18 @@ class Problem:
             [ParameterLayer(name, 0.1 * rng.standard_normal(size)) for name, size in self.layer_layout()]
         )
 
-    def eval(self, params: ModelParams, batch: np.ndarray | None = None) -> float:
-        """The loss; no buffer is written."""
-        return self._loss(params, batch, False)
+    def eval(self, params: ModelParams, batch: np.ndarray | None = None):
+        """The loss; no buffer is written.  A float for one model, a float64
+        array of one loss per row for a stacked one."""
+        return _losses(self._loss(params, batch, False))
 
-    def eval_grad(self, params: ModelParams, batch: np.ndarray | None = None) -> float:
+    def eval_grad(self, params: ModelParams, batch: np.ndarray | None = None):
         """The loss of :meth:`eval`, bit for bit; writes the gradient into ``params``."""
-        return self._loss(params, batch, True)
+        return _losses(self._loss(params, batch, True))
 
-    def _loss(self, params: ModelParams, batch: np.ndarray | None, grad: bool) -> float:
-        """The one loss body: returns the loss; writes the gradient only when ``grad`` is set."""
+    def _loss(self, params: ModelParams, batch: np.ndarray | None, grad: bool):
+        """The one loss body, over an optional leading row axis: returns the
+        loss (one per row); writes the gradient only when ``grad`` is set."""
         raise NotImplementedError
 
     def _check_layout(self, params: ModelParams) -> None:
@@ -77,6 +83,10 @@ class Problem:
             raise ValueError(
                 f"parameter layout {actual} does not match problem layout {self.layer_layout()}"
             )
+
+
+def _losses(loss):
+    return float(loss) if loss.ndim == 0 else loss.astype(np.float64, copy=False)
 
 
 class QuadraticProblem(Problem):
@@ -130,9 +140,11 @@ class QuadraticProblem(Problem):
     def _loss(self, params, batch, grad):
         self._check_layout(params)
         w = params.layers[0].weights
-        loss = float(0.5 * (w @ (self.a @ w)) - self.b @ w)
+        # matrix @ column per row: the same BLAS calls as one model's `a @ w` and `w @ v`
+        aw = (self.a @ w[..., None])[..., 0]
+        loss = 0.5 * (w[..., None, :] @ aw[..., None])[..., 0, 0] - (self.b @ w[..., None])[..., 0]
         if grad:
-            params.layers[0].grad[...] = self.a @ w - self.b
+            params.layers[0].grad[...] = aw - self.b
         return loss
 
 
@@ -156,12 +168,20 @@ class RosenbrockProblem(Problem):
 
     def _loss(self, params, batch, grad):
         self._check_layout(params)
-        x, y = params.layers[0].weights
-        loss = float((self.A - x) ** 2 + self.B * (y - x * x) ** 2)
+        layer = params.layers[0]
+        if layer.weights.ndim == 2:
+            # a scalar's `** 2` (libm pow) and an array's (a square) can differ in
+            # the last bit, so a stack is evaluated one row at a time
+            return np.array([self._point(w, g, grad) for w, g in zip(layer.weights, layer.grad)])
+        return self._point(layer.weights, layer.grad, grad)
+
+    def _point(self, w, g, grad):
+        x, y = w
+        loss = (self.A - x) ** 2 + self.B * (y - x * x) ** 2
         if grad:
             gx = -2.0 * (self.A - x) - 4.0 * self.B * x * (y - x * x)
             gy = 2.0 * self.B * (y - x * x)
-            params.layers[0].grad[...] = (gx, gy)
+            g[...] = (gx, gy)
         return loss
 
 
@@ -228,18 +248,18 @@ class LogisticRegressionProblem(_DatasetProblem):
         self._check_layout(params)
         w = params.layer("w").weights
         b = params.layer("b").weights
-        return x @ w + b[0]
+        return (x @ w[..., None])[..., 0] + b
 
     def _loss(self, params, batch, grad):
         x, y = self._select(batch)
         z = self._logits(params, x)
         # per-example loss: softplus(z) - y*z  (== -log sigma(z) for y=1)
-        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        loss = np.mean(np.logaddexp(0.0, z) - y * z, axis=-1)
         if grad:
             r = _sigmoid(z) - y
             n = x.shape[0]
-            params.layer("w").grad[...] = x.T @ r / n
-            params.layer("b").grad[...] = np.mean(r)
+            params.layer("w").grad[...] = (x.T @ r[..., None])[..., 0] / n
+            params.layer("b").grad[...] = np.mean(r, axis=-1)[..., None]
         return loss
 
     def predict(self, params, features) -> np.ndarray:
@@ -289,22 +309,24 @@ class MlpProblem(_DatasetProblem):
         )
 
     def _views(self, params):
+        """Weight matrices and bias rows, each with the model's leading row axis, if any."""
         self._check_layout(params)
         d, h, c = self.dim, self.hidden, self.n_classes
-        w1 = params.layer("w1").weights.reshape(d, h)
-        b1 = params.layer("b1").weights
-        w2 = params.layer("w2").weights.reshape(h, c)
-        b2 = params.layer("b2").weights
-        return w1, b1, w2, b2
+        w1 = params.layer("w1").weights
+        rows = w1.shape[:-1]
+        b1 = params.layer("b1").weights[..., None, :]
+        w2 = params.layer("w2").weights.reshape(rows + (h, c))
+        b2 = params.layer("b2").weights[..., None, :]
+        return w1.reshape(rows + (d, h)), b1, w2, b2
 
     @staticmethod
     def _forward(x, w1, b1, w2, b2):
         z1 = x @ w1 + b1
         a1 = np.tanh(z1)
         z2 = a1 @ w2 + b2
-        zmax = z2.max(axis=1, keepdims=True)
+        zmax = z2.max(axis=-1, keepdims=True)
         exp = np.exp(z2 - zmax)
-        total = exp.sum(axis=1, keepdims=True)
+        total = exp.sum(axis=-1, keepdims=True)
         return a1, z2, zmax, exp, total
 
     def _loss(self, params, batch, grad):
@@ -312,22 +334,21 @@ class MlpProblem(_DatasetProblem):
         w1, b1, w2, b2 = self._views(params)
         a1, z2, zmax, exp, total = self._forward(x, w1, b1, w2, b2)
         n = x.shape[0]
-        log_z = zmax[:, 0] + np.log(total[:, 0])
-        loss = float(np.mean(log_z - z2[np.arange(n), y]))
+        picked = (..., np.arange(n), y)
+        log_z = zmax[..., 0] + np.log(total[..., 0])
+        loss = np.mean(log_z - z2[picked], axis=-1)
         if grad:
             dz2 = exp / total
-            dz2[np.arange(n), y] -= 1.0
+            dz2[picked] -= 1.0
             dz2 /= n
-            dw2 = a1.T @ dz2
-            db2 = dz2.sum(axis=0)
-            da1 = dz2 @ w2.T
+            dw2 = a1.mT @ dz2
+            db2 = dz2.sum(axis=-2)
+            da1 = dz2 @ w2.mT
             dz1 = da1 * (1.0 - a1 * a1)
             dw1 = x.T @ dz1
-            db1 = dz1.sum(axis=0)
-            params.layer("w1").grad[...] = dw1.ravel()
-            params.layer("b1").grad[...] = db1
-            params.layer("w2").grad[...] = dw2.ravel()
-            params.layer("b2").grad[...] = db2
+            db1 = dz1.sum(axis=-2)
+            for layer, value in zip(params, (dw1, db1, dw2, db2)):
+                layer.grad[...] = value.reshape(layer.grad.shape)
         return loss
 
     def class_probabilities(self, params, features) -> np.ndarray:

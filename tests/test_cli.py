@@ -69,6 +69,10 @@ MISTYPED = [
     ("sweep", "sweep", "lr_min", "x"),
     ("sweep", "sweep", "points", 2.7),
     ("sweep", "sweep", "points", "x"),
+    # zero learning rates
+    ("compare", "optimizers", "base_lr", 0),
+    ("sweep", "sweep", "lr_grid", [0.1, 0.0]),
+    ("sweep", "sweep", "lr_min", 0),
 ]
 CONFIG_TREES = {"run": lambda: run_config_tree(larc={}), "compare": compare_config_tree, "sweep": sweep_config_tree}
 
@@ -217,6 +221,33 @@ class TestCompare:
         rows = (tmp_path / "comparison.csv").read_text().splitlines()[2:]
         assert rows[0].startswith("adam,") and rows[1].startswith("adam#2,")
         assert (tmp_path / "trajectory_adam_2.csv").exists()
+
+    def test_labels_that_collide_as_file_names(self, tmp_path, capsys):
+        tree = compare_config_tree()
+        tree["total_steps"] = 5
+        tree["optimizers"] = [
+            {"algorithm": "adam"},
+            {"algorithm": "adam"},
+            {"algorithm": "sgd", "label": "adam#2"},
+        ]
+        cfg = write_config(tmp_path / "cfg.json", tree)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert "3 trajectory files" in capsys.readouterr().out
+        rows = (tmp_path / "a" / "comparison.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[:2] for row in rows] == [["adam", "adam"], ["adam#3", "adam"], ["adam#2", "sgd"]]
+        assert sorted(p.name for p in (tmp_path / "a").glob("trajectory_*")) == [
+            "trajectory_adam.csv",
+            "trajectory_adam_2.csv",
+            "trajectory_adam_3.csv",
+        ]
+        assert "sgd" in (tmp_path / "a" / "trajectory_adam_2.csv").read_text()
+
+        tree["optimizers"] += [{"algorithm": "sgd", "label": "x y"}, {"algorithm": "sgd", "label": "x_y"}]
+        cfg = write_config(tmp_path / "cfg.json", tree)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'x y' and 'x_y'" in err
+        assert not (tmp_path / "b").exists()
 
     def test_empty_optimizer_list_rejected(self, tmp_path, capsys):
         tree = compare_config_tree()

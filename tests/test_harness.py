@@ -1,11 +1,17 @@
+import csv
+import io
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novobench.harness import (
     Checkpoint,
+    ComparisonRow,
     ProblemSpec,
     RunConfig,
     checkpoint_from_dict,
@@ -19,8 +25,10 @@ from novobench.harness import (
     sweep_to_csv,
     train,
 )
+from novobench import harness
 from novobench import problems as problems_mod
-from novobench.problems import build
+from novobench.params import ModelParams, ParameterLayer
+from novobench.problems import MlpProblem, build
 from novobench.schedule import LarcConfig, ScheduleSpec
 
 
@@ -307,6 +315,128 @@ class TestSharedProblem:
         assert calls == []
 
 
+SMALL_MLP = ProblemSpec("mlp", {"size": 48, "dim": 3, "n_classes": 3, "hidden": 5, "dataset_seed": 4})
+
+
+def mlp_config(algorithm, total_steps=20, base_lr=0.05, **kwargs):
+    defaults = dict(
+        problem=SMALL_MLP,
+        algorithm=algorithm,
+        schedule=ScheduleSpec(base_lr=base_lr, total_steps=total_steps, warmup_steps=2),
+        batch_size=4,
+        total_steps=total_steps,
+        seed=5,
+        log_every=1,
+    )
+    defaults.update(kwargs)
+    return RunConfig(**defaults)
+
+
+@contextmanager
+def mlp_weights_in(dtype):
+    """MLP models start in ``dtype`` (float32 selects the reduced-precision mode)."""
+    original = MlpProblem.init_params
+
+    def init_params(self, rng):
+        params = original(self, rng)
+        return ModelParams([ParameterLayer(layer.id, layer.weights.astype(dtype)) for layer in params])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MlpProblem, "init_params", init_params)
+        yield
+
+
+class TestLockstep:
+    """compare_runs and lr_sweep train their rows in lockstep groups; each
+    row must still be its standalone run, bit for bit."""
+
+    # four groups (batch size 4 or 8 x accumulation 1 or 3), all five
+    # algorithms, LARC on and off, different step counts and log intervals, and
+    # an sgd row that overflows after its first steps while the others go on
+    MIXED = [
+        ("novograd", dict(larc=LarcConfig())),
+        ("adam", dict(batch_size=8, accumulation_factor=3, total_steps=14, log_every=4)),
+        ("adamw", dict(total_steps=26, log_every=3, hyperparams={"weight_decay": 0.01})),
+        ("sgd", dict(batch_size=8, accumulation_factor=3, base_lr=1e308)),
+        ("sngd", dict(batch_size=8, total_steps=9, larc=LarcConfig(clip=False), log_every=2)),
+        ("novograd", dict(accumulation_factor=3, hyperparams={"ams": True}, larc=LarcConfig())),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_compare_rows_equal_standalone_runs(self, dtype):
+        cfgs = [mlp_config(a, **kw) for a, kw in self.MIXED]
+        if dtype is np.float32:
+            # a float32 sgd step at this rate overflows with a RuntimeWarning, so the row stays finite
+            cfgs[3] = replace(cfgs[3], schedule=replace(cfgs[3].schedule, base_lr=0.1))
+        with mlp_weights_in(dtype):
+            rows, logs = compare_runs(cfgs, loss_threshold=0.5)
+            standalone = [train(cfg) for cfg in cfgs]
+        diverged = dtype is np.float64
+        assert [log.termination == "diverged" for log in logs] == [False, False, False, diverged, False, False]
+        assert 0 < len(logs[3].records) < 20 if diverged else len(logs[3].records) == 20
+        for row, log, alone in zip(rows, logs, standalone):
+            assert next(iter(log.final_weights.values())).dtype == dtype
+            _same_run(log, alone)
+            assert row.diverged == (alone.termination == "diverged")
+
+    def test_one_batch_draw_and_eval_grad_per_micro_batch_per_group(self, monkeypatch):
+        def counted(calls, fn):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+
+            return wrapper
+
+        draws = []
+        evals = []
+        monkeypatch.setattr(harness, "_batch_indices", counted(draws, harness._batch_indices))
+        monkeypatch.setattr(MlpProblem, "eval_grad", counted(evals, MlpProblem.eval_grad))
+        cfgs = [mlp_config(a, **kw) for a, kw in self.MIXED]
+        compare_runs(cfgs)
+        # each group runs as many steps as its longest row: (batch size,
+        # accumulation) (4, 1) 26 steps, (8, 3) 14, (8, 1) 9 and (4, 3) 20
+        assert len(draws) == 26 + 14 + 9 + 20
+        assert len(evals) == 26 * 1 + 14 * 3 + 9 * 1 + 20 * 3
+        rows, _ = lr_sweep(mlp_config("novograd"), [0.01, 0.1, 1.0])
+        assert len(draws) == 26 + 14 + 9 + 20 + 20 and len(rows) == 3
+
+    def test_sweep_rows_equal_standalone_runs_past_a_divergent_point(self):
+        cfg = quadratic_config("sgd", total_steps=60, accumulation_factor=2, log_every=1)
+        lrs = [0.01, 1e8, 0.2, 1e3]
+        rows, logs = lr_sweep(cfg, lrs)
+        assert [row.diverged for row in rows] == [False, True, False, True]
+        for lr, log in zip(lrs, logs):
+            _same_run(log, train(replace(cfg, schedule=replace(cfg.schedule, base_lr=lr))))
+
+
+@pytest.mark.parametrize("accumulation", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("algorithm", ["novograd", "adam", "adamw", "sgd", "sngd"])
+@settings(max_examples=8, deadline=None)
+@given(stop=st.integers(0, 11), larc=st.booleans(), seed=st.integers(0, 2**16))
+def test_resume_from_any_step_equals_uninterrupted_run(algorithm, dtype, accumulation, stop, larc, seed):
+    cfg = mlp_config(
+        algorithm,
+        total_steps=12,
+        accumulation_factor=accumulation,
+        larc=LarcConfig() if larc else None,
+        seed=seed,
+    )
+    with mlp_weights_in(dtype):
+        full = train(cfg, record_weight_trace=True)
+        first = train(cfg, stop_after=stop, record_weight_trace=True)
+        assert first.termination == "checkpoint" and first.checkpoint.step == stop
+        doc = json.loads(json.dumps(checkpoint_to_dict(first.checkpoint)))
+        second = train(cfg, resume_from=checkpoint_from_dict(doc), record_weight_trace=True)
+    assert second.termination == full.termination == "completed"
+    assert log_to_jsonl(second).splitlines()[1:] == log_to_jsonl(full).splitlines()[1 + stop :]
+    for layer_id, w in full.final_weights.items():
+        assert second.final_weights[layer_id].dtype == dtype
+        assert second.final_weights[layer_id].tobytes() == w.tobytes()
+    for wa, wb in zip(first.weight_trace + second.weight_trace, full.weight_trace, strict=True):
+        assert all(wa[k].tobytes() == wb[k].tobytes() for k in wb)
+
+
 class TestSweep:
     def test_rows_and_divergence_flags(self):
         cfg = quadratic_config(
@@ -358,6 +488,18 @@ class TestSerialization:
         assert table.startswith("label,algorithm,final_loss,best_loss,steps_to_threshold,diverged")
         srows, _ = lr_sweep(quadratic_config(total_steps=5), [0.1])
         assert sweep_to_csv(srows).startswith("lr,final_loss,best_loss,diverged")
+
+    def test_row_cells_with_separators_are_quoted(self):
+        labels = ["a,b", 'say "hi"', "two\nlines", "carriage\rreturn"]
+        rows = [ComparisonRow(label, "adam", 0.5, 0.25, None, False) for label in labels]
+        rows.append(ComparisonRow("plain label", "sgd", float("nan"), float("inf"), 0, True))
+        text = comparison_to_csv(rows)
+        assert text.endswith("\nplain label,sgd,nan,inf,0,true\n")
+        parsed = list(csv.reader(io.StringIO(text, newline="")))
+        assert parsed[0] == ["label", "algorithm", "final_loss", "best_loss", "steps_to_threshold", "diverged"]
+        assert parsed[1] == ["a,b", "adam", "0.5", "0.25", "", "false"]
+        assert [row[0] for row in parsed[1:]] == labels + ["plain label"]
+        assert all(len(row) == 6 for row in parsed)
 
     def test_checkpoint_round_trip_exact(self):
         log = train(logreg_config(total_steps=10), stop_after=7)

@@ -188,6 +188,28 @@ class TestModelParams:
         with pytest.raises(KeyError):
             params.layer("nope")
 
+    def test_stack_holds_models_as_rows_of_shared_buffers(self):
+        models = [_params([3, 2], np.random.default_rng(seed)) for seed in range(3)]
+        rows = [m.weights.copy() for m in models]
+        stacked = ModelParams.stack(models)
+        assert stacked.weights.shape == stacked.grad.shape == (3, 5)
+        assert stacked.layer("layer0").weights.shape == (3, 3) and stacked.layer("layer1").size == 2
+        for r, model in enumerate(models):
+            np.testing.assert_array_equal(stacked.weights[r], rows[r])
+            assert np.shares_memory(model.weights, stacked.weights)
+            assert np.shares_memory(model.layer("layer1").grad, stacked.grad)
+        stacked.layer("layer1").grad[...] = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        np.testing.assert_array_equal(models[1].layer("layer1").grad, [3.0, 4.0])
+        models[2].weights[0] = 9.0
+        assert stacked.layer("layer0").weights[2, 0] == 9.0
+
+    def test_stack_rejects_mixed_layouts_and_dtypes(self):
+        with pytest.raises(ValueError, match="layout"):
+            ModelParams.stack([_params([3, 2]), _params([2, 3])])
+        f32 = ModelParams([ParameterLayer(f"layer{i}", np.ones(n, dtype=np.float32)) for i, n in enumerate([3, 2])])
+        with pytest.raises(ValueError, match="dtype"):
+            ModelParams.stack([_params([3, 2]), f32])
+
 
 class TestStateReport:
     def test_adam_two_full_vectors(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from novobench.params import ModelParams, ParameterLayer, l2_norm_sq
 from novobench.problems import (
@@ -240,6 +242,66 @@ def test_eval_and_eval_grad_losses_bit_identical(make):
         if problem.n_examples is not None:
             batch = rng.integers(0, problem.n_examples, size=6)
         assert problem.eval(params, batch) == problem.eval_grad(params, batch)
+
+
+STACKABLE = {
+    "quadratic": lambda: QuadraticProblem.random_spd(5, seed=2),
+    "rosenbrock": RosenbrockProblem,
+    "logreg": lambda: build("logreg", {"size": 40, "dim": 3}),
+    "mlp": lambda: build("mlp", {"size": 40, "dim": 3, "hidden": 5, "n_classes": 4}),
+    "scaled-mlp": lambda: GradientScaledProblem(build("mlp", {"size": 40, "hidden": 3}), 2.0**-7),
+}
+
+
+@pytest.mark.parametrize("kind", list(STACKABLE))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_eval_grad_equals_one_call_per_row(kind, data):
+    """Every problem evaluates an R-row stack as R single calls, bit for bit."""
+    problem = STACKABLE[kind]()
+    rows = data.draw(st.integers(1, 8), label="rows")
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 10.0]), label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    models = [
+        ModelParams(
+            [ParameterLayer(name, (scale * rng.standard_normal(size)).astype(dtype)) for name, size in problem.layer_layout()]
+        )
+        for _ in range(rows)
+    ]
+    batch = None
+    if problem.n_examples is not None:
+        size = data.draw(st.one_of(st.just(1), st.integers(2, 2 * problem.n_examples)), label="batch size")
+        batch = rng.integers(0, problem.n_examples, size=size)
+    singles = []
+    for model in models:
+        loss = problem.eval_grad(model, batch)
+        singles.append((loss, problem.eval(model, batch), model.grad.copy()))
+
+    stacked = ModelParams.stack(models)
+    stacked.grad[...] = np.nan
+    losses = problem.eval_grad(stacked, batch)
+    evals = problem.eval(stacked, batch)
+    assert losses.dtype == evals.dtype == np.float64 and losses.shape == evals.shape == (rows,)
+    for r, (loss, eval_loss, grad) in enumerate(singles):
+        assert type(loss) is float and losses[r] == loss and evals[r] == eval_loss
+        assert stacked.grad[r].tobytes() == grad.tobytes()
+
+
+def test_rosenbrock_evaluates_a_stack_one_row_at_a_time():
+    """Rosenbrock's one-model loss squares numpy scalars (libm ``pow``), which
+    can differ in the last bit from an array's square; at this point it does
+    on common libm builds.  So Rosenbrock loops over a stack's rows rather
+    than squaring arrays, and still equals its single calls."""
+    problem = RosenbrockProblem()
+    x = 0.9251479399051672  # on the valley floor y = x * x, the loss is (1 - x) ** 2
+    models = [ModelParams([ParameterLayer("w", [x, y])]) for y in (x * x, -1.5)]
+    singles = [problem.eval_grad(model) for model in models]
+    grads = [model.grad.copy() for model in models]
+    stacked = ModelParams.stack(models)
+    stacked.grad[...] = 0.0
+    assert problem.eval_grad(stacked).tolist() == singles
+    assert stacked.grad.tolist() == [g.tolist() for g in grads]
 
 
 class TestFiniteDiff:

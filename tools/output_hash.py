@@ -1,0 +1,242 @@
+"""Print one sha256 over a fixed matrix of novobench outputs.
+
+A change that must leave every output bit for bit the same (a speed-up, a
+refactor) prints the same digest as its parent:
+
+    python3 tools/output_hash.py                      # this checkout's src/
+    python3 tools/output_hash.py --src ../parent/src  # another checkout's package
+
+The digest covers three sets of outputs, each fed to the hash in a fixed
+order:
+
+- ``train``: 200 ``train()`` runs serialized with ``log_to_jsonl``
+  ({quadratic dim 16, rosenbrock, logreg with ``train_fraction`` 0.8, the
+  default mlp, mlp dim 8 / hidden 32 / 4 classes} x 5 algorithms x
+  accumulation {1, 3} x LARC {off, on} x ``gradient_scale`` {1, 2^-20}),
+  plus one stop / JSON checkpoint / resume round trip per algorithm;
+- ``grad_check``: one ``grad_check`` report per problem above;
+- ``grids``: the files and exit codes of ``novobench compare`` and
+  ``novobench sweep`` (csv and jsonl, a loss threshold, custom and
+  duplicate labels, divergent rows and points), and a ``compare_runs``
+  call that mixes batch sizes, accumulation factors, step counts and log
+  intervals.
+
+The per-set digests go to standard error.  BLAS is capped at one thread;
+equal digests are expected on one machine and numpy/BLAS build only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBLEMS = [
+    ("quadratic", {"dim": 16}),
+    ("rosenbrock", {}),
+    ("logreg", {"train_fraction": 0.8}),
+    ("mlp", {}),
+    ("mlp", {"dim": 8, "hidden": 32, "n_classes": 4}),
+]
+BASE_LR = {"novograd": 0.05, "adam": 0.01, "adamw": 0.01, "sgd": 0.02, "sngd": 0.05}
+STEPS = 20
+
+
+def _config(kind, options, algorithm, **kwargs):
+    from novobench import harness
+    from novobench.schedule import ScheduleSpec
+
+    steps = kwargs.pop("total_steps", STEPS)
+    fields = dict(
+        problem=harness.ProblemSpec(kind, dict(options), kwargs.pop("gradient_scale", 1.0)),
+        algorithm=algorithm,
+        schedule=ScheduleSpec(base_lr=kwargs.pop("base_lr", BASE_LR[algorithm]), total_steps=steps, warmup_steps=2),
+        batch_size=8,
+        total_steps=steps,
+        seed=3,
+        log_every=3,
+    )
+    fields.update(kwargs)
+    return harness.RunConfig(**fields)
+
+
+def train_outputs(h):
+    from novobench import harness
+    from novobench.optim import ALGORITHMS
+    from novobench.schedule import LarcConfig
+
+    for kind, options in PROBLEMS:
+        for algorithm in ALGORITHMS:
+            for accumulation in (1, 3):
+                for larc in (None, LarcConfig()):
+                    for scale in (1.0, 2.0**-20):
+                        cfg = _config(
+                            kind, options, algorithm, accumulation_factor=accumulation, larc=larc, gradient_scale=scale
+                        )
+                        h.update(harness.log_to_jsonl(harness.train(cfg)).encode())
+    for algorithm in ALGORITHMS:
+        cfg = _config("mlp", {}, algorithm, accumulation_factor=2, larc=LarcConfig())
+        first = harness.train(cfg, stop_after=7)
+        doc = json.dumps(harness.checkpoint_to_dict(first.checkpoint), sort_keys=True)
+        second = harness.train(cfg, resume_from=harness.checkpoint_from_dict(json.loads(doc)))
+        for text in (harness.log_to_jsonl(first), doc, harness.log_to_jsonl(second)):
+            h.update(text.encode())
+
+
+def grad_check_outputs(h):
+    from novobench import harness, problems
+
+    for kind, options in PROBLEMS:
+        report = harness.grad_check(problems.build(kind, options), seed=0, trials=3)
+        h.update(repr((report.problem_kind, report.trials, report.tolerance, report.max_rel_error, report.passed)).encode())
+
+
+CLI_CASES = [
+    (
+        "compare",
+        "jsonl",
+        {
+            "problem": {"kind": "mlp", "dataset_seed": 2},
+            "optimizers": [
+                {"algorithm": "novograd"},
+                {"algorithm": "adam", "base_lr": 0.01},
+                {"algorithm": "adam", "base_lr": 0.02},
+                {"algorithm": "sgd", "label": "my sgd", "base_lr": 0.1},
+                {"algorithm": "sngd", "label": "n-1"},
+            ],
+            "schedule": {"base_lr": 0.05},
+            "larc": {},
+            "loss_threshold": 0.9,
+            "batch_size": 8,
+            "accumulation_factor": 2,
+            "total_steps": 40,
+            "seed": 1,
+            "log_every": 5,
+        },
+    ),
+    (
+        "compare",
+        "csv",
+        {
+            "problem": {"kind": "quadratic", "dim": 8, "matrix_seed": 1},
+            "optimizers": [{"algorithm": "sgd", "base_lr": 1e6}, {"algorithm": "novograd"}, {"algorithm": "adamw"}],
+            "schedule": {"base_lr": 0.05, "family": "constant"},
+            "loss_threshold": -0.5,
+            "total_steps": 60,
+            "log_every": 4,
+        },
+    ),
+    (
+        "sweep",
+        "csv",
+        {
+            "problem": {"kind": "logreg", "size": 100},
+            "optimizer": {"algorithm": "sgd", "momentum": 0.9},
+            "schedule": {"base_lr": 0.1, "family": "constant"},
+            "batch_size": 4,
+            "accumulation_factor": 3,
+            "total_steps": 30,
+            "log_every": 7,
+            "sweep": {"lr_grid": [1e-3, 0.1, 10.0, 1e300]},
+        },
+    ),
+    (
+        "sweep",
+        "jsonl",
+        {
+            "problem": {"kind": "quadratic", "diag": [1.0, 4.0, 9.0], "w0": [1.0, -2.0, 3.0]},
+            "optimizer": {"algorithm": "sgd", "momentum": 0.5},
+            "schedule": {"base_lr": 0.1, "family": "constant"},
+            "accumulation_factor": 2,
+            "total_steps": 80,
+            "log_every": 1,
+            "sweep": {"lr_grid": [0.01, 0.2, 1e3, 1e8]},
+        },
+    ),
+    (
+        "sweep",
+        "csv",
+        {
+            "problem": {"kind": "mlp", "hidden": 24},
+            "optimizer": {"algorithm": "novograd", "weight_decay": 0.001},
+            "schedule": {"base_lr": 0.1},
+            "larc": {"clip": False},
+            "total_steps": 30,
+            "log_every": 10,
+            "sweep": {"lr_min": 1e-3, "lr_max": 10.0, "points": 6, "spacing": "log"},
+        },
+    ),
+    (
+        "sweep",
+        "csv",
+        {
+            "problem": {"kind": "rosenbrock"},
+            "optimizer": {"algorithm": "adam"},
+            "schedule": {"base_lr": 0.1, "family": "polynomial", "power": 2.0},
+            "total_steps": 50,
+            "log_every": 10,
+            "sweep": {"lr_min": 0.01, "lr_max": 2.0, "points": 4, "spacing": "linear"},
+        },
+    ),
+]
+
+
+def grid_outputs(h):
+    from novobench import cli, harness
+    from novobench.schedule import LarcConfig
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (command, fmt, tree) in enumerate(CLI_CASES):
+            config = Path(tmp) / f"case{i}.json"
+            config.write_text(json.dumps(tree), encoding="utf-8")
+            out = Path(tmp) / f"out{i}"
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command, "--config", str(config), "--out", str(out), "--format", fmt])
+            h.update(f"{command} {fmt} exit {code}\n".encode())
+            for path in sorted(out.iterdir()):
+                h.update(path.name.encode() + b"\n" + path.read_bytes())
+
+    options = {"size": 64, "dim": 3, "n_classes": 3, "hidden": 6}
+    variants = [
+        ("novograd", dict(batch_size=4)),
+        ("adam", dict(batch_size=8, accumulation_factor=3, larc=LarcConfig())),
+        ("adamw", dict(batch_size=4, total_steps=25, log_every=1)),
+        ("sgd", dict(batch_size=8, accumulation_factor=3, base_lr=1e308)),
+        ("sngd", dict(batch_size=4, accumulation_factor=3, total_steps=11, log_every=2, larc=LarcConfig(clip=False))),
+        ("novograd", dict(batch_size=4, hyperparams={"ams": True}, base_lr=0.2)),
+    ]
+    cfgs = [_config("mlp", options, a, **kw) for a, kw in variants]
+    rows, logs = harness.compare_runs(cfgs, loss_threshold=1.0)
+    h.update(harness.comparison_to_csv(rows).encode())
+    for log in logs:
+        h.update(harness.log_to_jsonl(log).encode())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(REPO_SRC), help="directory holding the novobench package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    total = hashlib.sha256()
+    for name, part in (("train", train_outputs), ("grad_check", grad_check_outputs), ("grids", grid_outputs)):
+        h = hashlib.sha256()
+        part(h)
+        print(f"{name} {h.hexdigest()}", file=sys.stderr)
+        total.update(h.digest())
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
