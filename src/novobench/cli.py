@@ -35,6 +35,7 @@ class ConfigError(ValueError):
 # JSON value types accepted for a field of each annotated type (bool is not a number)
 _JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,), list: (list,)}
 _HINTS = {cls: get_type_hints(cls) for cls in (RunConfig, ScheduleSpec, LarcConfig)}
+_HYPERPARAM_HINTS = {algorithm: get_type_hints(type(make_config(algorithm))) for algorithm in ALGORITHMS}
 _RUN_SCALARS = [key for key, hint in _HINTS[RunConfig].items() if hint is int]
 
 # the file names the optimizer and its hyperparameters in one "optimizer" object
@@ -43,6 +44,7 @@ _COMPARE_KEYS = (_RUN_KEYS - {"optimizer"}) | {"optimizers", "loss_threshold"}
 _SWEEP_KEYS = _RUN_KEYS | {"sweep"}
 # the sweep section has no dataclass; its keys and their types
 _SWEEP_SECTION = {"lr_grid": list, "lr_min": float, "lr_max": float, "points": int, "spacing": str}
+_MAX_SWEEP_POINTS = 10_000  # each point is a training run; more is a typo, not a grid to allocate
 
 # representative instances for `gradcheck <tag>`
 _GRADCHECK_OPTIONS = {
@@ -69,7 +71,7 @@ def _parse_problem(section, where="problem") -> ProblemSpec:
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object")
     section = dict(section)
-    kind = _require(section, "kind", where)
+    kind = _typed(str, "kind", _require(section, "kind", where), where)
     section.pop("kind")
     gradient_scale = _typed(float, "gradient_scale", section.pop("gradient_scale", 1.0), where)
     try:
@@ -87,6 +89,10 @@ def _parse_optimizer(section, where="optimizer") -> tuple[str, dict]:
     section.pop("algorithm")
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm '{algorithm}' in {where}")
+    hints = _HYPERPARAM_HINTS[algorithm]
+    for key, value in section.items():
+        if key in hints:
+            _typed(hints[key], key, value, where)
     try:
         make_config(algorithm, section)  # fail-closed validation of keys and values
     except (TypeError, ValueError) as err:
@@ -95,9 +101,12 @@ def _parse_optimizer(section, where="optimizer") -> tuple[str, dict]:
 
 
 def _typed(expected: type, key: str, value, where: str):
-    """``value`` for ``key``, checked against the JSON types that stand for ``expected``."""
+    """``value`` for ``key``, checked against the JSON types that stand for
+    ``expected``; a float must be finite (an int too, within float range)."""
     if type(value) not in _JSON_TYPES[expected]:
         raise ConfigError(f"{key} must be of type {expected.__name__}, got {value!r} (in {where})")
+    if expected is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {value!r} (in {where})")
     return value
 
 
@@ -192,15 +201,13 @@ def parse_sweep_config(tree: dict) -> tuple[RunConfig, list[float]]:
         if spacing not in ("log", "linear"):
             raise ConfigError(f"unknown spacing '{spacing}' in sweep")
         n = section["points"]
-        if n < 1:
-            raise ConfigError("sweep points must be >= 1")
+        if not 1 <= n <= _MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep points must be in [1, {_MAX_SWEEP_POINTS}], got {n}")
         lo, hi = section["lr_min"], section["lr_max"]
-        if spacing == "log":
-            if not (lo > 0 and hi > 0):
-                raise ConfigError(f"log spacing needs lr_min and lr_max > 0, got {lo!r} and {hi!r} (in sweep)")
-            grid = np.geomspace(lo, hi, n).tolist()
-        else:
-            grid = np.linspace(lo, hi, n).tolist()
+        # a grid end is a grid point, so both must be learning rates
+        if not (lo > 0 and hi > 0):
+            raise ConfigError(f"lr_min and lr_max must be > 0, got {lo!r} and {hi!r} (in sweep)")
+        grid = (np.geomspace if spacing == "log" else np.linspace)(float(lo), float(hi), n).tolist()
         key = "lr_min/lr_max"
     if not grid:
         raise ConfigError("empty learning-rate grid")
@@ -229,7 +236,7 @@ def _apply_overrides(tree: dict, sets: list[str], seed: int | None) -> None:
         key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer too long to convert: the raw text
             value = raw
         node = tree
         parts = key.split(".")

@@ -227,7 +227,9 @@ class _Row:
                     self.termination = "diverged"
                     return
 
-        self.driver.step(params, lr_t)
+        # a float32 step can overflow; the next step's finiteness check ends the row
+        with np.errstate(over="ignore"):
+            self.driver.step(params, lr_t)
 
         if will_log:
             self.records.append(

@@ -12,7 +12,8 @@ gradients of one call per row (Rosenbrock loops over the rows to keep
 that promise).  Batched problems take an index array
 into their dataset; losses and gradients are means over the batch, so
 gradient accumulation by averaging composes exactly.  ``finite_diff_grad``
-is the independent oracle used to verify every analytic gradient.
+is the independent oracle used to verify every analytic gradient; it only
+reads the model and evaluates its central-difference probes as row stacks.
 """
 
 from __future__ import annotations
@@ -388,37 +389,57 @@ class GradientScaledProblem(Problem):
         return loss
 
 
+# weights per probe stack (a stack holds at least one probe pair); keeps the
+# oracle's memory flat on large models
+_FD_STACK_ELEMENTS = 2**16
+
+
 def finite_diff_grad(
     problem: Problem,
     params: ModelParams,
     batch: np.ndarray | None = None,
     rel_step: float = 1e-6,
 ) -> dict[str, np.ndarray]:
-    """Central-difference gradients, one coordinate at a time.
+    """Central-difference gradients through row-stacked evaluations.
 
-    Uses h_i = rel_step * (|w_i| + 1) per coordinate and restores the
-    parameters bit-exactly afterward.  Returns gradients keyed by layer id
-    without touching the gradient buffers.
+    Each probe is a copy of ``params.weights`` with one coordinate moved by
+    +h_i or -h_i, h_i = rel_step * (|w_i| + 1), stored in the model's dtype.
+    Probes go to ``problem.eval`` as (2r, N) stacks, r as large as keeps
+    2rN within ``_FD_STACK_ELEMENTS`` (at least 1), so ``eval`` must honour
+    the stacked contract: one loss per row, or one 0-d loss for every row.
+    ``params`` is only read.  Returns gradients keyed by layer id.
     """
     if not rel_step > 0:
         raise ValueError(f"rel_step must be > 0, got {rel_step}")
-    grads: dict[str, np.ndarray] = {}
-    for layer in params:
-        w = layer.weights
-        out = np.zeros(w.size, dtype=np.float64)
-        for i in range(w.size):
-            orig = w[i]
-            h = rel_step * (abs(float(orig)) + 1.0)
-            w[i] = orig + h
-            f_plus = problem.eval(params, batch)
-            w[i] = orig - h
-            f_minus = problem.eval(params, batch)
-            w[i] = orig
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                raise ValueError(f"non-finite loss while probing layer '{layer.id}'")
-            out[i] = (f_plus - f_minus) / (2.0 * h)
-        grads[layer.id] = out
-    return grads
+    w = params.weights
+    n = w.size
+    h = rel_step * (np.abs(w.astype(np.float64)) + 1.0)
+    plus, minus = w + h.astype(w.dtype), w - h.astype(w.dtype)
+    r_max = max(1, _FD_STACK_ELEMENTS // (2 * max(n, 1)))
+    # buf[k, 0] moves coordinate j0 + k up, buf[k, 1] moves it down
+    buf = np.tile(w, (min(r_max, n), 2, 1))
+    probe = params.copy()
+    out = np.empty(n, dtype=np.float64)
+    for j0 in range(0, n, r_max):
+        r = min(r_max, n - j0)
+        rows = np.arange(r)
+        cols = j0 + rows
+        buf[rows, 0, cols], buf[rows, 1, cols] = plus[cols], minus[cols]
+        stack = buf[:r].reshape(2 * r, n)
+        probe._bind(stack, np.broadcast_to(params.grad, stack.shape))
+        f = np.asarray(problem.eval(probe, batch), dtype=np.float64)
+        if f.ndim == 0:
+            f = np.full(2 * r, f)
+        elif f.shape != (2 * r,):
+            raise ValueError(f"eval of a {2 * r}-row stack returned shape {f.shape}")
+        f = f.reshape(r, 2)
+        finite = np.isfinite(f).all(axis=1)
+        if not finite.all():
+            layer = np.searchsorted(params.offsets, j0 + np.argmin(finite), side="right") - 1
+            raise ValueError(f"non-finite loss while probing layer '{params.layer_ids[layer]}'")
+        out[cols] = (f[:, 0] - f[:, 1]) / (2.0 * h[cols])
+        buf[rows, :, cols] = w[cols, None]
+    return {layer.id: part for layer, part in zip(params, params.split(out))}
 
 
 TASKS = ("two-gaussians", "two-moons-like", "multiclass-blobs")

@@ -48,7 +48,7 @@ def test_tracer_records_problem_spans_and_restores_every_name(tracing):
     # each training step and the grad check's analytic gradient, counted once
     # even through the gradient-scaling wrapper
     assert metrics["problems.eval_grad.calls"] == len(PROBLEMS) * STEPS + 1
-    assert metrics["problems.fd.evals"] == 2 * 2  # two probes per rosenbrock coordinate
+    assert metrics["problems.fd.evals"] == 1  # all four rosenbrock probes in one stacked eval
     assert metrics["harness.train.calls"] == len(PROBLEMS)
     assert report.passed
     for owner, attr, original in originals:

@@ -1,10 +1,15 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from novobench.cli import main
+from novobench import cli
+from novobench.cli import ConfigError, main
+from novobench.schedule import LarcConfig, ScheduleSpec
 
 
 def write_config(path, tree):
@@ -73,6 +78,16 @@ MISTYPED = [
     ("compare", "optimizers", "base_lr", 0),
     ("sweep", "sweep", "lr_grid", [0.1, 0.0]),
     ("sweep", "sweep", "lr_min", 0),
+    # numbers that are not finite, or out of range
+    ("run", "schedule", "base_lr", float("inf")),
+    ("compare", None, "loss_threshold", float("nan")),
+    ("sweep", "sweep", "lr_max", float("nan")),
+    ("sweep", "sweep", "points", 2**64),
+    ("run", "problem", "kind", ["mlp"]),
+    # optimizer hyperparameters
+    ("run", "optimizer", "ams", "no"),
+    ("run", "optimizer", "weight_decay", float("nan")),
+    ("compare", "optimizers", "beta1", True),
 ]
 CONFIG_TREES = {"run": lambda: run_config_tree(larc={}), "compare": compare_config_tree, "sweep": sweep_config_tree}
 
@@ -180,6 +195,18 @@ class TestRun:
         echoed = json.loads(header[len("# config: ") :])
         assert echoed["total_steps"] == 20
         assert echoed["schedule"]["base_lr"] == 0.05
+
+    @pytest.mark.parametrize(
+        "item,message",
+        [
+            pytest.param("total_steps=" + "1" * 5000, "total_steps must be of type int", id="too-long-for-an-int"),
+            pytest.param("schedule.base_lr=" + "9" * 400, "base_lr must be a finite number", id="beyond-float-range"),
+        ],
+    )
+    def test_set_value_out_of_range(self, tmp_path, capsys, item, message):
+        cfg = write_config(tmp_path / "cfg.json", run_config_tree())
+        assert main(["run", "--config", cfg, "--out", str(tmp_path), "--set", item]) == 1
+        assert capsys.readouterr().err.startswith("config error: " + message)
 
     def test_seed_flag(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", run_config_tree())
@@ -309,6 +336,80 @@ class TestGradcheck:
     def test_unknown_problem(self, capsys):
         assert main(["gradcheck", "nosuch"]) == 1
         assert "unknown problem" in capsys.readouterr().err
+
+
+PARSERS = {"run": cli.parse_run_config, "compare": cli.parse_compare_config, "sweep": cli.parse_sweep_config}
+KEYS = st.sampled_from(
+    sorted(
+        cli._COMPARE_KEYS
+        | cli._SWEEP_KEYS
+        | cli._SWEEP_SECTION.keys()
+        | {f.name for cls in (ScheduleSpec, LarcConfig) for f in fields(cls)}
+        | {"kind", "algorithm", "label", "diag", "w0", "size", "hidden", "beta1", "weight_decay", "bogus", ""}
+    )
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.sampled_from([2**62, 2**63, 2**64, 10**400, -(10**400)]),  # none of these sizes can be allocated
+    st.floats(),
+    st.sampled_from(["", "x", "log", "linear", "cosine", "novograd", "adam", "mlp", "quadratic", "0.1", "1e400"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(KEYS, kids, max_size=3), max_leaves=6
+)
+SET_ITEMS = st.one_of(
+    st.builds(
+        lambda path, value: ".".join(path) + "=" + value,
+        st.lists(KEYS, min_size=1, max_size=3),
+        st.one_of(JSON_VALUES.map(json.dumps), st.text(max_size=8), st.just("1" * 5000)),
+    ),
+    st.text(max_size=10),
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_tree(draw, command):
+    """A valid config tree of ``command`` with up to four nodes replaced, deleted or added."""
+    tree = CONFIG_TREES[command]()
+    for _ in range(draw(st.integers(0, 4))):
+        path = draw(st.sampled_from(list(_paths(tree))))
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else tree
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "add" and isinstance(node, dict):
+            node[draw(KEYS)] = draw(JSON_VALUES)
+        elif path and action == "delete":
+            del parent[path[-1]]
+        elif path:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return tree
+
+
+@pytest.mark.parametrize("command", list(PARSERS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_parses_or_raises_config_error(command, data):
+    """Whatever the file and the --set items hold, parsing either succeeds
+    or raises ConfigError (exit 1 with "config error:"), never another error."""
+    tree = data.draw(mutated_tree(command), label="tree")
+    sets = data.draw(st.lists(SET_ITEMS, max_size=3), label="--set")
+    seed = data.draw(st.none() | st.integers(-3, 2**64), label="--seed")
+    try:
+        cli._apply_overrides(tree, sets, seed)
+        PARSERS[command](tree)
+    except ConfigError:
+        pass
 
 
 def test_module_entrypoint_smoke():

@@ -27,6 +27,7 @@ from novobench.harness import (
 )
 from novobench import harness
 from novobench import problems as problems_mod
+from novobench.optim import ALGORITHMS
 from novobench.params import ModelParams, ParameterLayer
 from novobench.problems import MlpProblem, build
 from novobench.schedule import LarcConfig, ScheduleSpec
@@ -134,6 +135,14 @@ class TestTrainBasics:
         assert [rec.step for rec in log.records] == [0]
         np.testing.assert_array_equal(log.final_weights["w"], log.weight_trace[0]["w"])
         assert np.isfinite(log.final_weights["w"]).all()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_float32_step_overflow_ends_diverged_without_a_warning(self, algorithm):
+        # the first step overflows the float32 weights; the second step's check ends the run
+        with mlp_weights_in(np.float32):
+            log = train(mlp_config(algorithm, base_lr=1e308))
+        assert log.termination == "diverged"
+        assert [rec.step for rec in log.records] == [0]
 
     def test_larc_run_completes(self):
         cfg = logreg_config("sgd", larc=LarcConfig(trust_coefficient=0.02), total_steps=15)
@@ -365,15 +374,11 @@ class TestLockstep:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
     def test_compare_rows_equal_standalone_runs(self, dtype):
         cfgs = [mlp_config(a, **kw) for a, kw in self.MIXED]
-        if dtype is np.float32:
-            # a float32 sgd step at this rate overflows with a RuntimeWarning, so the row stays finite
-            cfgs[3] = replace(cfgs[3], schedule=replace(cfgs[3].schedule, base_lr=0.1))
         with mlp_weights_in(dtype):
             rows, logs = compare_runs(cfgs, loss_threshold=0.5)
             standalone = [train(cfg) for cfg in cfgs]
-        diverged = dtype is np.float64
-        assert [log.termination == "diverged" for log in logs] == [False, False, False, diverged, False, False]
-        assert 0 < len(logs[3].records) < 20 if diverged else len(logs[3].records) == 20
+        assert [log.termination == "diverged" for log in logs] == [False, False, False, True, False, False]
+        assert 0 < len(logs[3].records) < 20
         for row, log, alone in zip(rows, logs, standalone):
             assert next(iter(log.final_weights.values())).dtype == dtype
             _same_run(log, alone)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from novobench import problems as problems_mod
 from novobench.params import ModelParams, ParameterLayer, l2_norm_sq
 from novobench.problems import (
     DatasetSpec,
@@ -304,6 +305,62 @@ def test_rosenbrock_evaluates_a_stack_one_row_at_a_time():
     assert stacked.grad.tolist() == [g.tolist() for g in grads]
 
 
+def loop_finite_diff_grad(problem, params, batch=None, rel_step=1e-6):
+    """Central differences one coordinate at a time, each probe written into
+    ``params`` and undone: the reference ``finite_diff_grad`` must equal."""
+    grads = {}
+    for layer in params:
+        w = layer.weights
+        out = np.zeros(w.size, dtype=np.float64)
+        for i in range(w.size):
+            orig = w[i]
+            h = rel_step * (abs(float(orig)) + 1.0)
+            w[i] = orig + h
+            f_plus = problem.eval(params, batch)
+            w[i] = orig - h
+            f_minus = problem.eval(params, batch)
+            w[i] = orig
+            out[i] = (f_plus - f_minus) / (2.0 * h)
+        grads[layer.id] = out
+    return grads
+
+
+FD_PROBLEMS = {
+    **STACKABLE,
+    # 291 coordinates: three probe stacks at the default budget
+    "wide-mlp": lambda: build("mlp", {"size": 30, "dim": 8, "hidden": 24}),
+}
+
+
+@pytest.mark.parametrize("kind", list(FD_PROBLEMS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_finite_diff_grad_equals_the_coordinate_loop(kind, data):
+    """The stacked oracle gives the loop's gradients bit for bit, whatever
+    the dtype, step and number of probe stacks."""
+    problem = FD_PROBLEMS[kind]()
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+    rel_step = data.draw(st.sampled_from([1e-8, 1e-6, 1e-3, 0.1]), label="rel_step")
+    budget = data.draw(st.sampled_from([problems_mod._FD_STACK_ELEMENTS, 1, 7, 40]), label="stack budget")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    params = ModelParams(
+        [ParameterLayer(name, rng.standard_normal(size).astype(dtype)) for name, size in problem.layer_layout()]
+    )
+    batch = None
+    if problem.n_examples is not None and data.draw(st.booleans(), label="batched"):
+        batch = rng.integers(0, problem.n_examples, size=data.draw(st.integers(1, 16), label="batch size"))
+    weights, grad = params.weights.tobytes(), params.grad.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems_mod, "_FD_STACK_ELEMENTS", budget)
+        numeric = finite_diff_grad(problem, params, batch, rel_step)
+    assert (params.weights.tobytes(), params.grad.tobytes()) == (weights, grad)
+    expected = loop_finite_diff_grad(problem, params.copy(), batch, rel_step)
+    assert list(numeric) == list(expected)
+    for layer_id, values in expected.items():
+        assert numeric[layer_id].dtype == np.float64
+        assert numeric[layer_id].tobytes() == values.tobytes(), layer_id
+
+
 class TestFiniteDiff:
     def test_quadratic_is_nearly_exact(self):
         # no truncation error on a quadratic, only rounding
@@ -350,6 +407,51 @@ class TestFiniteDiff:
         for layer in params:
             assert layer.weights.tobytes() == before[layer.id]
             assert layer.grad.tobytes() == grad_before[layer.id]
+
+    def test_failed_probe_leaves_params_untouched(self):
+        problem = build("mlp", {"size": 20})
+        params = problem.init_params(np.random.default_rng(0))
+        params.grad[...] = np.random.default_rng(1).standard_normal(params.grad.size)
+        before = params.weights.tobytes(), params.grad.tobytes()
+        with pytest.raises(ValueError, match="batch index out of range"):
+            finite_diff_grad(problem, params, np.array([999]))
+        assert (params.weights.tobytes(), params.grad.tobytes()) == before
+
+    def test_non_finite_probe_names_its_layer(self):
+        class SecondLayerBlowsUp(Problem):
+            """A finite loss unless a coordinate of layer ``b`` leaves 0.5."""
+
+            def layer_layout(self):
+                return [("a", 3), ("b", 2)]
+
+            def _loss(self, params, batch, grad):
+                a, b = params.layer("a").weights, params.layer("b").weights
+                return np.where((b != 0.5).any(axis=-1), np.inf, (a * a).sum(axis=-1))
+
+        params = ModelParams([ParameterLayer("a", [0.1, -0.2, 0.3]), ParameterLayer("b", [0.5, 0.5])])
+        before = params.weights.tobytes(), params.grad.tobytes()
+        for budget in (problems_mod._FD_STACK_ELEMENTS, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(problems_mod, "_FD_STACK_ELEMENTS", budget)
+                with pytest.raises(ValueError, match="non-finite loss while probing layer 'b'"):
+                    finite_diff_grad(SecondLayerBlowsUp(), params)
+            assert (params.weights.tobytes(), params.grad.tobytes()) == before
+
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda rows: (rows + 1,), lambda rows: (rows, 1), lambda rows: (1,)],
+        ids=["one-row-too-many", "column", "one-element"],
+    )
+    def test_rejects_a_stack_result_of_another_shape(self, shape):
+        class WrongShape(Problem):
+            def layer_layout(self):
+                return [("w", 3)]
+
+            def eval(self, params, batch=None):
+                return np.zeros(shape(params.weights.shape[0]))
+
+        with pytest.raises(ValueError, match="returned shape"):
+            finite_diff_grad(WrongShape(), ModelParams([ParameterLayer("w", np.ones(3))]))
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="rel_step"):
