@@ -44,6 +44,13 @@ _COMPARE_KEYS = (_RUN_KEYS - {"optimizer"}) | {"optimizers", "loss_threshold"}
 _SWEEP_KEYS = _RUN_KEYS | {"sweep"}
 # the sweep section has no dataclass; its keys and their types
 _SWEEP_SECTION = {"lr_grid": list, "lr_min": float, "lr_max": float, "points": int, "spacing": str}
+# problem option types, over every kind's keys; a list holds floats
+_PROBLEM_OPTIONS = {
+    **dict.fromkeys(("size", "dim", "dataset_seed", "n_classes", "hidden", "matrix_seed"), int),
+    **dict.fromkeys(("separation", "noise", "train_fraction", "b_scale"), float),
+    **dict.fromkeys(("diag", "b", "w0"), list),
+    "task": str,
+}
 _MAX_SWEEP_POINTS = 10_000  # each point is a training run; more is a typo, not a grid to allocate
 
 # representative instances for `gradcheck <tag>`
@@ -78,6 +85,11 @@ def _parse_problem(section, where="problem") -> ProblemSpec:
         problems.validate_options(kind, section)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    for key, value in section.items():
+        _typed(_PROBLEM_OPTIONS[key], key, value, where)
+        if type(value) is list:
+            for item in value:
+                _typed(float, key, item, where)
     return ProblemSpec(kind=kind, options=section, gradient_scale=gradient_scale)
 
 
@@ -222,7 +234,7 @@ def _load_tree(path: str) -> dict:
             tree = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # not JSON, not UTF-8, or an integer too long to convert
         raise ConfigError(f"malformed config {path}: {err}") from None
     if not isinstance(tree, dict):
         raise ConfigError("config root must be an object")

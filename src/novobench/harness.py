@@ -205,20 +205,22 @@ class _Row:
             self.termination, self.checkpoint_step = "checkpoint", t
         return self.termination is not None
 
-    def update(self, t: int, loss: float, start_ns: int) -> None:
+    def logs_at(self, t: int) -> bool:
+        return t % self.cfg.log_every == 0 or t == self.cfg.total_steps - 1
+
+    def update(self, t: int, loss: float, finite: bool, grad_norms, w_norms, start_ns: int) -> None:
         """Step ``t``, once the averaged gradient is in ``params.grad``: LARC,
-        the optimizer step and the record.  A non-finite loss, gradient or
-        LARC-scaled gradient ends the row "diverged" instead."""
+        the optimizer step and the record.  ``finite`` tells whether that
+        gradient is finite; ``grad_norms`` and ``w_norms`` are its and the
+        weights' layer norms, given when a record or LARC needs them.  A
+        non-finite loss, gradient or LARC-scaled gradient ends the row
+        "diverged" instead."""
         cfg, params = self.cfg, self.params
-        if not (math.isfinite(loss) and np.isfinite(params.grad).all()):
+        if not (finite and math.isfinite(loss)):
             self.termination = "diverged"
             return
         lr_t = lr_at(cfg.schedule, t)
-        will_log = (t % cfg.log_every == 0) or (t == cfg.total_steps - 1)
-        if will_log or cfg.larc is not None:
-            grad_norms = np.sqrt(l2_norm_sq(params.grad, params.offsets)).tolist()
         if cfg.larc is not None:
-            w_norms = np.sqrt(l2_norm_sq(params.weights, params.offsets)).tolist()
             scales = [larc_scale(w_n, g_n, lr_t, cfg.larc) for w_n, g_n in zip(w_norms, grad_norms)]
             if any(scale != 1.0 for scale in scales):
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -231,7 +233,7 @@ class _Row:
         with np.errstate(over="ignore"):
             self.driver.step(params, lr_t)
 
-        if will_log:
+        if self.logs_at(t):
             self.records.append(
                 MetricsRecord(
                     step=t,
@@ -266,12 +268,15 @@ def _run_grid(problem: Problem, rows: list[_Row]) -> list[TrajectoryLog]:
 
     Rows that share seed, batch size and accumulation factor form a group
     that runs in lockstep from its first row's start step (only a one-row
-    grid resumes): one batch draw per step and one
-    ``eval_grad`` per micro-batch on the group's row-stacked model, then
-    each row's own divergence check, LARC, schedule, optimizer step and
-    record.  A row that stops (completed, checkpointed or diverged)
-    leaves the stack; the others go on.  Every row's log is bit for bit
-    that of its run alone; ``wall_time_ns`` counts from the grid's start.
+    grid resumes).  Each step takes one batch draw and one ``eval_grad``
+    over all of the step's micro-batches and the group's rows, one
+    finiteness check, one norm call for the gradients when some row logs
+    or uses LARC and one for the weights when some row uses LARC; then
+    each row's divergence check, LARC, schedule, optimizer step and
+    record.  A row that stops
+    (completed, checkpointed or diverged) leaves the stack; the others go
+    on.  Every row's log is bit for bit that of its run alone;
+    ``wall_time_ns`` counts from the grid's start.
     """
     start_ns = time.monotonic_ns()
     groups: dict[tuple, list[_Row]] = {}
@@ -285,6 +290,9 @@ def _run_grid(problem: Problem, rows: list[_Row]) -> list[TrajectoryLog]:
 def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
     cfg = rows[0].cfg
     size, k = cfg.batch_size, cfg.accumulation_factor
+    # a batchless problem is evaluated once per step, and its loss and gradient
+    # added k times: the sums of k evaluations, since eval is deterministic
+    slots = k if problem.n_examples is not None else 1
     active: list[_Row] = []
     t = rows[0].start
     while True:
@@ -293,24 +301,36 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
             break
         if len(running) != len(active):  # the stack holds exactly the running rows
             active = running
-            model = active[0].params if len(active) == 1 else ModelParams.stack([row.params for row in active])
-            accum = np.zeros_like(model.grad) if k > 1 else None
+            model = ModelParams.stack([row.params for row in active])
+            # what the eval sees: weights (R, 1, N) and one gradient slot per
+            # micro-batch, (R, slots, N); with k == 1 that slot is model.grad
+            view = active[0].params.copy()
+            shape = (len(active), slots, model.grad.shape[-1])
+            view._bind(model.weights[:, None], model.grad[:, None] if k == 1 else np.empty(shape, model.grad.dtype))
+            larc = any(row.cfg.larc is not None for row in active)
         indices = _batch_indices(cfg.seed, t, problem.n_examples, size * k)
         # overflow to inf/nan is the divergence signal, not an anomaly
         with np.errstate(over="ignore", invalid="ignore"):
+            losses = problem.eval_grad(view, None if indices is None else indices.reshape(k, size))
             if k == 1:
-                losses = problem.eval_grad(model, indices)
+                losses = losses[:, 0]
             else:
-                losses = 0.0
-                accum[...] = 0.0
+                # summed from zero in micro-batch order, as k separate evals were
+                total = 0.0
+                model.grad[...] = 0.0
                 for j in range(k):
-                    batch = None if indices is None else indices[j * size : (j + 1) * size]
-                    losses += problem.eval_grad(model, batch)
-                    accum += model.grad
-                np.divide(accum, k, out=model.grad)
-                losses = losses / k
-        for row, loss in zip(active, [losses] if len(active) == 1 else losses.tolist()):
-            row.update(t, loss, start_ns)
+                    total += losses[:, j % slots]
+                    model.grad += view.grad[:, j % slots]
+                model.grad /= k
+                losses = total / k
+        finite = np.isfinite(model.grad).all(axis=-1).tolist()
+        grad_norms = w_norms = [None] * len(active)
+        if larc or any(row.logs_at(t) for row in active):
+            grad_norms = np.sqrt(l2_norm_sq(model.grad, model.offsets)).tolist()
+        if larc:
+            w_norms = np.sqrt(l2_norm_sq(model.weights, model.offsets)).tolist()
+        for row, *values in zip(active, losses.tolist(), finite, grad_norms, w_norms):
+            row.update(t, *values, start_ns)
         t += 1
 
 

@@ -37,22 +37,25 @@ _START.setflags(write=False)
 def l2_norm_sq(v, offsets=None):
     """Sum of squares of ``v``, accumulated in float64.
 
-    Without ``offsets`` the result is one float.  With ``offsets`` (the
-    ascending start index of each segment, e.g. ``ModelParams.offsets``)
-    it is a float64 array holding one sum per segment, so every layer of a
-    model takes one call.  A segment's sum does not depend on where the
-    segment sits in ``v``.  The summation order is fixed by the segment
-    length, so results are bit-reproducible for one numpy build, and
-    scaling every element by a power of two scales each sum exactly while
-    no square under- or overflows.  An overflowing sum is ``inf``, without
-    a warning.
+    Without ``offsets`` the result is one float over all of ``v``.  With
+    ``offsets`` (the ascending start index of each segment along the last
+    axis, e.g. ``ModelParams.offsets``) it is a float64 array holding one
+    sum per segment, so every layer of a model takes one call; a row-stacked
+    ``v`` of shape (R, N) gives (R, L) sums, each row's bit for bit those
+    of its own call.  A segment's sum does not depend on where the segment
+    sits in ``v``.  The summation order is fixed by the segment length, so
+    results are bit-reproducible for one numpy build, and scaling every
+    element by a power of two scales each sum exactly while no square
+    under- or overflows.  An overflowing sum is ``inf``, without a warning.
     """
-    x = np.asarray(v, dtype=np.float64).ravel()
+    x = np.asarray(v, dtype=np.float64)
     single = offsets is None
-    if single and x.size == 0:
-        raise ValueError("empty layer")
+    if single:
+        x = x.ravel()
+        if x.size == 0:
+            raise ValueError("empty layer")
     with np.errstate(over="ignore"):
-        sums = np.add.reduceat(x * x, _START if single else offsets)
+        sums = np.add.reduceat(x * x, _START if single else offsets, axis=-1)
     return float(sums[0]) if single else sums
 
 

@@ -9,9 +9,13 @@ held-out split, batch selection).  Every loss body also runs over a
 row-stacked model (:meth:`ModelParams.stack`): it then evaluates each row
 on the same batch and returns one loss per row, bit for bit the losses and
 gradients of one call per row (Rosenbrock loops over the rows to keep
-that promise).  Batched problems take an index array
-into their dataset; losses and gradients are means over the batch, so
-gradient accumulation by averaging composes exactly.  ``finite_diff_grad``
+that promise).  Batched problems take an index array into their dataset;
+losses and gradients are means over the batch, so gradient accumulation by
+averaging composes exactly.  A batch may also be a (k, n) stack of k
+micro-batches, given a model whose weights carry a micro-batch axis of
+length one, (..., 1, N), and whose gradient buffer has k slots,
+(..., k, N): the losses are then (..., k) and each micro-batch's loss and
+gradient are bit for bit those of its own call.  ``finite_diff_grad``
 is the independent oracle used to verify every analytic gradient; it only
 reads the model and evaluates its central-difference probes as row stacks.
 """
@@ -74,8 +78,9 @@ class Problem:
         return _losses(self._loss(params, batch, True))
 
     def _loss(self, params: ModelParams, batch: np.ndarray | None, grad: bool):
-        """The one loss body, over an optional leading row axis: returns the
-        loss (one per row); writes the gradient only when ``grad`` is set."""
+        """The one loss body, over optional leading row and micro-batch axes:
+        returns the loss (one per row and micro-batch); writes the gradient
+        only when ``grad`` is set."""
         raise NotImplementedError
 
     def _check_layout(self, params: ModelParams) -> None:
@@ -170,11 +175,12 @@ class RosenbrockProblem(Problem):
     def _loss(self, params, batch, grad):
         self._check_layout(params)
         layer = params.layers[0]
-        if layer.weights.ndim == 2:
-            # a scalar's `** 2` (libm pow) and an array's (a square) can differ in
-            # the last bit, so a stack is evaluated one row at a time
-            return np.array([self._point(w, g, grad) for w, g in zip(layer.weights, layer.grad)])
-        return self._point(layer.weights, layer.grad, grad)
+        # a scalar's `** 2` (libm pow) and an array's (a square) can differ in
+        # the last bit, so a stack is evaluated one point at a time
+        loss = np.empty(layer.weights.shape[:-1])
+        for i in np.ndindex(loss.shape):
+            loss[i] = self._point(layer.weights[i], layer.grad[i], grad)
+        return loss
 
     def _point(self, w, g, grad):
         x, y = w
@@ -195,8 +201,9 @@ class _DatasetProblem(Problem):
     """A mean loss over a fixed (features, labels) training set.
 
     Labels are cast to the subclass's ``_label_dtype``; batches are index
-    arrays into the training set; ``test_features``/``test_labels`` hold
-    the held-out part of a split, if any.
+    arrays into the training set, (n,) or a (k, n) micro-batch stack;
+    ``test_features``/``test_labels`` hold the held-out part of a split,
+    if any.
     """
 
     def __init__(self, features, labels):
@@ -258,8 +265,8 @@ class LogisticRegressionProblem(_DatasetProblem):
         loss = np.mean(np.logaddexp(0.0, z) - y * z, axis=-1)
         if grad:
             r = _sigmoid(z) - y
-            n = x.shape[0]
-            params.layer("w").grad[...] = (x.T @ r[..., None])[..., 0] / n
+            n = x.shape[-2]
+            params.layer("w").grad[...] = (x.mT @ r[..., None])[..., 0] / n
             params.layer("b").grad[...] = np.mean(r, axis=-1)[..., None]
         return loss
 
@@ -334,8 +341,9 @@ class MlpProblem(_DatasetProblem):
         x, y = self._select(batch)
         w1, b1, w2, b2 = self._views(params)
         a1, z2, zmax, exp, total = self._forward(x, w1, b1, w2, b2)
-        n = x.shape[0]
-        picked = (..., np.arange(n), y)
+        n = x.shape[-2]
+        # each example's true-class logit, in every row and micro-batch
+        picked = (..., *np.indices(y.shape, sparse=True), y)
         log_z = zmax[..., 0] + np.log(total[..., 0])
         loss = np.mean(log_z - z2[picked], axis=-1)
         if grad:
@@ -346,7 +354,7 @@ class MlpProblem(_DatasetProblem):
             db2 = dz2.sum(axis=-2)
             da1 = dz2 @ w2.mT
             dz1 = da1 * (1.0 - a1 * a1)
-            dw1 = x.T @ dz1
+            dw1 = x.mT @ dz1
             db1 = dz1.sum(axis=-2)
             for layer, value in zip(params, (dw1, db1, dw2, db2)):
                 layer.grad[...] = value.reshape(layer.grad.shape)

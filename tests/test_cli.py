@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novobench import cli
+from novobench import cli, problems
 from novobench.cli import ConfigError, main
 from novobench.schedule import LarcConfig, ScheduleSpec
 
@@ -88,6 +88,19 @@ MISTYPED = [
     ("run", "optimizer", "ams", "no"),
     ("run", "optimizer", "weight_decay", float("nan")),
     ("compare", "optimizers", "beta1", True),
+    # problem options: quadratic (run) and logreg (compare) keys
+    ("run", "problem", "diag", ["x"]),
+    ("run", "problem", "w0", "x"),
+    ("run", "problem", "b", [1.0, True]),
+    ("run", "problem", "matrix_seed", "1"),
+    ("run", "problem", "b_scale", "x"),
+    ("compare", "problem", "size", "abc"),
+    ("compare", "problem", "dim", 2.5),
+    ("compare", "problem", "dataset_seed", "1"),
+    ("compare", "problem", "separation", "x"),
+    ("compare", "problem", "noise", True),
+    ("compare", "problem", "train_fraction", float("nan")),
+    ("compare", "problem", "task", 5),
 ]
 CONFIG_TREES = {"run": lambda: run_config_tree(larc={}), "compare": compare_config_tree, "sweep": sweep_config_tree}
 
@@ -223,6 +236,30 @@ class TestRun:
         path.write_text('{"problem": }')
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("n_classes", "3"), ("hidden", 4.0)])
+    def test_mistyped_mlp_option_is_a_config_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.json", run_config_tree(problem={"kind": "mlp", key: value}))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
+    def test_every_problem_option_has_a_type(self):
+        assert cli._PROBLEM_OPTIONS.keys() == set().union(*problems._OPTION_KEYS.values())
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            pytest.param(b'{"total_steps": 5, "x": "\xff"}', "can't decode", id="not-utf-8"),
+            pytest.param(b'{"total_steps": ' + b"1" * 5000 + b"}", "4300 digits", id="integer-too-long"),
+        ],
+    )
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed config") and message in err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["run"]) == 1  # --config is required

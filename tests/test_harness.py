@@ -27,10 +27,10 @@ from novobench.harness import (
 )
 from novobench import harness
 from novobench import problems as problems_mod
-from novobench.optim import ALGORITHMS
+from novobench.optim import ALGORITHMS, OptimizerDriver, make_config
 from novobench.params import ModelParams, ParameterLayer
 from novobench.problems import MlpProblem, build
-from novobench.schedule import LarcConfig, ScheduleSpec
+from novobench.schedule import LarcConfig, ScheduleSpec, lr_at
 
 
 def logreg_config(algorithm="novograd", total_steps=40, seed=0, **kwargs):
@@ -384,7 +384,7 @@ class TestLockstep:
             _same_run(log, alone)
             assert row.diverged == (alone.termination == "diverged")
 
-    def test_one_batch_draw_and_eval_grad_per_micro_batch_per_group(self, monkeypatch):
+    def test_one_batch_draw_and_eval_grad_per_step_per_group(self, monkeypatch):
         def counted(calls, fn):
             def wrapper(*args):
                 calls.append(args)
@@ -399,11 +399,44 @@ class TestLockstep:
         cfgs = [mlp_config(a, **kw) for a, kw in self.MIXED]
         compare_runs(cfgs)
         # each group runs as many steps as its longest row: (batch size,
-        # accumulation) (4, 1) 26 steps, (8, 3) 14, (8, 1) 9 and (4, 3) 20
-        assert len(draws) == 26 + 14 + 9 + 20
-        assert len(evals) == 26 * 1 + 14 * 3 + 9 * 1 + 20 * 3
+        # accumulation) (4, 1) 26 steps, (8, 3) 14, (8, 1) 9 and (4, 3) 20;
+        # one eval holds all of a step's micro-batches
+        assert len(draws) == len(evals) == 26 + 14 + 9 + 20
+        assert [batch.shape for _, _, batch in evals[:1] + evals[26:27]] == [(1, 4), (3, 8)]
         rows, _ = lr_sweep(mlp_config("novograd"), [0.01, 0.1, 1.0])
-        assert len(draws) == 26 + 14 + 9 + 20 + 20 and len(rows) == 3
+        assert len(draws) == len(evals) == 26 + 14 + 9 + 20 + 20 and len(rows) == 3
+
+    @pytest.mark.parametrize("accumulation", [8, 9])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_long_accumulation_sums_micro_batches_in_order(self, dtype, accumulation):
+        """From k = 8 a pairwise sum would reorder the micro-batches; each
+        row's update must be the plain in-order sum of k separate evals."""
+        cfgs = [
+            mlp_config(a, accumulation_factor=accumulation, total_steps=6, larc=LarcConfig() if a == "adam" else None)
+            for a in ALGORITHMS
+        ]
+        with mlp_weights_in(dtype):
+            _, logs = compare_runs(cfgs)
+            for cfg, log in zip(cfgs, logs):
+                _same_run(log, train(cfg))
+            problem = build(SMALL_MLP.kind, SMALL_MLP.options)
+            params = problem.init_params(np.random.default_rng([cfgs[3].seed, harness._INIT_STREAM, 0]))
+        # the sgd row by hand: k separate evals, summed from zero, then averaged
+        sgd = cfgs[3]
+        assert sgd.algorithm == "sgd" and logs[3].termination == "completed"
+        driver = OptimizerDriver("sgd", make_config("sgd", sgd.hyperparams))
+        size, k = sgd.batch_size, sgd.accumulation_factor
+        for t, record in enumerate(logs[3].records):
+            indices = harness._batch_indices(sgd.seed, t, problem.n_examples, size * k)
+            loss, accum = 0.0, np.zeros_like(params.grad)
+            for j in range(k):
+                loss += problem.eval_grad(params, indices[j * size : (j + 1) * size])
+                accum += params.grad
+            np.divide(accum, k, out=params.grad)
+            assert record.loss == loss / k
+            driver.step(params, lr_at(sgd.schedule, t))
+        for layer in params:
+            assert layer.weights.tobytes() == logs[3].final_weights[layer.id].tobytes()
 
     def test_sweep_rows_equal_standalone_runs_past_a_divergent_point(self):
         cfg = quadratic_config("sgd", total_steps=60, accumulation_factor=2, log_every=1)

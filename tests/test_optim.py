@@ -583,6 +583,20 @@ class TestSerialization:
         assert restored.state_dict() == doc
         assert restored.second_moments(params) == driver.second_moments(params)
 
+    @pytest.mark.parametrize("algorithm", ["adam", "adamw"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_elementwise_second_moments_are_the_mean_of_v(self, algorithm, dtype):
+        sizes = [1, 7, 8, 9, 299, 1000, 4096, 8193]
+        rng = np.random.default_rng(3)
+        params = ModelParams([ParameterLayer(f"l{n}", rng.standard_normal(n).astype(dtype)) for n in sizes])
+        driver = OptimizerDriver(algorithm, make_config(algorithm))
+        for _ in range(3):
+            params.grad[...] = rng.standard_normal(params.grad.size) * np.exp2(rng.integers(-30, 30, params.grad.size))
+            driver.step(params, 0.01)
+        moments = driver.second_moments(params)
+        for layer_id, v in driver.state.v.items():
+            assert v.dtype == dtype and moments[layer_id] == float(np.mean(v))
+
 
 class TestConfigs:
     def test_make_config_rejects_unknown_key(self):

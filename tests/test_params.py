@@ -88,6 +88,18 @@ class TestVectorizedKernel:
         for start, n, total in zip(offsets, sizes, sums.tolist()):
             assert total == l2_norm_sq(flat[start : start + n].copy())
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=_segmented(), rows=st.integers(1, 8), dtype=st.sampled_from([np.float64, np.float32]))
+    def test_row_sums_equal_one_call_per_row(self, data, rows, dtype):
+        flat, sizes = data
+        offsets = np.cumsum([0] + sizes[:-1])
+        rng = np.random.default_rng(len(flat))
+        stack = np.stack([flat * rng.permutation(len(flat)) for _ in range(rows)]).astype(dtype)
+        sums = l2_norm_sq(stack, offsets)
+        assert sums.dtype == np.float64 and sums.shape == (rows, len(sizes))
+        for row, row_sums in zip(stack, sums):
+            assert row_sums.tobytes() == l2_norm_sq(row.copy(), offsets).tobytes()
+
     def test_float32_accumulates_in_float64(self):
         # 4097^2 = 16785409 needs 25 significant bits: float32 would round it
         v = np.full(3, 4097.0, dtype=np.float32)

@@ -289,6 +289,41 @@ def test_stacked_eval_grad_equals_one_call_per_row(kind, data):
         assert stacked.grad[r].tobytes() == grad.tobytes()
 
 
+@pytest.mark.parametrize("kind", list(STACKABLE))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_micro_batch_stack_equals_one_call_per_micro_batch(kind, data):
+    """A (k, n) batch on an R-row model viewed as weights (R, 1, N) with a
+    (R, k, N) gradient buffer gives each row's and micro-batch's loss and
+    gradient of its own call, bit for bit; a batchless problem fills its
+    one slot."""
+    problem = STACKABLE[kind]()
+    rows = data.draw(st.integers(1, 8), label="rows")
+    k = data.draw(st.integers(1, 9), label="micro-batches")
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    models = [
+        ModelParams([ParameterLayer(name, rng.standard_normal(size).astype(dtype)) for name, size in problem.layer_layout()])
+        for _ in range(rows)
+    ]
+    stack = None
+    if problem.n_examples is not None:
+        size = data.draw(st.integers(1, 2 * problem.n_examples), label="batch size")
+        stack = rng.integers(0, problem.n_examples, size=(k, size))
+    batches = [None] if stack is None else list(stack)
+    singles = [[(problem.eval_grad(model, batch), model.grad.copy()) for batch in batches] for model in models]
+
+    stacked = ModelParams.stack(models)
+    view = models[0].copy()
+    grad = np.full((rows, len(batches), stacked.grad.shape[-1]), np.nan, dtype=dtype)
+    view._bind(stacked.weights[:, None], grad)
+    losses = problem.eval_grad(view, stack)
+    assert losses.dtype == np.float64 and losses.shape == (rows, len(batches))
+    for r, row in enumerate(singles):
+        for j, (loss, g) in enumerate(row):
+            assert losses[r, j] == loss and grad[r, j].tobytes() == g.tobytes()
+
+
 def test_rosenbrock_evaluates_a_stack_one_row_at_a_time():
     """Rosenbrock's one-model loss squares numpy scalars (libm ``pow``), which
     can differ in the last bit from an array's square; at this point it does

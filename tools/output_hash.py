@@ -6,7 +6,7 @@ refactor) prints the same digest as its parent:
     python3 tools/output_hash.py                      # this checkout's src/
     python3 tools/output_hash.py --src ../parent/src  # another checkout's package
 
-The digest covers three sets of outputs, each fed to the hash in a fixed
+The digest covers four sets of outputs, each fed to the hash in a fixed
 order:
 
 - ``train``: 200 ``train()`` runs serialized with ``log_to_jsonl``
@@ -19,7 +19,12 @@ order:
   ``novobench sweep`` (csv and jsonl, a loss threshold, custom and
   duplicate labels, divergent rows and points), and a ``compare_runs``
   call that mixes batch sizes, accumulation factors, step counts and log
-  intervals.
+  intervals;
+- ``accumulation``: 40 ``train()`` runs with long accumulation ({logreg,
+  the default mlp} x 5 algorithms x accumulation {8, 9} x LARC {off, on}),
+  a ``compare_runs`` call of all five algorithms on float32 MLP weights
+  with accumulation 4 and 9, and one stop / resume round trip per
+  algorithm at accumulation 9 (logreg) and 8 (mlp in float32).
 
 The per-set digests go to standard error.  BLAS is capped at one thread;
 equal digests are expected on one machine and numpy/BLAS build only.
@@ -86,12 +91,7 @@ def train_outputs(h):
                         )
                         h.update(harness.log_to_jsonl(harness.train(cfg)).encode())
     for algorithm in ALGORITHMS:
-        cfg = _config("mlp", {}, algorithm, accumulation_factor=2, larc=LarcConfig())
-        first = harness.train(cfg, stop_after=7)
-        doc = json.dumps(harness.checkpoint_to_dict(first.checkpoint), sort_keys=True)
-        second = harness.train(cfg, resume_from=harness.checkpoint_from_dict(json.loads(doc)))
-        for text in (harness.log_to_jsonl(first), doc, harness.log_to_jsonl(second)):
-            h.update(text.encode())
+        _resume_outputs(h, _config("mlp", {}, algorithm, accumulation_factor=2, larc=LarcConfig()))
 
 
 def grad_check_outputs(h):
@@ -223,13 +223,75 @@ def grid_outputs(h):
         h.update(harness.log_to_jsonl(log).encode())
 
 
+@contextlib.contextmanager
+def _float32_mlp():
+    """MLP models start in float32 (the reduced-precision mode) within the block."""
+    from novobench.params import ModelParams, ParameterLayer
+    from novobench.problems import MlpProblem
+
+    original = MlpProblem.__dict__["init_params"]
+
+    def init_params(self, rng):
+        params = original(self, rng)
+        return ModelParams([ParameterLayer(layer.id, layer.weights.astype("float32")) for layer in params])
+
+    MlpProblem.init_params = init_params
+    try:
+        yield
+    finally:
+        MlpProblem.init_params = original
+
+
+def _resume_outputs(h, cfg):
+    from novobench import harness
+
+    first = harness.train(cfg, stop_after=7)
+    doc = json.dumps(harness.checkpoint_to_dict(first.checkpoint), sort_keys=True)
+    second = harness.train(cfg, resume_from=harness.checkpoint_from_dict(json.loads(doc)))
+    for text in (harness.log_to_jsonl(first), doc, harness.log_to_jsonl(second)):
+        h.update(text.encode())
+
+
+def accumulation_outputs(h):
+    from novobench import harness
+    from novobench.optim import ALGORITHMS
+    from novobench.schedule import LarcConfig
+
+    for kind, options in (PROBLEMS[2], PROBLEMS[3]):
+        for algorithm in ALGORITHMS:
+            for accumulation in (8, 9):
+                for larc in (None, LarcConfig()):
+                    cfg = _config(kind, options, algorithm, accumulation_factor=accumulation, larc=larc)
+                    h.update(harness.log_to_jsonl(harness.train(cfg)).encode())
+    with _float32_mlp():
+        cfgs = [
+            _config("mlp", {}, a, accumulation_factor=k, larc=LarcConfig(), total_steps=12, log_every=1)
+            for a in ALGORITHMS
+            for k in (4, 9)
+        ]
+        rows, logs = harness.compare_runs(cfgs, loss_threshold=1.0)
+        h.update(harness.comparison_to_csv(rows).encode())
+        for log in logs:
+            h.update(harness.log_to_jsonl(log).encode())
+        for algorithm in ALGORITHMS:
+            _resume_outputs(h, _config("mlp", {}, algorithm, accumulation_factor=8, larc=LarcConfig()))
+    for algorithm in ALGORITHMS:
+        _resume_outputs(h, _config(*PROBLEMS[2], algorithm, accumulation_factor=9))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(REPO_SRC), help="directory holding the novobench package")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     total = hashlib.sha256()
-    for name, part in (("train", train_outputs), ("grad_check", grad_check_outputs), ("grids", grid_outputs)):
+    parts = (
+        ("train", train_outputs),
+        ("grad_check", grad_check_outputs),
+        ("grids", grid_outputs),
+        ("accumulation", accumulation_outputs),
+    )
+    for name, part in parts:
         h = hashlib.sha256()
         part(h)
         print(f"{name} {h.hexdigest()}", file=sys.stderr)
