@@ -182,11 +182,7 @@ class _Row:
             self.driver = OptimizerDriver.from_state_dict(resume_from.optimizer)
             if self.driver.algorithm != cfg.algorithm:
                 raise ValueError("checkpoint algorithm does not match config")
-            for layer in self.params:
-                saved = resume_from.weights[layer.id]
-                if saved.shape != layer.weights.shape:
-                    raise ValueError(f"checkpoint layer '{layer.id}' has the wrong shape")
-                layer.weights[...] = saved
+            self.params.weights[...] = self.params.flatten(resume_from.weights)
             self.start = resume_from.step
         else:
             self.driver = OptimizerDriver(cfg.algorithm, make_config(cfg.algorithm, cfg.hyperparams))

@@ -213,37 +213,39 @@ def _check_grad_finite(params: ModelParams) -> None:
         raise ValueError(f"non-finite gradient in layer '{bad}'")
 
 
-def _gather(arrays: dict[str, np.ndarray], params: ModelParams) -> np.ndarray:
-    """Per-layer state vectors concatenated in the model's layer order, in
-    the model's dtype (a float32 state loaded as float64 casts back exactly)."""
-    if not params.layers:
-        return np.zeros_like(params.weights)
-    return np.concatenate([arrays[layer_id] for layer_id in params.layer_ids], dtype=params.weights.dtype)
+def _bind(state, params: ModelParams, *names: str) -> list[np.ndarray]:
+    """Flat buffers laid out like ``params.weights`` for the state's vector fields
+    ``names``, made when the state first meets ``params``; the fields' entries become
+    views into them.  Only NovoGrad may lack layers; other mismatches raise."""
+    if getattr(state, "_model", None) is not params:
+        state._buffers = [params.flatten(getattr(state, n), partial=isinstance(state, NovoGradState)) for n in names]
+        for name, flat in zip(names, state._buffers):
+            views = dict(zip(params.layer_ids, params.split(flat)))
+            getattr(state, name).update({layer_id: views[layer_id] for layer_id in getattr(state, name)})
+        state._model = params
+    return state._buffers
 
 
-def _scatter(arrays: dict[str, np.ndarray], flat: np.ndarray, params: ModelParams) -> None:
-    """Store per-layer views of ``flat``; existing keys keep their order."""
-    arrays.update(zip(params.layer_ids, params.split(flat)))
-
-
-def _novograd_update(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig, lr_t: float) -> None:
-    """One fused NovoGrad update over the whole model.
+def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig, lr_t: float) -> None:
+    """One fused NovoGrad update at learning rate ``lr_t`` over the whole model.
 
     Initialized layers take the moment update; layers holding their first
     nonzero gradient are initialized (v_1 = ||g||^2, m_1 = g/||g|| + d*w)
-    and take the paired update; the rest stay untouched.  The per-layer
-    scalars are computed in Python floats and broadcast over their layers'
-    elements in the model's dtype, so every element sees the arithmetic of
-    a per-layer loop.
+    and take the paired update; the rest stay untouched.  Weight decay uses
+    the pre-step weights.  The per-layer scalars are computed in Python
+    floats and broadcast over their layers' elements in the model's dtype,
+    so every element sees the arithmetic of a per-layer loop.
     """
+    _check_lr(lr_t)
     _check_grad_finite(params)
+    (m,) = _bind(state, params, "m")
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     decoupled = cfg.wd_placement == "decoupled_update"
     g, w = params.grad, params.weights
     denoms: list[float] = []  # divisor of each layer's gradient; 0 leaves it at 0
     known: list[bool] = []  # initialized before this step
     active: list[bool] = []  # updated this step
-    for layer_id, gsq in zip(params.layer_ids, l2_norm_sq(g, params.offsets).tolist()):
+    for layer_id, gsq, m_l in zip(params.layer_ids, l2_norm_sq(g, params.offsets).tolist(), params.split(m)):
         was_known = layer_id in state.v
         if was_known:
             v = beta2 * state.v[layer_id] + (1.0 - beta2) * gsq
@@ -253,7 +255,7 @@ def _novograd_update(params: ModelParams, state: NovoGradState, cfg: NovoGradCon
                 state.v_hat[layer_id] = v
             denoms.append(math.sqrt(v) + eps)
         elif gsq != 0.0:  # an all-zero first gradient defers init
-            state.v[layer_id] = gsq
+            state.v[layer_id], state.m[layer_id] = gsq, m_l
             if state.v_hat is not None:
                 state.v_hat[layer_id] = gsq
             denoms.append(math.sqrt(gsq))
@@ -271,28 +273,21 @@ def _novograd_update(params: ModelParams, state: NovoGradState, cfg: NovoGradCon
         contrib = normalized + d * w
     else:
         contrib = normalized
-    m = contrib
-    if any(known):
-        m_prev = np.concatenate(
-            [state.m[layer.id] if k else np.zeros_like(layer.weights) for layer, k in zip(params, known)],
-            dtype=w.dtype,
-        )
-        if cfg.first_moment_style == "ema":
-            m = beta1 * m_prev + (1.0 - beta1) * contrib
-        else:
-            m = beta1 * m_prev + contrib
-        if not all(known):
-            m = np.where(params.broadcast(known), m, contrib)
+    if cfg.first_moment_style == "ema":
+        m_new = beta1 * m + (1.0 - beta1) * contrib
+    else:
+        m_new = beta1 * m + contrib
+    if not all(known):  # a layer being initialized takes m_1 = contrib
+        m_new = np.where(params.broadcast(known), m_new, contrib)
     where = True if all(active) else params.broadcast(active)
+    np.copyto(m, m_new, where=where)
     if d != 0.0 and decoupled:
         decay = lr_t * d * w
         np.subtract(w, lr_t * m, out=w, where=where)
         np.subtract(w, decay, out=w, where=where)
     else:
         np.subtract(w, lr_t * m, out=w, where=where)
-    for layer_id, is_active, m_l in zip(params.layer_ids, active, params.split(m)):
-        if is_active:
-            state.m[layer_id] = m_l
+    state.step_count += 1
 
 
 def novograd_init(params: ModelParams, cfg: NovoGradConfig, lr_t: float) -> NovoGradState:
@@ -315,21 +310,10 @@ def _new_novograd_state(params: ModelParams, cfg: NovoGradConfig) -> NovoGradSta
     return NovoGradState(v_hat={} if cfg.ams else None)
 
 
-def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig, lr_t: float) -> None:
-    """One NovoGrad update at learning rate ``lr_t``.
-
-    Weight decay uses the pre-step weights.  Layers still awaiting
-    initialization are initialized here the first time their gradient is
-    nonzero.
-    """
-    _check_lr(lr_t)
-    _novograd_update(params, state, cfg, lr_t)
-    state.step_count += 1
-
-
 def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: float, decoupled: bool) -> None:
     _check_lr(lr_t)
     _check_grad_finite(params)
+    m, v = _bind(state, params, "m", "v")
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     state.step_count += 1
     t = state.step_count
@@ -337,10 +321,8 @@ def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: flo
     g = params.grad
     if d != 0.0 and not decoupled:
         g = g + d * w
-    m = beta1 * _gather(state.m, params) + (1.0 - beta1) * g
-    v = beta2 * _gather(state.v, params) + (1.0 - beta2) * g * g
-    _scatter(state.m, m, params)
-    _scatter(state.v, v, params)
+    m[...] = beta1 * m + (1.0 - beta1) * g
+    v[...] = beta2 * v + (1.0 - beta2) * g * g
     if cfg.bias_correction:
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
@@ -377,8 +359,8 @@ def sgd_momentum_step(params: ModelParams, state: SgdMomentumState, cfg: SgdMome
     g = params.grad
     if d != 0.0:
         g = g + d * w
-    m = mu * _gather(state.m, params) + g
-    _scatter(state.m, m, params)
+    (m,) = _bind(state, params, "m")
+    m[...] = mu * m + g
     w -= lr_t * m
     state.step_count += 1
 

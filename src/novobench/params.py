@@ -194,12 +194,33 @@ class ModelParams:
         """Per-layer views of a flat array laid out like ``weights``."""
         return [flat[s] for s in self._slices]
 
+    def flatten(self, per_layer: dict, *, partial: bool = False) -> np.ndarray:
+        """``per_layer`` (layer id -> vector) copied into a new array laid out like a
+        row of ``weights``, in its dtype; a layer a ``partial`` mapping lacks is zero.
+        Any other missing, unknown or wrongly sized layer raises ``ValueError``."""
+        if unknown := per_layer.keys() - self._index.keys():
+            raise ValueError(f"unknown layer '{min(unknown)}'")
+        flat = np.zeros(self.weights.shape[-1], self.weights.dtype)
+        for layer_id, s in zip(self.layer_ids, self._slices):
+            if layer_id in per_layer:
+                value = np.asarray(per_layer[layer_id])
+                if value.shape != flat[s].shape:
+                    raise ValueError(f"layer '{layer_id}' has shape {value.shape}, not {flat[s].shape}")
+                flat[s] = value
+            elif not partial:
+                raise ValueError(f"missing layer '{layer_id}'")
+        return flat
+
     def broadcast(self, per_layer, dtype=None) -> np.ndarray:
         """Repeat one value per layer over that layer's elements."""
         return np.repeat(np.asarray(per_layer, dtype=dtype), self.sizes)
 
     def copy(self) -> "ModelParams":
-        return ModelParams([layer.copy() for layer in self.layers])
+        """An independent model of the same layout and, for a stack, rows."""
+        row = (0,) * (self.weights.ndim - 1)
+        copy = ModelParams([ParameterLayer(layer.id, layer.weights[row]) for layer in self.layers])
+        copy._bind(self.weights.copy(), self.grad.copy())
+        return copy
 
 
 def zero_grads(params: ModelParams) -> None:

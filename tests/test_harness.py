@@ -226,6 +226,48 @@ class TestCheckpointing:
             checkpoint_from_dict({"format_version": 0})
 
 
+def _grow(value):
+    """A layer's value (a list, or a state entry of lists and floats) one element longer."""
+    if isinstance(value, dict):
+        return {key: _grow(v) for key, v in value.items()}
+    return value + [0.0] if isinstance(value, list) else value
+
+
+_MISMATCHES = {  # layer id -> value mappings of logreg's layers w and b, made to not fit
+    "missing": lambda layers: {k: v for k, v in layers.items() if k != "b"},
+    "extra": lambda layers: {**layers, "c": layers["b"]},
+    "wrong size": lambda layers: {**layers, "b": _grow(layers["b"])},
+}
+_MISMATCH_ERRORS = {"missing": "missing layer 'b'", "extra": "unknown layer 'c'", "wrong size": r"layer 'b' has shape \(2,\)"}
+
+
+@pytest.mark.parametrize("algorithm", ["novograd", "adam", "sgd"])
+@pytest.mark.parametrize("case", sorted(_MISMATCHES))
+@pytest.mark.parametrize("path", ["driver state", "checkpoint state", "checkpoint weights"])
+def test_a_layout_mismatch_raises_naming_the_layer(algorithm, case, path):
+    cfg = logreg_config(algorithm, total_steps=10)
+    doc = json.loads(json.dumps(checkpoint_to_dict(train(cfg, stop_after=5).checkpoint)))
+    if path == "checkpoint weights":
+        doc["weights"] = _MISMATCHES[case](doc["weights"])
+    else:
+        layers = {entry.pop("id"): entry for entry in doc["optimizer"]["layers"]}
+        doc["optimizer"]["layers"] = [{"id": k, **v} for k, v in _MISMATCHES[case](layers).items()]
+    if path == "driver state":
+        driver = OptimizerDriver.from_state_dict(doc["optimizer"])
+        params = harness.build_problem(cfg.problem).init_params(np.random.default_rng(0))
+        params.grad[...] = 1.0
+        run = lambda: driver.step(params, 0.1)  # noqa: E731
+    else:
+        run = lambda: train(cfg, resume_from=checkpoint_from_dict(doc))  # noqa: E731
+    if algorithm == "novograd" and case == "missing" and path != "checkpoint weights":
+        run()  # a NovoGrad state may lack a layer: it initializes on its next nonzero gradient
+        if path == "driver state":
+            assert list(driver.state.m) == ["w", "b"] and driver.state.v["b"] == 1.0
+    else:
+        with pytest.raises(ValueError, match=_MISMATCH_ERRORS[case]):
+            run()
+
+
 class TestGradCheck:
     def test_quadratic_tight_bound(self):
         report = grad_check(build("quadratic", {"diag": [2.0, 4.0]}), seed=0, trials=20)

@@ -27,6 +27,7 @@ from novobench.optim import (
     state_from_dict,
     state_to_dict,
 )
+from novobench.optim import _bind
 from novobench.params import ModelParams, ParameterLayer, l2_norm_sq
 
 
@@ -498,7 +499,21 @@ _V1_DOCUMENTS = {
         '"beta2": 0.25, "weight_decay": 0.0, "epsilon": 1e-08, "first_moment_style": "cumulative", '
         '"wd_placement": "in_moment", "ams": true}, "step_count": 1, "layers": []}'
     ),
+    # written by the per-layer-dict state that preceded the flat moment buffers:
+    # see test_deferred_init_document_lists_layers_in_init_order
+    "novograd-ams-deferred-init": (
+        '{"format_version": 1, "algorithm": "novograd", "config": {"lr0": 0.01, "beta1": 0.95, '
+        '"beta2": 0.25, "weight_decay": 0.0, "epsilon": 1e-08, "first_moment_style": "cumulative", '
+        '"wd_placement": "in_moment", "ams": true}, "step_count": 2, "layers": [{"id": "b", '
+        '"m": [0.6166666677777777], "v": 3.0, "v_hat": 9.0}, {"id": "a", '
+        '"m": [0.4472135954999579, 0.8944271909999159], "v": 5.0, "v_hat": 5.0}]}'
+    ),
 }
+
+
+def _two_layer_model(dtype=np.float64):
+    """The model of the v1 documents: layers a (2 elements) and b (1 element)."""
+    return ModelParams([ParameterLayer("a", np.array([0.5, -0.25], dtype)), ParameterLayer("b", np.array([2.0], dtype))])
 
 
 class TestSerialization:
@@ -556,6 +571,20 @@ class TestSerialization:
         restored = OptimizerDriver.from_state_dict(doc)
         assert restored.state_dict() == expected
         assert json.dumps(restored.state_dict()) == json.dumps(expected)
+        if restored.state is not None:  # bound to a model of its layout, the state serializes unchanged
+            _bind(restored.state, _two_layer_model(), *(("m", "v") if restored.algorithm.startswith("adam") else ("m",)))
+            assert json.dumps(restored.state_dict()) == json.dumps(expected)
+
+    def test_deferred_init_document_lists_layers_in_init_order(self):
+        # b initializes at step 1 and a, its first gradient zero, at step 2:
+        # the document lists b first, the order of initialization
+        params = _two_layer_model()
+        driver = OptimizerDriver("novograd", make_config("novograd", {"ams": True}))
+        for g in ([0.0, 0.0, 3.0], [1.0, 2.0, -1.0]):
+            params.grad[...] = g
+            driver.step(params, 0.1)
+        assert json.dumps(driver.state_dict()) == _V1_DOCUMENTS["novograd-ams-deferred-init"]
+        np.testing.assert_array_equal(params.weights, [0.4552786404500042, -0.3394427190999916, 1.8383333332222223])
 
     def test_v1_ams_state_without_layers_keeps_an_empty_running_max(self):
         restored = OptimizerDriver.from_state_dict(json.loads(_V1_DOCUMENTS["novograd-ams-no-layers"]))
@@ -596,6 +625,28 @@ class TestSerialization:
         moments = driver.second_moments(params)
         for layer_id, v in driver.state.v.items():
             assert v.dtype == dtype and moments[layer_id] == float(np.mean(v))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_state_moves_to_a_same_layout_copy_bit_exactly(algorithm, dtype):
+    rng = np.random.default_rng(67)
+    model = ModelParams([ParameterLayer(f"l{i}", rng.standard_normal(n).astype(dtype)) for i, n in enumerate((3, 2, 4))])
+    grads = [rng.standard_normal(model.grad.size) for _ in range(8)]
+    for g in grads[:5]:
+        g[:3] = 0.0  # NovoGrad initializes l0 only after the move
+    stay, stay_driver = model, OptimizerDriver(algorithm)
+    moved, moved_driver = model.copy(), OptimizerDriver(algorithm)
+    for step, g in enumerate(grads):
+        if step == 3:
+            left = moved
+            moved = moved.copy()
+        for params, driver in ((stay, stay_driver), (moved, moved_driver)):
+            params.grad[...] = g
+            driver.step(params, 0.05)
+    assert moved.weights.tobytes() == stay.weights.tobytes()
+    assert json.dumps(moved_driver.state_dict()) == json.dumps(stay_driver.state_dict())
+    assert not np.array_equal(left.weights, moved.weights)  # the first model no longer moves
 
 
 class TestConfigs:

@@ -215,6 +215,42 @@ class TestModelParams:
         models[2].weights[0] = 9.0
         assert stacked.layer("layer0").weights[2, 0] == 9.0
 
+    def test_copy_of_a_stack_is_an_independent_stack(self):
+        stacked = ModelParams.stack([_params([3, 2], np.random.default_rng(seed)) for seed in range(2)])
+        stacked.grad[...] = np.arange(10.0).reshape(2, 5)
+        clone = stacked.copy()
+        assert clone.layer_ids == stacked.layer_ids and np.array_equal(clone.offsets, stacked.offsets)
+        assert clone.weights.shape == clone.grad.shape == (2, 5)
+        np.testing.assert_array_equal(clone.weights, stacked.weights)
+        np.testing.assert_array_equal(clone.grad, stacked.grad)
+        before = stacked.weights.copy()
+        clone.layer("layer1").weights[...] = 0.0
+        clone.grad[...] = -1.0
+        np.testing.assert_array_equal(stacked.weights, before)
+        np.testing.assert_array_equal(stacked.grad, np.arange(10.0).reshape(2, 5))
+        np.testing.assert_array_equal(clone.weights[:, 3:], 0.0)
+        assert np.shares_memory(clone.layer("layer0").weights, clone.weights)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_flatten_copies_per_layer_vectors_in_the_model_layout(self, dtype):
+        params = ModelParams([ParameterLayer(f"layer{i}", np.ones(n, dtype=dtype)) for i, n in enumerate([3, 2])])
+        flat = params.flatten({"layer1": [4.0, 5.0], "layer0": np.array([1.0, 2.0, 3.0])})
+        assert flat.dtype == dtype and flat.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert params.flatten({"layer1": [4.0, 5.0]}, partial=True).tolist() == [0.0, 0.0, 0.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize(
+        "per_layer,error",
+        [
+            ({"layer0": [1.0, 2.0, 3.0]}, "missing layer 'layer1'"),
+            ({"layer0": [1.0, 2.0, 3.0], "layer1": [4.0, 5.0], "extra": [6.0]}, "unknown layer 'extra'"),
+            ({"layer0": [1.0, 2.0, 3.0], "layer1": [4.0]}, r"layer 'layer1' has shape \(1,\)"),
+            ({"layer0": [1.0, 2.0, 3.0], "layer1": 4.0}, r"layer 'layer1' has shape \(\)"),
+        ],
+    )
+    def test_flatten_rejects_a_layout_mismatch(self, per_layer, error):
+        with pytest.raises(ValueError, match=error):
+            _params([3, 2]).flatten(per_layer)
+
     def test_stack_rejects_mixed_layouts_and_dtypes(self):
         with pytest.raises(ValueError, match="layout"):
             ModelParams.stack([_params([3, 2]), _params([2, 3])])

@@ -6,7 +6,7 @@ refactor) prints the same digest as its parent:
     python3 tools/output_hash.py                      # this checkout's src/
     python3 tools/output_hash.py --src ../parent/src  # another checkout's package
 
-The digest covers four sets of outputs, each fed to the hash in a fixed
+The digest covers five sets of outputs, each fed to the hash in a fixed
 order:
 
 - ``train``: 200 ``train()`` runs serialized with ``log_to_jsonl``
@@ -24,7 +24,15 @@ order:
   the default mlp} x 5 algorithms x accumulation {8, 9} x LARC {off, on}),
   a ``compare_runs`` call of all five algorithms on float32 MLP weights
   with accumulation 4 and 9, and one stop / resume round trip per
-  algorithm at accumulation 9 (logreg) and 8 (mlp in float32).
+  algorithm at accumulation 9 (logreg) and 8 (mlp in float32);
+- ``states``: the optimizer state after each of 8 ``OptimizerDriver``
+  steps on a 3-layer model ({float64, float32} x {5 algorithms, NovoGrad
+  with ``ams``, with the EMA first moment and with decoupled decay, Adam,
+  AdamW and SGD with weight decay}), as ``json.dumps(state_dict())``,
+  ``second_moments`` and the weights; layer 0 has a zero gradient at step
+  0 and layer 1 at steps 0-1, so NovoGrad initializes its layers out of
+  model order; before step 4 the state goes through JSON and moves to a
+  copy of the model.
 
 The per-set digests go to standard error.  BLAS is capped at one thread;
 equal digests are expected on one machine and numpy/BLAS build only.
@@ -279,6 +287,42 @@ def accumulation_outputs(h):
         _resume_outputs(h, _config(*PROBLEMS[2], algorithm, accumulation_factor=9))
 
 
+def state_outputs(h):
+    import numpy as np
+
+    from novobench.optim import ALGORITHMS, OptimizerDriver, make_config
+    from novobench.params import ModelParams, ParameterLayer
+
+    decay = {"weight_decay": 0.01}
+    variants = [(a, {}) for a in ALGORITHMS] + [
+        ("novograd", {"ams": True}),
+        ("novograd", {"first_moment_style": "ema", **decay}),
+        ("novograd", {"wd_placement": "decoupled_update", **decay}),
+        ("adam", decay),
+        ("adamw", decay),
+        ("sgd", decay),
+    ]
+    for dtype in ("float64", "float32"):
+        for algorithm, hyperparams in variants:
+            rng = np.random.default_rng(5)
+            layers = [ParameterLayer(f"l{i}", rng.standard_normal(n).astype(dtype)) for i, n in enumerate((3, 2, 4))]
+            params = ModelParams(layers)
+            driver = OptimizerDriver(algorithm, make_config(algorithm, hyperparams))
+            for step in range(8):
+                if step == 4:  # resume from the JSON state on a copy of the model
+                    driver = OptimizerDriver.from_state_dict(json.loads(json.dumps(driver.state_dict())))
+                    params = params.copy()
+                params.grad[...] = rng.standard_normal(params.grad.size)
+                if step == 0:
+                    layers[0].grad[...] = 0.0
+                if step <= 1:
+                    layers[1].grad[...] = 0.0
+                driver.step(params, 0.05)
+                h.update(json.dumps(driver.state_dict()).encode())
+                h.update(repr(driver.second_moments(params)).encode())
+                h.update(params.weights.tobytes())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(REPO_SRC), help="directory holding the novobench package")
@@ -290,6 +334,7 @@ def main(argv=None) -> int:
         ("grad_check", grad_check_outputs),
         ("grids", grid_outputs),
         ("accumulation", accumulation_outputs),
+        ("states", state_outputs),
     )
     for name, part in parts:
         h = hashlib.sha256()
