@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from dataclasses import MISSING, fields, replace
+from functools import cache
 from pathlib import Path
 from typing import get_type_hints
 
@@ -34,23 +35,15 @@ class ConfigError(ValueError):
 
 # JSON value types accepted for a field of each annotated type (bool is not a number)
 _JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,), list: (list,)}
-_HINTS = {cls: get_type_hints(cls) for cls in (RunConfig, ScheduleSpec, LarcConfig)}
-_HYPERPARAM_HINTS = {algorithm: get_type_hints(type(make_config(algorithm))) for algorithm in ALGORITHMS}
-_RUN_SCALARS = [key for key, hint in _HINTS[RunConfig].items() if hint is int]
+_hints = cache(get_type_hints)  # the field types of a config dataclass
+_RUN_SCALARS = [key for key, hint in _hints(RunConfig).items() if hint is int]
 
 # the file names the optimizer and its hyperparameters in one "optimizer" object
-_RUN_KEYS = (_HINTS[RunConfig].keys() - {"algorithm", "hyperparams"}) | {"optimizer"}
+_RUN_KEYS = (_hints(RunConfig).keys() - {"algorithm", "hyperparams"}) | {"optimizer"}
 _COMPARE_KEYS = (_RUN_KEYS - {"optimizer"}) | {"optimizers", "loss_threshold"}
 _SWEEP_KEYS = _RUN_KEYS | {"sweep"}
 # the sweep section has no dataclass; its keys and their types
 _SWEEP_SECTION = {"lr_grid": list, "lr_min": float, "lr_max": float, "points": int, "spacing": str}
-# problem option types, over every kind's keys; a list holds floats
-_PROBLEM_OPTIONS = {
-    **dict.fromkeys(("size", "dim", "dataset_seed", "n_classes", "hidden", "matrix_seed"), int),
-    **dict.fromkeys(("separation", "noise", "train_fraction", "b_scale"), float),
-    **dict.fromkeys(("diag", "b", "w0"), list),
-    "task": str,
-}
 _MAX_SWEEP_POINTS = 10_000  # each point is a training run; more is a typo, not a grid to allocate
 
 # representative instances for `gradcheck <tag>`
@@ -86,7 +79,7 @@ def _parse_problem(section, where="problem") -> ProblemSpec:
     except ValueError as err:
         raise ConfigError(str(err)) from None
     for key, value in section.items():
-        _typed(_PROBLEM_OPTIONS[key], key, value, where)
+        _typed(problems.OPTION_TYPES[kind][key], key, value, where)
         if type(value) is list:
             for item in value:
                 _typed(float, key, item, where)
@@ -101,14 +94,7 @@ def _parse_optimizer(section, where="optimizer") -> tuple[str, dict]:
     section.pop("algorithm")
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm '{algorithm}' in {where}")
-    hints = _HYPERPARAM_HINTS[algorithm]
-    for key, value in section.items():
-        if key in hints:
-            _typed(hints[key], key, value, where)
-    try:
-        make_config(algorithm, section)  # fail-closed validation of keys and values
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{err} (in {where})") from None
+    _parse_section(type(make_config(algorithm)), section, where)
     return algorithm, section
 
 
@@ -132,7 +118,7 @@ def _parse_section(cls, section, where: str, **fixed):
     for f in fields(cls):
         if f.name in keys and f.default is MISSING:
             _require(section, f.name, where)
-    kwargs = {key: _typed(_HINTS[cls][key], key, value, where) for key, value in section.items()}
+    kwargs = {key: _typed(_hints(cls)[key], key, value, where) for key, value in section.items()}
     try:
         return cls(**kwargs, **fixed)
     except ValueError as err:
@@ -324,11 +310,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    try:
-        problem = problems.build(args.problem, dict(_GRADCHECK_OPTIONS.get(args.problem, {})))
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    problem = problems.build(args.problem, dict(_GRADCHECK_OPTIONS.get(args.problem, {})))
     report = harness.grad_check(problem, args.seed if args.seed is not None else 0, args.trials)
     for layer_id, err in report.max_rel_error.items():
         print(f"layer {layer_id}: max_rel_err={err:.3e} (tolerance {report.tolerance:.0e})")
@@ -341,16 +323,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="novobench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_config=True):
-        if with_config:
-            p.add_argument("--config", required=True, help="path to a JSON config file")
-            p.add_argument(
-                "--set",
-                action="append",
-                default=[],
-                metavar="KEY=VALUE",
-                help="override a config key (dotted path, JSON value); repeatable",
-            )
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to a JSON config file")
+        p.add_argument(
+            "--set",
+            action="append",
+            default=[],
+            metavar="KEY=VALUE",
+            help="override a config key (dotted path, JSON value); repeatable",
+        )
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")

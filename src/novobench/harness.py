@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import problems as problems_mod
-from .optim import OptimizerDriver, make_config
+from .optim import OptimizerDriver, _bind, make_config
 from .params import ModelParams, ParameterLayer, l2_norm_sq
 from .problems import GradientScaledProblem, Problem, finite_diff_grad
 from .schedule import LarcConfig, ScheduleSpec, larc_scale, lr_at
@@ -183,6 +183,8 @@ class _Row:
             if self.driver.algorithm != cfg.algorithm:
                 raise ValueError("checkpoint algorithm does not match config")
             self.params.weights[...] = self.params.flatten(resume_from.weights)
+            if self.driver.state is not None:  # the state's layout is checked here, not at its first step
+                _bind(self.driver.state, self.params)
             self.start = resume_from.step
         else:
             self.driver = OptimizerDriver(cfg.algorithm, make_config(cfg.algorithm, cfg.hyperparams))

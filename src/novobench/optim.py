@@ -70,7 +70,6 @@ class NovoGradConfig:
     gradient scaling (at the cost of the divide-by-zero guard).
     """
 
-    lr0: float = 0.01
     beta1: float = 0.95
     beta2: float = 0.25
     weight_decay: float = 0.0
@@ -80,8 +79,6 @@ class NovoGradConfig:
     ams: bool = False
 
     def __post_init__(self):
-        if not self.lr0 > 0:
-            raise ValueError(f"lr0 must be > 0, got {self.lr0}")
         if not 0.0 <= self.beta1 < 1.0:
             raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
         if not 0.0 <= self.beta2 <= 1.0:
@@ -124,7 +121,6 @@ class AdamConfig:
     so far were zero or underflowed when squared) takes no step.
     """
 
-    lr: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -132,8 +128,6 @@ class AdamConfig:
     bias_correction: bool = True
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.beta1 < 1.0:
             raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
         if not 0.0 <= self.beta2 < 1.0:
@@ -164,13 +158,10 @@ class AdamState:
 class SgdMomentumConfig:
     """Heavy-ball SGD: m <- mu*m + g + d*w, w <- w - lr_t*m."""
 
-    lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
@@ -213,11 +204,12 @@ def _check_grad_finite(params: ModelParams) -> None:
         raise ValueError(f"non-finite gradient in layer '{bad}'")
 
 
-def _bind(state, params: ModelParams, *names: str) -> list[np.ndarray]:
+def _bind(state, params: ModelParams) -> list[np.ndarray]:
     """Flat buffers laid out like ``params.weights`` for the state's vector fields
-    ``names``, made when the state first meets ``params``; the fields' entries become
-    views into them.  Only NovoGrad may lack layers; other mismatches raise."""
+    (``m``, and Adam's ``v``), made when the state first meets ``params``; the fields'
+    entries become views into them.  Only NovoGrad may lack layers; other mismatches raise."""
     if getattr(state, "_model", None) is not params:
+        names = ("m", "v") if isinstance(state, AdamState) else ("m",)
         state._buffers = [params.flatten(getattr(state, n), partial=isinstance(state, NovoGradState)) for n in names]
         for name, flat in zip(names, state._buffers):
             views = dict(zip(params.layer_ids, params.split(flat)))
@@ -238,7 +230,7 @@ def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig
     """
     _check_lr(lr_t)
     _check_grad_finite(params)
-    (m,) = _bind(state, params, "m")
+    (m,) = _bind(state, params)
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     decoupled = cfg.wd_placement == "decoupled_update"
     g, w = params.grad, params.weights
@@ -313,7 +305,7 @@ def _new_novograd_state(params: ModelParams, cfg: NovoGradConfig) -> NovoGradSta
 def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: float, decoupled: bool) -> None:
     _check_lr(lr_t)
     _check_grad_finite(params)
-    m, v = _bind(state, params, "m", "v")
+    m, v = _bind(state, params)
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     state.step_count += 1
     t = state.step_count
@@ -359,7 +351,7 @@ def sgd_momentum_step(params: ModelParams, state: SgdMomentumState, cfg: SgdMome
     g = params.grad
     if d != 0.0:
         g = g + d * w
-    (m,) = _bind(state, params, "m")
+    (m,) = _bind(state, params)
     m[...] = mu * m + g
     w -= lr_t * m
     state.step_count += 1
@@ -398,6 +390,8 @@ ALGORITHMS = tuple(_REGISTRY)
 
 # v1 documents spelled AdamW as adam + decoupled=true; the flag must agree with the name
 _V1_DECOUPLED = {"adam": False, "adamw": True}
+# v1 documents carried a learning rate that no step read (the caller passes lr_t)
+_V1_LR_KEY = {"novograd": "lr0", "adam": "lr", "adamw": "lr", "sgd": "lr"}
 
 
 def make_config(algorithm: str, hyperparams: dict | None = None):
@@ -461,6 +455,7 @@ def state_from_dict(doc: dict):
     if algorithm in _V1_DECOUPLED and "decoupled" in config:
         if config.pop("decoupled") != _V1_DECOUPLED[algorithm]:
             raise ValueError(f"{algorithm} requires decoupled={_V1_DECOUPLED[algorithm]}; use 'adam' or 'adamw'")
+    config.pop(_V1_LR_KEY.get(algorithm), None)
     cfg = make_config(algorithm, config)
     step_count = doc["step_count"]
     layers = doc["layers"]

@@ -43,6 +43,7 @@ __all__ = [
     "finite_diff_grad",
     "build",
     "validate_options",
+    "OPTION_TYPES",
     "PROBLEM_KINDS",
 ]
 
@@ -552,23 +553,26 @@ def generate_dataset(spec: DatasetSpec) -> SyntheticDataset:
     return SyntheticDataset(spec, features[order], label_arr[order])
 
 
-PROBLEM_KINDS = ("quadratic", "rosenbrock", "logreg", "mlp")
-
-_DATASET_KEYS = {"task", "size", "dim", "dataset_seed", "separation", "noise", "train_fraction"}
-_OPTION_KEYS = {
-    "quadratic": {"diag", "dim", "matrix_seed", "b", "b_scale", "w0"},
-    "rosenbrock": {"w0"},
-    "logreg": _DATASET_KEYS,
-    "mlp": _DATASET_KEYS | {"n_classes", "hidden"},
+# each kind's option keys and their types; a list holds floats
+OPTION_TYPES = {
+    "quadratic": {"diag": list, "dim": int, "matrix_seed": int, "b": list, "b_scale": float, "w0": list},
+    "rosenbrock": {"w0": list},
+    "logreg": {
+        **dict.fromkeys(("size", "dim", "dataset_seed"), int),
+        **dict.fromkeys(("separation", "noise", "train_fraction"), float),
+        "task": str,
+    },
 }
+OPTION_TYPES["mlp"] = {**OPTION_TYPES["logreg"], "n_classes": int, "hidden": int}
+PROBLEM_KINDS = tuple(OPTION_TYPES)
 
 
 def validate_options(kind: str, options: dict) -> None:
     """Fail-closed option check shared with the CLI config parser."""
-    if kind not in _OPTION_KEYS:
+    if kind not in OPTION_TYPES:
         raise ValueError(f"unknown problem '{kind}'")
     for key in options:
-        if key not in _OPTION_KEYS[kind]:
+        if key not in OPTION_TYPES[kind]:
             raise ValueError(f"unknown key '{key}' for problem '{kind}'")
 
 

@@ -243,7 +243,9 @@ _MISMATCH_ERRORS = {"missing": "missing layer 'b'", "extra": "unknown layer 'c'"
 
 @pytest.mark.parametrize("algorithm", ["novograd", "adam", "sgd"])
 @pytest.mark.parametrize("case", sorted(_MISMATCHES))
-@pytest.mark.parametrize("path", ["driver state", "checkpoint state", "checkpoint weights"])
+@pytest.mark.parametrize(
+    "path", ["driver state", "checkpoint state", "checkpoint state, overflowing weights", "checkpoint weights"]
+)
 def test_a_layout_mismatch_raises_naming_the_layer(algorithm, case, path):
     cfg = logreg_config(algorithm, total_steps=10)
     doc = json.loads(json.dumps(checkpoint_to_dict(train(cfg, stop_after=5).checkpoint)))
@@ -252,6 +254,8 @@ def test_a_layout_mismatch_raises_naming_the_layer(algorithm, case, path):
     else:
         layers = {entry.pop("id"): entry for entry in doc["optimizer"]["layers"]}
         doc["optimizer"]["layers"] = [{"id": k, **v} for k, v in _MISMATCHES[case](layers).items()]
+    if path == "checkpoint state, overflowing weights":  # the first step diverges: the state is checked at set-up
+        doc["weights"]["w"] = [(-1.0) ** i * 1e308 for i in range(len(doc["weights"]["w"]))]
     if path == "driver state":
         driver = OptimizerDriver.from_state_dict(doc["optimizer"])
         params = harness.build_problem(cfg.problem).init_params(np.random.default_rng(0))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -456,7 +457,8 @@ def test_layer_order_independence(algorithm):
 
 
 # State documents written by the first v1 release (adam/adamw still carry the
-# `decoupled` flag), over two layers: a (2 elements) and b (1 element).
+# `decoupled` flag, and every stateful config an unread learning rate, `lr0` or
+# `lr`), over two layers: a (2 elements) and b (1 element).
 _V1_DOCUMENTS = {
     "novograd": (
         '{"format_version": 1, "algorithm": "novograd", "config": {"lr0": 0.01, "beta1": 0.95, '
@@ -568,11 +570,12 @@ class TestSerialization:
         doc = json.loads(_V1_DOCUMENTS[name])
         expected = json.loads(_V1_DOCUMENTS[name])
         expected["config"].pop("decoupled", None)
+        expected["config"].pop("lr0" if name.startswith("novograd") else "lr", None)
         restored = OptimizerDriver.from_state_dict(doc)
         assert restored.state_dict() == expected
         assert json.dumps(restored.state_dict()) == json.dumps(expected)
         if restored.state is not None:  # bound to a model of its layout, the state serializes unchanged
-            _bind(restored.state, _two_layer_model(), *(("m", "v") if restored.algorithm.startswith("adam") else ("m",)))
+            _bind(restored.state, _two_layer_model())
             assert json.dumps(restored.state_dict()) == json.dumps(expected)
 
     def test_deferred_init_document_lists_layers_in_init_order(self):
@@ -583,7 +586,9 @@ class TestSerialization:
         for g in ([0.0, 0.0, 3.0], [1.0, 2.0, -1.0]):
             params.grad[...] = g
             driver.step(params, 0.1)
-        assert json.dumps(driver.state_dict()) == _V1_DOCUMENTS["novograd-ams-deferred-init"]
+        expected = json.loads(_V1_DOCUMENTS["novograd-ams-deferred-init"])
+        del expected["config"]["lr0"]
+        assert json.dumps(driver.state_dict()) == json.dumps(expected)
         np.testing.assert_array_equal(params.weights, [0.4552786404500042, -0.3394427190999916, 1.8383333332222223])
 
     def test_v1_ams_state_without_layers_keeps_an_empty_running_max(self):
@@ -672,7 +677,6 @@ class TestConfigs:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"lr0": 0.0},
             {"beta1": 1.0},
             {"beta2": 1.5},
             {"weight_decay": -0.1},
@@ -688,6 +692,37 @@ class TestConfigs:
     def test_beta2_zero_and_one_are_legal(self):
         NovoGradConfig(beta2=0.0)
         NovoGradConfig(beta2=1.0)
+
+
+_OTHER_STRINGS = {"first_moment_style": "ema", "wd_placement": "decoupled_update"}
+
+
+def _changed(value, name):
+    """Another valid value for a config field of this value and name."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return _OTHER_STRINGS[name]
+    return 0.5 * value + 0.25  # maps [0, 1) into [0.25, 0.75): a valid beta, epsilon or decay
+
+
+@pytest.mark.parametrize(
+    "algorithm,name", [(a, f.name) for a in ALGORITHMS for f in fields(type(make_config(a)))]
+)
+def test_every_config_field_changes_the_trajectory(algorithm, name):
+    # weight decay is on, so its placement acts; the gradients shrink, so the running max of ams acts
+    base = {"weight_decay": 0.1} if hasattr(make_config(algorithm), "weight_decay") else {}
+    rng = np.random.default_rng(17)
+    grads = [0.5**t * rng.standard_normal(3) for t in range(4)]
+    final = []
+    for hyperparams in (base, {**base, name: _changed(getattr(make_config(algorithm, base), name), name)}):
+        params = _two_layer_model()
+        driver = OptimizerDriver(algorithm, make_config(algorithm, hyperparams))
+        for g in grads:
+            params.grad[...] = g
+            driver.step(params, 0.1)
+        final.append(params.weights)
+    assert not np.array_equal(*final)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
