@@ -15,7 +15,11 @@ averaging composes exactly.  A batch may also be a (k, n) stack of k
 micro-batches, given a model whose weights carry a micro-batch axis of
 length one, (..., 1, N), and whose gradient buffer has k slots,
 (..., k, N): the losses are then (..., k) and each micro-batch's loss and
-gradient are bit for bit those of its own call.  ``finite_diff_grad``
+gradient are bit for bit those of its own call.  ``MlpProblem`` computes
+its hidden activation and that activation's gradient in place in a
+workspace it owns and reuses while the activation's shape and dtype stay
+the same; no returned array is a view of it, but one instance must not be
+evaluated from two threads at once.  ``finite_diff_grad``
 is the independent oracle used to verify every analytic gradient; it only
 reads the model and evaluates its central-difference probes as row stacks.
 """
@@ -297,6 +301,7 @@ class MlpProblem(_DatasetProblem):
             raise ValueError("hidden width must be >= 1")
         self.n_classes = n_classes
         self.hidden = hidden
+        self._work_key = None
 
     @classmethod
     def from_dataset(cls, dataset: "SyntheticDataset", hidden: int = 16) -> "MlpProblem":
@@ -328,15 +333,27 @@ class MlpProblem(_DatasetProblem):
         b2 = params.layer("b2").weights[..., None, :]
         return w1.reshape(rows + (d, h)), b1, w2, b2
 
-    @staticmethod
-    def _forward(x, w1, b1, w2, b2):
-        z1 = x @ w1 + b1
-        a1 = np.tanh(z1)
+    def _forward(self, x, w1, b1, w2, b2):
+        """Logits and softmax terms; the hidden activation ``a1`` is the
+        workspace's first slot, overwritten by the next call."""
+        a1 = self._workspace(x, w1)[0]
+        np.matmul(x, w1, out=a1)
+        a1 += b1
+        np.tanh(a1, out=a1)
         z2 = a1 @ w2 + b2
         zmax = z2.max(axis=-1, keepdims=True)
         exp = np.exp(z2 - zmax)
         total = exp.sum(axis=-1, keepdims=True)
         return a1, z2, zmax, exp, total
+
+    def _workspace(self, x, w1):
+        """The reused (2, ..., n, hidden) buffer for the hidden activation and
+        its gradient, rebuilt when the activation's shape or dtype changes."""
+        shape = (*np.broadcast_shapes(x.shape[:-2], w1.shape[:-2]), x.shape[-2], self.hidden)
+        key = (shape, np.result_type(x, w1))
+        if self._work_key != key:
+            self._work_key, self._work = key, np.empty((2, *shape), key[1])
+        return self._work
 
     def _loss(self, params, batch, grad):
         x, y = self._select(batch)
@@ -353,10 +370,13 @@ class MlpProblem(_DatasetProblem):
             dz2 /= n
             dw2 = a1.mT @ dz2
             db2 = dz2.sum(axis=-2)
-            da1 = dz2 @ w2.mT
-            dz1 = da1 * (1.0 - a1 * a1)
-            dw1 = x.mT @ dz1
-            db1 = dz1.sum(axis=-2)
+            # in place, after dw2 has read a1: da1 * (1 - a1 * a1) is dz1
+            da1 = np.matmul(dz2, w2.mT, out=self._work[1])
+            a1 *= a1
+            np.subtract(1.0, a1, out=a1)
+            da1 *= a1
+            dw1 = x.mT @ da1
+            db1 = da1.sum(axis=-2)
             for layer, value in zip(params, (dw1, db1, dw2, db2)):
                 layer.grad[...] = value.reshape(layer.grad.shape)
         return loss

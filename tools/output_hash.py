@@ -6,7 +6,7 @@ refactor) prints the same digest as its parent:
     python3 tools/output_hash.py                      # this checkout's src/
     python3 tools/output_hash.py --src ../parent/src  # another checkout's package
 
-The digest covers five sets of outputs, each fed to the hash in a fixed
+The digest covers six sets of outputs, each fed to the hash in a fixed
 order:
 
 - ``train``: 200 ``train()`` runs serialized with ``log_to_jsonl``
@@ -323,6 +323,30 @@ def state_outputs(h):
                 h.update(params.weights.tobytes())
 
 
+def _sweep_outputs(h, cfg, lrs):
+    from novobench import harness
+
+    rows, logs = harness.lr_sweep(cfg, lrs)
+    h.update(harness.sweep_to_csv(rows).encode())
+    for log in logs:
+        h.update(harness.log_to_jsonl(log).encode())
+
+
+def wide_outputs(h):
+    import numpy as np
+
+    from novobench.schedule import LarcConfig
+
+    lrs = np.geomspace(1e-3, 1.0, 7).tolist()
+    wide = {"dim": 32, "hidden": 256, "size": 2000, "dataset_seed": 4}
+    _sweep_outputs(h, _config("mlp", wide, "novograd", batch_size=64, total_steps=30, log_every=5), lrs)
+    with _float32_mlp():
+        cfg = _config(
+            "mlp", wide, "novograd", batch_size=64, total_steps=12, log_every=4, accumulation_factor=3, larc=LarcConfig()
+        )
+        _sweep_outputs(h, cfg, lrs)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(REPO_SRC), help="directory holding the novobench package")
@@ -335,6 +359,7 @@ def main(argv=None) -> int:
         ("grids", grid_outputs),
         ("accumulation", accumulation_outputs),
         ("states", state_outputs),
+        ("wide", wide_outputs),
     )
     for name, part in parts:
         h = hashlib.sha256()
