@@ -253,10 +253,6 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _echo_header(tree: dict) -> str:
-    return "# config: " + harness._dumps(tree) + "\n"
-
-
 def _safe_label(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", label)
 
@@ -290,7 +286,7 @@ def _cmd_compare(args) -> int:
         files[name] = label
     rows, logs = harness.compare_runs(cfgs, labels=labels, loss_threshold=threshold)
     out = Path(args.out)
-    _write(out / "comparison.csv", _echo_header(tree) + harness.comparison_to_csv(rows))
+    _write(out / "comparison.csv", harness._config_line(tree) + harness.comparison_to_csv(rows))
     for name, log in zip(files, logs):
         text = harness.log_to_csv(log) if args.format == "csv" else harness.log_to_jsonl(log)
         _write(out / name, text)
@@ -304,7 +300,7 @@ def _cmd_sweep(args) -> int:
     cfg, grid = parse_sweep_config(tree)
     rows, _ = harness.lr_sweep(cfg, grid)
     out = Path(args.out)
-    _write(out / "sweep.csv", _echo_header(tree) + harness.sweep_to_csv(rows))
+    _write(out / "sweep.csv", harness._config_line(tree) + harness.sweep_to_csv(rows))
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} points)")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -50,8 +50,8 @@ _INIT_STREAM = 0
 _BATCH_STREAM = 1
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# one encoder for every document; json.dumps would build one per call
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
@@ -103,12 +103,17 @@ class RunConfig:
 
 @dataclass
 class MetricsRecord:
+    """One logged step; its fields, in order, are both trajectory writers'
+    schema.  A ``prefix`` field maps layer ids to values (one CSV column per
+    layer), an ``optional`` one has columns only when some record holds it,
+    and a ``timing`` one is written only with ``include_timing``."""
+
     step: int
     lr_effective: float
     loss: float
-    grad_norms: dict[str, float]
-    second_moments: dict[str, float] | None
-    wall_time_ns: int
+    grad_norms: dict[str, float] = field(metadata={"prefix": "grad_norm_"})
+    second_moments: dict[str, float] | None = field(metadata={"prefix": "v_", "optional": True})
+    wall_time_ns: int = field(metadata={"timing": True})
 
 
 @dataclass
@@ -464,35 +469,49 @@ def lr_sweep(cfg: RunConfig, lrs: list[float]) -> tuple[list[SweepRow], list[Tra
     return rows, logs
 
 
-def _fmt(x) -> str:
+def _cell(x) -> str:
+    """One CSV cell; a string holding a comma, a quote or a line break is
+    quoted as in RFC 4180 (a number's text never holds one)."""
+    if isinstance(x, float):
+        return repr(x)
+    if isinstance(x, str):
+        if any(c in x for c in ',"\r\n'):
+            return '"' + x.replace('"', '""') + '"'
+        return x
     if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
     return str(x)
 
 
+def _csv(header: list[str], columns) -> str:
+    """The CSV lines of ``header`` and of the rows of ``columns`` (value sequences)."""
+    # floats and ints, most cells, are their repr without a call, a column at a time
+    cells = [[repr(x) if type(x) in (float, int) else _cell(x) for x in column] for column in columns]
+    lines = [",".join(map(_cell, header)), *map(",".join, zip(*cells))]
+    return "\n".join(lines) + "\n"
+
+
+def _config_line(config: dict) -> str:
+    return "# config: " + _dumps(config) + "\n"
+
+
+def _record_fields(include_timing: bool) -> list:
+    return [f for f in fields(MetricsRecord) if include_timing or not f.metadata.get("timing")]
+
+
 def log_to_jsonl(log: TrajectoryLog, include_timing: bool = False) -> str:
-    """One JSON object per line: config header, then records, then the
+    """One JSON object per line: config header, then one record per logged
+    step keyed by the :class:`MetricsRecord` field names, then the
     final-weights/termination footer.
 
     ``wall_time_ns`` is emitted only when ``include_timing`` is set, so the
     default serialization is byte-reproducible for identical configs.
     """
+    names = [f.name for f in _record_fields(include_timing)]
     lines = [_dumps({"config": log.config.to_dict()})]
-    for rec in log.records:
-        doc = {
-            "step": rec.step,
-            "lr_effective": rec.lr_effective,
-            "loss": rec.loss,
-            "grad_norms": rec.grad_norms,
-            "second_moments": rec.second_moments,
-        }
-        if include_timing:
-            doc["wall_time_ns"] = rec.wall_time_ns
-        lines.append(_dumps(doc))
+    lines += [_dumps({name: getattr(rec, name) for name in names}) for rec in log.records]
     lines.append(
         _dumps(
             {
@@ -505,54 +524,36 @@ def log_to_jsonl(log: TrajectoryLog, include_timing: bool = False) -> str:
 
 
 def log_to_csv(log: TrajectoryLog, include_timing: bool = False) -> str:
-    """Flat CSV: a ``# config:`` echo line, then columns
-    step,lr_effective,loss,grad_norm_<layer>...,v_<layer>... in layer order.
+    """A ``# config:`` echo line, then the :class:`MetricsRecord` fields as
+    columns step,lr_effective,loss,grad_norm_<layer>...,v_<layer>... (and
+    ``wall_time_ns`` with ``include_timing``), written as the tables are.
 
-    Second-moment columns appear only for optimizers that track one; cells
+    Second-moment columns appear only when some record has them; cells
     for layers not yet initialized are empty.
     """
     layer_ids = list(log.final_weights.keys())
-    has_v = any(rec.second_moments is not None for rec in log.records)
-    header = ["step", "lr_effective", "loss"]
-    header += [f"grad_norm_{lid}" for lid in layer_ids]
-    if has_v:
-        header += [f"v_{lid}" for lid in layer_ids]
-    if include_timing:
-        header.append("wall_time_ns")
-    lines = ["# config: " + _dumps(log.config.to_dict()), ",".join(header)]
-    for rec in log.records:
-        row = [str(rec.step), repr(rec.lr_effective), repr(rec.loss)]
-        row += [_fmt(rec.grad_norms.get(lid)) for lid in layer_ids]
-        if has_v:
-            sm = rec.second_moments or {}
-            row += [_fmt(sm.get(lid)) for lid in layer_ids]
-        if include_timing:
-            row.append(str(rec.wall_time_ns))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _rows_to_csv(rows: list, row_type: type) -> str:
-    """A header of ``row_type``'s field names, then one line of cells per row;
-    a cell holding a comma, a quote or a line break is quoted."""
-    names = [f.name for f in fields(row_type)]
-    lines = [",".join(names)]
-    lines += [",".join(_csv_cell(_fmt(getattr(row, name))) for name in names) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _csv_cell(text: str) -> str:
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    header = []
+    columns = []  # the cells of each column, top to bottom
+    for f in _record_fields(include_timing):
+        values = [getattr(rec, f.name) for rec in log.records]
+        if f.metadata.get("optional") and all(value is None for value in values):
+            continue
+        prefix = f.metadata.get("prefix")
+        if prefix is None:
+            header.append(f.name)
+            columns.append(values)
+        else:
+            header += [prefix + lid for lid in layer_ids]
+            columns += [[(value or {}).get(lid) for value in values] for lid in layer_ids]
+    return _config_line(log.config.to_dict()) + _csv(header, columns)
 
 
 def comparison_to_csv(rows: list[ComparisonRow]) -> str:
-    return _rows_to_csv(rows, ComparisonRow)
+    return _csv([f.name for f in fields(ComparisonRow)], zip(*map(astuple, rows)))
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
-    return _rows_to_csv(rows, SweepRow)
+    return _csv([f.name for f in fields(SweepRow)], zip(*map(astuple, rows)))
 
 
 def checkpoint_to_dict(ckpt: Checkpoint) -> dict:

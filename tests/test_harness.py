@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from novobench.harness import (
     Checkpoint,
     ComparisonRow,
+    MetricsRecord,
     ProblemSpec,
     RunConfig,
+    TrajectoryLog,
     checkpoint_from_dict,
     checkpoint_to_dict,
     compare_runs,
@@ -562,9 +564,62 @@ class TestSerialization:
         assert len(lines) == 2 + 3  # records at steps 0, 5, 9
 
     def test_csv_omits_moment_columns_without_second_moments(self):
-        log = train(logreg_config("sngd", total_steps=5, log_every=5))
-        lines = log_to_csv(log).strip().split("\n")
-        assert lines[1] == "step,lr_effective,loss,grad_norm_w,grad_norm_b"
+        sngd = train(logreg_config("sngd", total_steps=5, log_every=5))
+        # NovoGrad logs with zero records: stopped before step 0, diverged at step 0
+        stopped = train(logreg_config(total_steps=5, log_every=5), stop_after=0)
+        diverged = train(quadratic_config("novograd", problem=ProblemSpec("rosenbrock", {}, 1e308)))
+        assert diverged.termination == "diverged"
+        for log in (sngd, stopped, diverged):
+            lines = log_to_csv(log).strip().split("\n")
+            assert lines[1] == "step,lr_effective,loss," + ",".join("grad_norm_" + lid for lid in log.final_weights)
+        for log in (stopped, diverged):
+            assert log.records == [] and len(log_to_csv(log).strip().split("\n")) == 2
+            docs = [json.loads(line) for line in log_to_jsonl(log).strip().split("\n")]
+            assert [sorted(doc) for doc in docs] == [["config"], ["final_weights", "termination"]]
+
+    def test_csv_header_quotes_layer_ids_with_separators(self):
+        ids = ["a,b", 'q"x']
+        record = MetricsRecord(0, 0.1, 1.5, {ids[0]: 2.0, ids[1]: 3.0}, {ids[0]: 4.0}, 7)
+        weights = {layer_id: np.zeros(1) for layer_id in ids}
+        log = TrajectoryLog(logreg_config(), [record], weights, "completed")
+        config_line, table = log_to_csv(log).split("\n", 1)
+        assert config_line.startswith("# config: ")
+        parsed = list(csv.reader(io.StringIO(table, newline="")))
+        assert parsed == [
+            ["step", "lr_effective", "loss", "grad_norm_a,b", 'grad_norm_q"x', "v_a,b", 'v_q"x'],
+            ["0", "0.1", "1.5", "2.0", "3.0", "4.0", ""],
+        ]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_jsonl_and_csv_agree(self, algorithm):
+        """Every JSONL record key equals its CSV cell(s): a float by its repr,
+        a None or absent layer value as an empty cell."""
+        prefixes = {"grad_norms": "grad_norm_", "second_moments": "v_"}
+        cfg = mlp_config(algorithm, total_steps=4)
+        params = harness.build_problem(SMALL_MLP).init_params(np.random.default_rng(0))
+        weights = {layer.id: layer.weights for layer in params}
+        weights["w2"][...] = 0.0  # w1 and b1 start with a zero gradient, so NovoGrad defers their v
+        fresh = OptimizerDriver(algorithm, make_config(algorithm)).state_dict()
+        logs = [train(cfg, resume_from=Checkpoint(0, weights, fresh)), train(cfg, stop_after=0)]
+        assert [len(log.records) for log in logs] == [4, 0]
+        for log in logs:
+            for timing in (False, True):
+                records = [json.loads(line) for line in log_to_jsonl(log, timing).splitlines()[1:-1]]
+                header, *rows = csv.reader(io.StringIO(log_to_csv(log, timing).split("\n", 1)[1], newline=""))
+                assert len(rows) == len(records)
+                assert ("wall_time_ns" in header) == timing
+                for record, row in zip(records, rows):
+                    cells = dict(zip(header, row, strict=True))
+                    expected = {}
+                    for key, value in record.items():
+                        if key not in prefixes:
+                            expected[key] = repr(value)
+                            continue
+                        for layer_id in log.final_weights:
+                            cell = (value or {}).get(layer_id)
+                            expected[prefixes[key] + layer_id] = "" if cell is None else repr(cell)
+                    assert cells.keys() <= expected.keys()
+                    assert {key: cells.get(key, "") for key in expected} == expected
 
     def test_comparison_and_sweep_csv(self):
         rows, _ = compare_runs([logreg_config(total_steps=5)], loss_threshold=None)

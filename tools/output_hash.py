@@ -6,7 +6,7 @@ refactor) prints the same digest as its parent:
     python3 tools/output_hash.py                      # this checkout's src/
     python3 tools/output_hash.py --src ../parent/src  # another checkout's package
 
-The digest covers six sets of outputs, each fed to the hash in a fixed
+The digest covers seven sets of outputs, each fed to the hash in a fixed
 order:
 
 - ``train``: 200 ``train()`` runs serialized with ``log_to_jsonl``
@@ -32,7 +32,18 @@ order:
   ``second_moments`` and the weights; layer 0 has a zero gradient at step
   0 and layer 1 at steps 0-1, so NovoGrad initializes its layers out of
   model order; before step 4 the state goes through JSON and moves to a
-  copy of the model.
+  copy of the model;
+- ``wide``: a float64 and a float32 (accumulation 3, LARC) 7-point
+  NovoGrad ``lr_sweep`` at the layer sizes of the benchmark's wide MLP
+  (dim 32 / hidden 256 / size 2000, batch 64);
+- ``serializers``: ``log_to_jsonl`` and ``log_to_csv``, without and with
+  ``include_timing`` (each ``wall_time_ns`` masked to 0), of 25 ``train()``
+  logs: per algorithm an MLP run at accumulation 3 with LARC, the same run
+  stopped before step 0, a Rosenbrock run that diverges at step 0
+  (``gradient_scale`` 1e308), and an MLP run from weights with ``w2``
+  zeroed, so ``w1`` and ``b1`` have a zero gradient at step 0 (NovoGrad
+  leaves their ``v`` cells empty); plus one float32 MLP run per algorithm
+  at accumulation 2 with LARC.
 
 The per-set digests go to standard error.  BLAS is capped at one thread;
 equal digests are expected on one machine and numpy/BLAS build only.
@@ -347,6 +358,45 @@ def wide_outputs(h):
         _sweep_outputs(h, cfg, lrs)
 
 
+def _zero_w2_log(cfg):
+    """``cfg`` trained from its initial weights with ``w2`` zeroed: ``w1`` and
+    ``b1`` get a zero gradient at step 0, so NovoGrad starts their ``v`` late."""
+    import numpy as np
+
+    from novobench import harness
+    from novobench.optim import OptimizerDriver, make_config
+
+    params = harness.build_problem(cfg.problem).init_params(np.random.default_rng(0))
+    weights = {layer.id: layer.weights for layer in params}
+    weights["w2"][...] = 0.0
+    fresh = OptimizerDriver(cfg.algorithm, make_config(cfg.algorithm, cfg.hyperparams)).state_dict()
+    return harness.train(cfg, resume_from=harness.Checkpoint(0, weights, fresh))
+
+
+def serializer_outputs(h):
+    import re
+
+    from novobench import harness
+    from novobench.optim import ALGORITHMS
+    from novobench.schedule import LarcConfig
+
+    logs = []
+    for algorithm in ALGORITHMS:
+        cfg = _config(*PROBLEMS[4], algorithm, accumulation_factor=3, larc=LarcConfig(), log_every=2)
+        logs.append(harness.train(cfg))
+        logs.append(harness.train(cfg, stop_after=0))
+        logs.append(harness.train(_config("rosenbrock", {}, algorithm, gradient_scale=1e308)))
+        logs.append(_zero_w2_log(_config("mlp", {}, algorithm, log_every=1, total_steps=6)))
+    with _float32_mlp():
+        logs += [harness.train(_config("mlp", {}, a, accumulation_factor=2, larc=LarcConfig())) for a in ALGORITHMS]
+    for log in logs:
+        h.update(harness.log_to_jsonl(log).encode())
+        h.update(harness.log_to_csv(log).encode())
+        # wall_time_ns is the last key of a record and the last CSV column
+        h.update(re.sub(r'"wall_time_ns":\d+', '"wall_time_ns":0', harness.log_to_jsonl(log, True)).encode())
+        h.update(re.sub(r",\d+$", ",0", harness.log_to_csv(log, True), flags=re.M).encode())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(REPO_SRC), help="directory holding the novobench package")
@@ -360,6 +410,7 @@ def main(argv=None) -> int:
         ("accumulation", accumulation_outputs),
         ("states", state_outputs),
         ("wide", wide_outputs),
+        ("serializers", serializer_outputs),
     )
     for name, part in parts:
         h = hashlib.sha256()
