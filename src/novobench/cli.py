@@ -15,15 +15,14 @@ import json
 import re
 import sys
 from dataclasses import MISSING, fields, replace
-from functools import cache
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
 from . import harness, problems
 from .harness import ProblemSpec, RunConfig
-from .optim import ALGORITHMS, make_config
+from .optim import make_config
+from .params import checked
 from .schedule import LarcConfig, ScheduleSpec
 
 __all__ = ["main", "entrypoint", "ConfigError"]
@@ -33,18 +32,21 @@ class ConfigError(ValueError):
     pass
 
 
-# JSON value types accepted for a field of each annotated type (bool is not a number)
-_JSON_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,), list: (list,)}
-_hints = cache(get_type_hints)  # the field types of a config dataclass
-_RUN_SCALARS = [key for key, hint in _hints(RunConfig).items() if hint is int]
-
 # the file names the optimizer and its hyperparameters in one "optimizer" object
-_RUN_KEYS = (_hints(RunConfig).keys() - {"algorithm", "hyperparams"}) | {"optimizer"}
+_RUN_KEYS = ({f.name for f in fields(RunConfig)} - {"algorithm", "hyperparams"}) | {"optimizer"}
+_RUN_SCALARS = _RUN_KEYS - {"problem", "schedule", "larc", "optimizer"}
 _COMPARE_KEYS = (_RUN_KEYS - {"optimizer"}) | {"optimizers", "loss_threshold"}
 _SWEEP_KEYS = _RUN_KEYS | {"sweep"}
-# the sweep section has no dataclass; its keys and their types
-_SWEEP_SECTION = {"lr_grid": list, "lr_min": float, "lr_max": float, "points": int, "spacing": str}
 _MAX_SWEEP_POINTS = 10_000  # each point is a training run; more is a typo, not a grid to allocate
+# the sweep section has no dataclass; each key's type and bounds (each grid
+# point is then checked as the schedule's base_lr)
+_SWEEP_SECTION = {
+    "lr_grid": (list, {}),
+    "lr_min": (float, {"above": 0}),
+    "lr_max": (float, {"above": 0}),
+    "points": (int, {"min": 1, "max": _MAX_SWEEP_POINTS}),
+    "spacing": (str, {"choices": ("log", "linear")}),
+}
 
 # representative instances for `gradcheck <tag>`
 _GRADCHECK_OPTIONS = {
@@ -67,23 +69,22 @@ def _require(tree: dict, key: str, where: str):
     return tree[key]
 
 
+def _build(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ``ValueError`` reported as a
+    ``ConfigError`` in ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{err} (in {where})") from None
+
+
 def _parse_problem(section, where="problem") -> ProblemSpec:
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object")
-    section = dict(section)
-    kind = _typed(str, "kind", _require(section, "kind", where), where)
-    section.pop("kind")
-    gradient_scale = _typed(float, "gradient_scale", section.pop("gradient_scale", 1.0), where)
-    try:
-        problems.validate_options(kind, section)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    for key, value in section.items():
-        _typed(problems.OPTION_TYPES[kind][key], key, value, where)
-        if type(value) is list:
-            for item in value:
-                _typed(float, key, item, where)
-    return ProblemSpec(kind=kind, options=section, gradient_scale=gradient_scale)
+    options = dict(section)
+    _require(options, "kind", where)
+    kind, gradient_scale = options.pop("kind"), options.pop("gradient_scale", 1.0)
+    return _build(where, ProblemSpec, kind, options, gradient_scale)
 
 
 def _parse_optimizer(section, where="optimizer") -> tuple[str, dict]:
@@ -92,20 +93,8 @@ def _parse_optimizer(section, where="optimizer") -> tuple[str, dict]:
     section = dict(section)
     algorithm = _require(section, "algorithm", where)
     section.pop("algorithm")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm '{algorithm}' in {where}")
-    _parse_section(type(make_config(algorithm)), section, where)
+    _parse_section(type(_build(where, make_config, algorithm)), section, where)
     return algorithm, section
-
-
-def _typed(expected: type, key: str, value, where: str):
-    """``value`` for ``key``, checked against the JSON types that stand for
-    ``expected``; a float must be finite (an int too, within float range)."""
-    if type(value) not in _JSON_TYPES[expected]:
-        raise ConfigError(f"{key} must be of type {expected.__name__}, got {value!r} (in {where})")
-    if expected is float and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{key} must be a finite number, got {value!r} (in {where})")
-    return value
 
 
 def _parse_section(cls, section, where: str, **fixed):
@@ -118,33 +107,19 @@ def _parse_section(cls, section, where: str, **fixed):
     for f in fields(cls):
         if f.name in keys and f.default is MISSING:
             _require(section, f.name, where)
-    kwargs = {key: _typed(_hints(cls)[key], key, value, where) for key, value in section.items()}
-    try:
-        return cls(**kwargs, **fixed)
-    except ValueError as err:
-        raise ConfigError(f"{err} (in {where})") from None
-
-
-def _with_base_lr(schedule: ScheduleSpec, base_lr, key: str, where: str) -> ScheduleSpec:
-    """``schedule`` at the base rate ``base_lr``, given under ``key``."""
-    base_lr = _typed(float, key, base_lr, where)
-    try:
-        return replace(schedule, base_lr=base_lr)
-    except ValueError as err:
-        raise ConfigError(f"{key}: {err} (in {where})") from None
+    return _build(where, cls, **section, **fixed)
 
 
 def _parse_common(tree: dict) -> dict:
-    _require(tree, "total_steps", "config")
-    scalars = {key: _typed(int, key, tree[key], "config") for key in _RUN_SCALARS if key in tree}
+    total_steps = _require(tree, "total_steps", "config")
     larc = tree.get("larc")
     return {
         "problem": _parse_problem(_require(tree, "problem", "config")),
         "schedule": _parse_section(
-            ScheduleSpec, _require(tree, "schedule", "config"), "schedule", total_steps=scalars["total_steps"]
+            ScheduleSpec, _require(tree, "schedule", "config"), "schedule", total_steps=total_steps
         ),
         "larc": None if larc is None else _parse_section(LarcConfig, larc, "larc"),
-        **scalars,
+        **{key: tree[key] for key in _RUN_SCALARS if key in tree},
     }
 
 
@@ -152,7 +127,7 @@ def parse_run_config(tree: dict) -> RunConfig:
     _check_keys(tree, _RUN_KEYS, "config")
     common = _parse_common(tree)
     algorithm, hyperparams = _parse_optimizer(_require(tree, "optimizer", "config"))
-    return RunConfig(algorithm=algorithm, hyperparams=hyperparams, **common)
+    return _build("config", RunConfig, algorithm=algorithm, hyperparams=hyperparams, **common)
 
 
 def parse_compare_config(tree: dict) -> tuple[list[RunConfig], list[str], float | None]:
@@ -173,11 +148,11 @@ def parse_compare_config(tree: dict) -> tuple[list[RunConfig], list[str], float 
         algorithm, hyperparams = _parse_optimizer(entry, where=where)
         fields = dict(common)
         if base_lr is not None:
-            fields["schedule"] = _with_base_lr(fields["schedule"], base_lr, "base_lr", where)
-        cfgs.append(RunConfig(algorithm=algorithm, hyperparams=hyperparams, **fields))
-        labels.append(algorithm if label is None else _typed(str, "label", label, where))
-    threshold = tree.get("loss_threshold")
-    return cfgs, labels, None if threshold is None else _typed(float, "loss_threshold", threshold, "config")
+            fields["schedule"] = _build(where, replace, fields["schedule"], base_lr=base_lr)
+        cfgs.append(_build("config", RunConfig, algorithm=algorithm, hyperparams=hyperparams, **fields))
+        labels.append(algorithm if label is None else _build(where, checked, "label", str, label))
+    threshold = _build("config", checked, "loss_threshold", float | None, tree.get("loss_threshold"))
+    return cfgs, labels, threshold
 
 
 def parse_sweep_config(tree: dict) -> tuple[RunConfig, list[float]]:
@@ -188,29 +163,23 @@ def parse_sweep_config(tree: dict) -> tuple[RunConfig, list[float]]:
     if not isinstance(section, dict):
         raise ConfigError("sweep must be an object")
     _check_keys(section, _SWEEP_SECTION.keys(), "sweep")
-    section = {key: _typed(_SWEEP_SECTION[key], key, value, "sweep") for key, value in section.items()}
-    if "lr_grid" in section:
-        grid = section["lr_grid"]
+    sweep = {}
+    for key, value in section.items():
+        expected, bounds = _SWEEP_SECTION[key]
+        sweep[key] = _build("sweep", checked, key, expected, value, bounds)
+    if "lr_grid" in sweep:
+        grid = sweep["lr_grid"]
         key = "lr_grid"
     else:
         for key in ("lr_min", "lr_max", "points"):
-            _require(section, key, "sweep")
-        spacing = section.get("spacing", "log")
-        if spacing not in ("log", "linear"):
-            raise ConfigError(f"unknown spacing '{spacing}' in sweep")
-        n = section["points"]
-        if not 1 <= n <= _MAX_SWEEP_POINTS:
-            raise ConfigError(f"sweep points must be in [1, {_MAX_SWEEP_POINTS}], got {n}")
-        lo, hi = section["lr_min"], section["lr_max"]
-        # a grid end is a grid point, so both must be learning rates
-        if not (lo > 0 and hi > 0):
-            raise ConfigError(f"lr_min and lr_max must be > 0, got {lo!r} and {hi!r} (in sweep)")
-        grid = (np.geomspace if spacing == "log" else np.linspace)(float(lo), float(hi), n).tolist()
+            _require(sweep, key, "sweep")
+        space = np.geomspace if sweep.get("spacing", "log") == "log" else np.linspace
+        grid = space(sweep["lr_min"], sweep["lr_max"], sweep["points"]).tolist()
         key = "lr_min/lr_max"
     if not grid:
         raise ConfigError("empty learning-rate grid")
-    for lr in grid:
-        _with_base_lr(cfg.schedule, lr, key, "sweep")
+    for lr in grid:  # each point is a base rate of the run's schedule
+        _build(f"{key} of sweep", replace, cfg.schedule, base_lr=lr)
     return cfg, [float(x) for x in grid]
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import problems as problems_mod
 from .optim import OptimizerDriver, _bind, make_config
-from .params import ModelParams, ParameterLayer, l2_norm_sq
+from .params import Config, ModelParams, ParameterLayer, checked, l2_norm_sq
 from .problems import GradientScaledProblem, Problem, finite_diff_grad
 from .schedule import LarcConfig, ScheduleSpec, larc_scale, lr_at
 
@@ -55,13 +55,17 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
-class ProblemSpec:
+class ProblemSpec(Config):
     """Declarative problem description; ``gradient_scale`` wraps the built
-    problem so its gradient stream is multiplied by a constant."""
+    problem so its gradient stream is multiplied by a positive constant."""
 
     kind: str
     options: dict = field(default_factory=dict)
-    gradient_scale: float = 1.0
+    gradient_scale: float = field(default=1.0, metadata={"above": 0})
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.options = problems_mod.validate_options(self.kind, self.options)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "options": dict(self.options), "gradient_scale": self.gradient_scale}
@@ -75,17 +79,27 @@ def build_problem(spec: ProblemSpec) -> Problem:
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Config):
+    """One training run; ``hyperparams`` are checked as the algorithm's
+    config (see :func:`~novobench.optim.make_config`) and kept as checked."""
+
     problem: ProblemSpec
     algorithm: str
     schedule: ScheduleSpec
     hyperparams: dict = field(default_factory=dict)
     larc: LarcConfig | None = None
-    batch_size: int = 32
-    accumulation_factor: int = 1
-    total_steps: int = 100
-    seed: int = 0
-    log_every: int = 10
+    batch_size: int = field(default=32, metadata={"min": 1})
+    accumulation_factor: int = field(default=1, metadata={"min": 1})
+    total_steps: int = field(default=100, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0})
+    log_every: int = field(default=10, metadata={"min": 1})
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.schedule.total_steps != self.total_steps:
+            raise ValueError("schedule.total_steps must equal the run's total_steps")
+        optimizer = make_config(self.algorithm, self.hyperparams)
+        self.hyperparams = {key: getattr(optimizer, key) for key in self.hyperparams}
 
     def to_dict(self) -> dict:
         return {
@@ -117,8 +131,8 @@ class MetricsRecord:
 
 
 @dataclass
-class Checkpoint:
-    step: int
+class Checkpoint(Config):
+    step: int = field(metadata={"min": 0})
     weights: dict[str, np.ndarray]
     optimizer: dict
 
@@ -131,19 +145,6 @@ class TrajectoryLog:
     termination: str  # completed | diverged | checkpoint
     checkpoint: Checkpoint | None = None
     weight_trace: list[dict[str, np.ndarray]] | None = None
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    if cfg.total_steps < 1:
-        raise ValueError(f"total_steps must be >= 1, got {cfg.total_steps}")
-    if cfg.batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
-    if cfg.accumulation_factor < 1:
-        raise ValueError(f"accumulation_factor must be >= 1, got {cfg.accumulation_factor}")
-    if cfg.log_every < 1:
-        raise ValueError(f"log_every must be >= 1, got {cfg.log_every}")
-    if cfg.schedule.total_steps != cfg.total_steps:
-        raise ValueError("schedule.total_steps must equal the run's total_steps")
 
 
 def _batch_indices(seed: int, step: int, n: int | None, count: int) -> np.ndarray | None:
@@ -170,7 +171,8 @@ def train(
     step ``s`` and attaches a resumable checkpoint; ``record_weight_trace``
     keeps a post-update weights snapshot per step (testing aid).
     """
-    _validate_config(cfg)
+    if resume_from is not None and resume_from.step >= cfg.total_steps:
+        raise ValueError(f"checkpoint step {resume_from.step} is not below total_steps {cfg.total_steps}")
     problem = build_problem(cfg.problem)
     row = _Row(cfg, problem, stop_after, resume_from, record_weight_trace)
     return _run_grid(problem, [row])[0]
@@ -427,9 +429,8 @@ def compare_runs(
             raise ValueError("mismatched problems: compared runs must share problem and seed")
     if labels is None:
         labels = [cfg.algorithm for cfg in cfgs]
-    labels = _dedupe_labels(list(labels))
-    for cfg in cfgs:
-        _validate_config(cfg)
+    labels = _dedupe_labels([checked("label", str, label) for label in labels])
+    loss_threshold = checked("loss_threshold", float | None, loss_threshold)
     problem = build_problem(base.problem)
     logs = _run_grid(problem, [_Row(cfg, problem) for cfg in cfgs])
     rows = []
@@ -455,13 +456,13 @@ class SweepRow:
     diverged: bool
 
 
-def lr_sweep(cfg: RunConfig, lrs: list[float]) -> tuple[list[SweepRow], list[TrajectoryLog]]:
-    """Train one run per base learning rate, in lockstep on one built
-    problem; divergence is a row flag, not an error, so sweeps can map the
-    stable region."""
+def lr_sweep(cfg: RunConfig, lrs) -> tuple[list[SweepRow], list[TrajectoryLog]]:
+    """Train one run per base learning rate of ``lrs`` (any sequence of
+    reals), in lockstep on one built problem; divergence is a row flag, not
+    an error, so sweeps can map the stable region."""
+    lrs = checked("lrs", list, lrs)
     if not lrs:
         raise ValueError("empty learning-rate grid")
-    _validate_config(cfg)
     cfgs = [replace(cfg, schedule=replace(cfg.schedule, base_lr=lr)) for lr in lrs]
     problem = build_problem(cfg.problem)
     logs = _run_grid(problem, [_Row(run, problem) for run in cfgs])
@@ -568,8 +569,9 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
 def checkpoint_from_dict(doc: dict) -> Checkpoint:
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version: {doc.get('format_version')}")
+    weights = checked("weights", dict, doc.get("weights"))
     return Checkpoint(
-        step=doc["step"],
-        weights={k: np.asarray(v, dtype=np.float64) for k, v in doc["weights"].items()},
-        optimizer=doc["optimizer"],
+        step=doc.get("step"),
+        weights={k: np.asarray(v, dtype=np.float64) for k, v in weights.items()},
+        optimizer=doc.get("optimizer"),
     )

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .params import ModelParams, l2_norm_sq
+from .params import Config, ModelParams, checked, l2_norm_sq
 
 __all__ = [
     "NovoGradConfig",
@@ -60,7 +60,7 @@ STATE_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class NovoGradConfig:
+class NovoGradConfig(Config):
     """NovoGrad hyperparameters.
 
     ``beta2`` is much smaller than Adam's because it smooths a single
@@ -70,27 +70,13 @@ class NovoGradConfig:
     gradient scaling (at the cost of the divide-by-zero guard).
     """
 
-    beta1: float = 0.95
-    beta2: float = 0.25
-    weight_decay: float = 0.0
-    epsilon: float = 1e-8
-    first_moment_style: str = "cumulative"
-    wd_placement: str = "in_moment"
+    beta1: float = field(default=0.95, metadata={"min": 0, "below": 1})
+    beta2: float = field(default=0.25, metadata={"min": 0, "max": 1})
+    weight_decay: float = field(default=0.0, metadata={"min": 0})
+    epsilon: float = field(default=1e-8, metadata={"min": 0})
+    first_moment_style: str = field(default="cumulative", metadata={"choices": FIRST_MOMENT_STYLES})
+    wd_placement: str = field(default="in_moment", metadata={"choices": WD_PLACEMENTS})
     ams: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
-        if not 0.0 <= self.beta2 <= 1.0:
-            raise ValueError(f"beta2 must be in [0, 1], got {self.beta2}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.first_moment_style not in FIRST_MOMENT_STYLES:
-            raise ValueError(f"first_moment_style must be one of {FIRST_MOMENT_STYLES}")
-        if self.wd_placement not in WD_PLACEMENTS:
-            raise ValueError(f"wd_placement must be one of {WD_PLACEMENTS}")
 
 
 @dataclass
@@ -112,7 +98,7 @@ class NovoGradState:
 
 
 @dataclass(frozen=True)
-class AdamConfig:
+class AdamConfig(Config):
     """Adam / AdamW hyperparameters.
 
     The algorithm, not the config, places weight decay: ``adam`` folds it
@@ -121,21 +107,11 @@ class AdamConfig:
     so far were zero or underflowed when squared) takes no step.
     """
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.0
+    beta1: float = field(default=0.9, metadata={"min": 0, "below": 1})
+    beta2: float = field(default=0.999, metadata={"min": 0, "below": 1})
+    epsilon: float = field(default=1e-8, metadata={"min": 0})
+    weight_decay: float = field(default=0.0, metadata={"min": 0})
     bias_correction: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 @dataclass
@@ -155,17 +131,11 @@ class AdamState:
 
 
 @dataclass(frozen=True)
-class SgdMomentumConfig:
+class SgdMomentumConfig(Config):
     """Heavy-ball SGD: m <- mu*m + g + d*w, w <- w - lr_t*m."""
 
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+    momentum: float = field(default=0.9, metadata={"min": 0, "below": 1})
+    weight_decay: float = field(default=0.0, metadata={"min": 0})
 
 
 @dataclass
@@ -181,14 +151,10 @@ class SgdMomentumState:
 
 
 @dataclass(frozen=True)
-class SngdConfig:
+class SngdConfig(Config):
     """Stateless normalized gradient descent: w <- w - lr_t * g/(||g|| + eps)."""
 
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+    epsilon: float = field(default=1e-8, metadata={"min": 0})
 
 
 def _check_lr(lr_t: float) -> None:
@@ -396,10 +362,8 @@ _V1_LR_KEY = {"novograd": "lr0", "adam": "lr", "adamw": "lr", "sgd": "lr"}
 
 def make_config(algorithm: str, hyperparams: dict | None = None):
     """Build the config dataclass for ``algorithm``, rejecting unknown keys."""
-    if algorithm not in _REGISTRY:
-        raise ValueError(f"unknown algorithm '{algorithm}'")
-    cls = _REGISTRY[algorithm].config
-    hp = hyperparams or {}
+    cls = _REGISTRY[checked("algorithm", str, algorithm, {"choices": ALGORITHMS})].config
+    hp = checked("hyperparams", dict, {} if hyperparams is None else hyperparams)
     allowed = {f.name for f in fields(cls)}
     for key in hp:
         if key not in allowed:

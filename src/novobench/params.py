@@ -11,17 +11,28 @@ can evaluate all of them in one call.  Norms accumulate in float64 in an
 order fixed by the layer sizes, so identical inputs give bit-identical
 results on one machine and numpy build, and power-of-two gradient scaling
 is exact.
+
+:class:`Config` is the base of every config dataclass: it checks each field
+against its annotation and declared bounds through :func:`checked`, the one
+validation rule of the library and the CLI.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+import sys
+from dataclasses import dataclass, field, fields
+from functools import cache
 from itertools import accumulate
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 __all__ = [
+    "Config",
+    "checked",
     "ParameterLayer",
     "ModelParams",
     "l2_norm_sq",
@@ -226,3 +237,68 @@ class ModelParams:
 def zero_grads(params: ModelParams) -> None:
     """Zero every gradient buffer in place; weights are untouched."""
     params.grad[...] = 0.0
+
+
+# the bounds a field may declare in its metadata, with their text and test
+_LIMITS = {
+    "min": (">=", operator.ge),
+    "above": (">", operator.gt),
+    "below": ("<", operator.lt),
+    "max": ("<=", operator.le),
+}
+
+
+def checked(key: str, expected, value, bounds=None):
+    """``value`` for the field ``key``, checked against its annotation
+    ``expected`` (a type, or ``X | None``) and its ``bounds`` (``min``,
+    ``above``, ``below``, ``max``, ``choices``); any mismatch raises
+    ``ValueError`` naming ``key``.
+
+    A bool is no number, a float must be finite (an int too, within float
+    range) and a list (or tuple, returned as a list) holds floats.  Numpy
+    scalars and arrays are returned as Python values, Python values as given.
+    """
+    if type(expected) is not type:  # X | None, or a generic such as dict[str, np.ndarray]
+        if isinstance(expected, UnionType):
+            if value is None:
+                return None
+            expected = get_args(expected)[0]
+        expected = get_origin(expected) or expected
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()
+    if expected is list and type(value) in (list, tuple):
+        return [checked(key, float, item) for item in value]
+    if expected is float:
+        valid = type(value) in (int, float)
+    elif expected in (int, bool, str):
+        valid = type(value) is expected
+    else:
+        valid = isinstance(value, expected)
+    if not valid:
+        raise ValueError(f"{key} must be of type {expected.__name__}, got {value!r}")
+    if expected is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    for name, bound in (bounds or {}).items():
+        if name == "choices" and value not in bound:
+            raise ValueError(f"unknown {key} '{value}' (one of {', '.join(bound)})")
+        if name in _LIMITS and not _LIMITS[name][1](value, bound):
+            raise ValueError(f"{key} must be {_LIMITS[name][0]} {bound}, got {value!r}")
+    return value
+
+
+@cache
+def _declared(cls) -> list:
+    """(name, annotation, bounds) of each field of the config dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return [(f.name, hints[f.name], f.metadata) for f in fields(cls)]
+
+
+class Config:
+    """Base of the config dataclasses: after construction each field holds
+    its value as :func:`checked` returns it for the field's annotation and
+    the bounds in its ``field(metadata=...)``.  A subclass checks the rules
+    that span fields in its own ``__post_init__``, after this one."""
+
+    def __post_init__(self):
+        for name, expected, bounds in _declared(type(self)):
+            object.__setattr__(self, name, checked(name, expected, getattr(self, name), bounds))

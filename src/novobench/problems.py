@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ModelParams, ParameterLayer
+from .params import Config, ModelParams, ParameterLayer, checked
 
 __all__ = [
     "Problem",
@@ -475,32 +475,23 @@ TASKS = ("two-gaussians", "two-moons-like", "multiclass-blobs")
 
 
 @dataclass(frozen=True)
-class DatasetSpec:
+class DatasetSpec(Config):
     """Generator description; identical specs produce identical bytes."""
 
-    task: str
-    size: int
-    dim: int = 2
-    seed: int = 0
-    n_classes: int = 2
+    task: str = field(metadata={"choices": TASKS})
+    size: int = field(metadata={"min": 1})
+    dim: int = field(default=2, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0})
+    n_classes: int = field(default=2, metadata={"min": 2})
     separation: float = 6.0
-    noise: float = 1.0
+    noise: float = field(default=1.0, metadata={"min": 0})
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task '{self.task}'")
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        super().__post_init__()
         if self.task in ("two-gaussians", "two-moons-like") and self.n_classes != 2:
             raise ValueError(f"task '{self.task}' is binary")
         if self.task == "two-moons-like" and self.dim != 2:
             raise ValueError("two-moons-like requires dim=2")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
 
 
 @dataclass
@@ -587,19 +578,20 @@ OPTION_TYPES["mlp"] = {**OPTION_TYPES["logreg"], "n_classes": int, "hidden": int
 PROBLEM_KINDS = tuple(OPTION_TYPES)
 
 
-def validate_options(kind: str, options: dict) -> None:
-    """Fail-closed option check shared with the CLI config parser."""
-    if kind not in OPTION_TYPES:
+def validate_options(kind: str, options: dict) -> dict:
+    """``options`` checked fail-closed against ``kind``'s keys and their
+    types (see :func:`checked`), numpy values turned into Python ones."""
+    if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem '{kind}'")
     for key in options:
         if key not in OPTION_TYPES[kind]:
             raise ValueError(f"unknown key '{key}' for problem '{kind}'")
+    return {key: checked(key, OPTION_TYPES[kind][key], value) for key, value in options.items()}
 
 
 def build(kind: str, options: dict | None = None) -> Problem:
-    """Construct a problem by tag; option keys are fail-closed per kind."""
-    options = dict(options or {})
-    validate_options(kind, options)
+    """Construct a problem by tag; options are checked by :func:`validate_options`."""
+    options = validate_options(kind, options or {})
     if kind == "quadratic":
         b = options.get("b")
         w0 = options.get("w0")

@@ -8,7 +8,9 @@ the remaining steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from .params import Config
 
 __all__ = ["ScheduleSpec", "LarcConfig", "lr_at", "larc_scale", "FAMILIES"]
 
@@ -16,7 +18,7 @@ FAMILIES = ("constant", "cosine", "polynomial")
 
 
 @dataclass(frozen=True)
-class ScheduleSpec:
+class ScheduleSpec(Config):
     """Declarative learning-rate schedule over ``total_steps`` updates.
 
     Warmup interpolates linearly from base_lr/warmup_steps (never exactly
@@ -25,28 +27,17 @@ class ScheduleSpec:
     quadratic decay).
     """
 
-    base_lr: float
-    total_steps: int
-    family: str = "cosine"
-    power: float = 1.0
-    warmup_steps: int = 0
-    min_lr: float = 0.0
+    base_lr: float = field(metadata={"above": 0})
+    total_steps: int = field(metadata={"min": 1})
+    family: str = field(default="cosine", metadata={"choices": FAMILIES})
+    power: float = field(default=1.0, metadata={"above": 0})
+    warmup_steps: int = field(default=0, metadata={"min": 0})
+    min_lr: float = field(default=0.0, metadata={"min": 0})
 
     def __post_init__(self):
-        if not self.base_lr > 0:
-            raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got '{self.family}'")
-        if not self.power > 0:
-            raise ValueError(f"power must be > 0, got {self.power}")
-        if self.warmup_steps < 0 or self.warmup_steps >= self.total_steps:
-            raise ValueError(
-                f"warmup_steps must be in [0, total_steps), got {self.warmup_steps}"
-            )
-        if self.min_lr < 0:
-            raise ValueError(f"min_lr must be >= 0, got {self.min_lr}")
+        super().__post_init__()
+        if self.warmup_steps >= self.total_steps:
+            raise ValueError(f"warmup_steps must be < total_steps, got {self.warmup_steps}")
         if self.min_lr > self.base_lr:
             raise ValueError("min_lr must not exceed base_lr")
 
@@ -74,18 +65,12 @@ def lr_at(spec: ScheduleSpec, t: int) -> float:
 
 
 @dataclass(frozen=True)
-class LarcConfig:
+class LarcConfig(Config):
     """Trust-ratio clipping of the per-layer effective learning rate."""
 
-    trust_coefficient: float = 0.001
+    trust_coefficient: float = field(default=0.001, metadata={"above": 0})
     clip: bool = True
-    eps_div: float = 1e-8
-
-    def __post_init__(self):
-        if not self.trust_coefficient > 0:
-            raise ValueError(f"trust_coefficient must be > 0, got {self.trust_coefficient}")
-        if self.eps_div < 0:
-            raise ValueError(f"eps_div must be >= 0, got {self.eps_div}")
+    eps_div: float = field(default=1e-8, metadata={"min": 0})
 
 
 def larc_scale(layer_weights_norm: float, layer_grad_norm: float, lr_t: float, cfg: LarcConfig) -> float:

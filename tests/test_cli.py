@@ -1,14 +1,18 @@
 import json
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from novobench import cli
 from novobench.cli import ConfigError, main
+from novobench.harness import ProblemSpec, RunConfig, compare_runs, log_to_csv, log_to_jsonl, lr_sweep, train
+from novobench.optim import ALGORITHMS, NovoGradConfig, make_config
+from novobench.problems import OPTION_TYPES
 from novobench.schedule import LarcConfig, ScheduleSpec
 
 
@@ -65,6 +69,9 @@ MISTYPED = [
     ("run", None, "log_every", "10"),
     ("run", "problem", "gradient_scale", "x"),
     ("run", "problem", "gradient_scale", True),
+    ("run", "problem", "gradient_scale", 0),
+    ("run", "problem", "gradient_scale", -1),
+    ("run", None, "seed", -1),
     ("compare", None, "loss_threshold", "x"),
     ("compare", None, "loss_threshold", True),
     ("compare", "optimizers", "label", 5),
@@ -271,6 +278,83 @@ class TestRun:
         assert main(["frobnicate"]) == 1
 
 
+def library_run(**overrides) -> RunConfig:
+    """The run of ``run_config_tree()``, built through the library."""
+    defaults = dict(
+        problem=ProblemSpec("quadratic", {"diag": [2.0, 4.0], "w0": [5.0, 5.0]}),
+        algorithm="novograd",
+        schedule=ScheduleSpec(base_lr=0.1, total_steps=50),
+        batch_size=1,
+        total_steps=50,
+        log_every=10,
+    )
+    return RunConfig(**{**defaults, **overrides})
+
+
+def _build_directly(command, section, key, value):
+    """A MISTYPED value given to the library: to the dataclass that holds
+    ``key`` (or ``compare_runs`` for a label or loss threshold)."""
+    problem = CONFIG_TREES[command]()["problem"]
+    kind = problem.pop("kind")
+    if section == "schedule" or key == "base_lr":
+        return ScheduleSpec(**{"base_lr": 0.1, "total_steps": 50, key: value})
+    if section == "larc":
+        return LarcConfig(**{key: value})
+    if section == "problem":
+        if key in ("kind", "gradient_scale"):
+            return ProblemSpec(**{"kind": kind, "options": problem, key: value})
+        return ProblemSpec(kind, {**problem, key: value})
+    if section in ("optimizer", "optimizers") and key != "label":
+        return NovoGradConfig(**{key: value})
+    if key in ("label", "loss_threshold"):
+        return compare_runs([library_run()], **({"labels": [value]} if key == "label" else {key: value}))
+    return library_run(**{key: value})
+
+
+class TestLibrary:
+    """The library's constructors raise the ``ValueError``s that the CLI
+    reports as config errors."""
+
+    @pytest.mark.parametrize(
+        "command,section,key,value",
+        # a sweep section has no dataclass; lr_sweep's grid is tested in test_harness
+        [pytest.param(*case, id="-".join(str(x) for x in case[1:])) for case in MISTYPED if case[1] != "sweep"],
+    )
+    def test_mistyped_value_is_a_value_error(self, command, section, key, value):
+        with pytest.raises(ValueError, match=key):
+            _build_directly(command, section, key, value)
+
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            ({"hyperparams": {"ams": "no"}}, "ams"),
+            ({"hyperparams": {"beta1": "0.9"}}, "beta1"),
+            ({"hyperparams": [("beta1", 0.9)]}, "hyperparams"),
+            ({"algorithm": ["novograd"]}, "algorithm"),
+            ({"larc": {}}, "larc"),
+            ({"problem": {"kind": "quadratic", "dim": 2}}, "problem"),
+            ({"batch_size": 2.5}, "batch_size"),
+            ({"seed": np.int64(-1)}, "seed"),
+        ],
+    )
+    def test_malformed_run_config_is_a_value_error(self, overrides, key):
+        with pytest.raises(ValueError, match=key):
+            library_run(**overrides)
+
+    def test_numpy_values_log_as_python_values(self):
+        python = library_run(seed=3, hyperparams={"beta2": 0.5, "ams": False})
+        numpy = library_run(
+            problem=ProblemSpec("quadratic", {"diag": np.array([2.0, 4.0]), "w0": [np.float64(5.0), 5.0]}),
+            schedule=ScheduleSpec(base_lr=np.float64(0.1), total_steps=np.int64(50)),
+            batch_size=np.int64(1),
+            total_steps=np.int64(50),
+            seed=np.int64(3),
+            hyperparams={"beta2": np.float64(0.5), "ams": np.bool_(False)},
+        )
+        for write in (log_to_csv, log_to_jsonl):
+            assert write(train(numpy)) == write(train(python))
+
+
 class TestCompare:
     def test_three_rows_and_trajectories(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", compare_config_tree())
@@ -452,6 +536,110 @@ def test_fuzzed_config_parses_or_raises_config_error(command, data):
         PARSERS[command](tree)
     except ConfigError:
         pass
+
+
+# what a library caller may pass: JSON scalars, numpy scalars and arrays; every
+# size is small, since a config that builds is trained
+SMALL_INTS = st.integers(-3, 3) | st.sampled_from([8, 64])
+STRINGS = st.sampled_from(["", "x", "log", "cosine", "novograd", "adam", "mlp", "quadratic", "two-moons-like", "0.1"])
+LIBRARY_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    SMALL_INTS,
+    st.floats(),
+    STRINGS,
+    st.booleans().map(np.bool_),
+    SMALL_INTS.map(np.int64),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    STRINGS.map(np.str_),
+    st.lists(st.floats(-4, 4) | SMALL_INTS, max_size=3),
+    st.lists(st.floats(-4, 4), max_size=3).map(np.array),
+    st.lists(SMALL_INTS, max_size=3).map(np.array),
+    st.just(np.zeros((2, 2))),
+    st.dictionaries(STRINGS, st.floats(0, 1), max_size=1),
+)
+# the valid small run each fuzzed config starts from, one keyword set per dataclass
+BASE_PROBLEMS = {
+    "quadratic": {"dim": 3},
+    "rosenbrock": {},
+    "logreg": {"size": 16, "dim": 2},
+    "mlp": {"size": 16, "dim": 2, "hidden": 4},
+}
+
+
+@st.composite
+def fuzzed_library_run(draw):
+    """The keywords of a small valid run, some of its dataclasses' keywords
+    given as numpy values, and up to three fields of its dataclasses, problem
+    options or hyperparameters set to drawn values."""
+    kind = draw(st.sampled_from(list(BASE_PROBLEMS)))
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    parts = {
+        "problem": {"kind": kind, "gradient_scale": 1.0},
+        "options": dict(BASE_PROBLEMS[kind]),
+        "hyperparams": {},
+        "schedule": {"base_lr": 0.1},
+        "larc": draw(st.none() | st.just({})),
+        "run": {"algorithm": algorithm, "batch_size": 4, "total_steps": 3, "log_every": 1},
+    }
+    keys = {
+        "problem": ["kind", "gradient_scale"],
+        "options": list(OPTION_TYPES[kind]),
+        "hyperparams": [f.name for f in fields(make_config(algorithm))],
+        "schedule": ["base_lr", "family", "power", "warmup_steps", "min_lr"],
+        "larc": [f.name for f in fields(LarcConfig)],
+        "run": ["algorithm", "batch_size", "accumulation_factor", "total_steps", "seed", "log_every"],
+    }
+    for part, values in parts.items():  # some parts given as numpy values
+        if values is not None and draw(st.booleans()):
+            parts[part] = {key: np.asarray(value)[()] for key, value in values.items()}
+    for _ in range(draw(st.integers(0, 3))):
+        part = draw(st.sampled_from([part for part in keys if parts[part] is not None]))
+        parts[part][draw(st.sampled_from(keys[part]))] = draw(LIBRARY_VALUES)
+    return parts
+
+
+def _library_config(parts) -> RunConfig:
+    run = parts["run"]
+    larc = parts["larc"]
+    return RunConfig(
+        problem=ProblemSpec(options=parts["options"], **parts["problem"]),
+        schedule=ScheduleSpec(total_steps=run["total_steps"], **parts["schedule"]),
+        larc=None if larc is None else LarcConfig(**larc),
+        hyperparams=parts["hyperparams"],
+        **run,
+    )
+
+
+LR_GRIDS = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3)
+LR_GRIDS = st.one_of(LIBRARY_VALUES, LR_GRIDS, LR_GRIDS.map(np.array), LR_GRIDS.map(lambda lrs: list(np.array(lrs))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(parts=fuzzed_library_run(), lrs=LR_GRIDS)
+def test_fuzzed_library_config_builds_and_trains_or_raises_value_error(parts, lrs):
+    """Whatever values a library caller passes, building the config either
+    succeeds or raises ValueError; a config that builds trains through
+    ``train``, ``lr_sweep`` and ``compare_runs``, each of which returns or
+    raises ValueError, never another error."""
+    try:
+        cfg = _library_config(parts)
+    except ValueError:
+        return
+    assume(cfg.total_steps <= 3)
+    for run in (
+        lambda: train(cfg),
+        lambda: lr_sweep(cfg, lrs),
+        lambda: compare_runs([cfg, replace(cfg, algorithm="sgd", hyperparams={})], labels=["a", "b"]),
+    ):
+        # a drawn magnitude near the float limit may overflow while the problem's
+        # data are generated; that is a warning and then a diverged run, not an error
+        with np.errstate(all="ignore"):
+            try:
+                run()
+            except ValueError:
+                pass
 
 
 def test_module_entrypoint_smoke():

@@ -75,9 +75,8 @@ class TestTrainBasics:
             train(logreg_config(total_steps=0, schedule=ScheduleSpec(base_lr=0.05, total_steps=1)))
 
     def test_schedule_mismatch_rejected(self):
-        cfg = logreg_config(total_steps=10, schedule=ScheduleSpec(base_lr=0.05, total_steps=20))
         with pytest.raises(ValueError, match="schedule.total_steps"):
-            train(cfg)
+            train(logreg_config(total_steps=10, schedule=ScheduleSpec(base_lr=0.05, total_steps=20)))
 
     def test_determinism_byte_identical_logs(self):
         cfg = logreg_config()
@@ -227,6 +226,35 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match="format version"):
             checkpoint_from_dict({"format_version": 0})
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("step", None),  # missing
+            ("step", 3.5),
+            ("step", "3"),
+            ("step", -1),
+            ("weights", None),
+            ("weights", [[0.0, 1.0]]),
+            ("optimizer", None),
+            ("optimizer", "novograd"),
+        ],
+    )
+    def test_malformed_checkpoint_document_names_the_key(self, key, value):
+        doc = checkpoint_to_dict(train(logreg_config(total_steps=10), stop_after=5).checkpoint)
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        with pytest.raises(ValueError, match=key):
+            checkpoint_from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("step", [3.5, "3", 10, 100])
+    def test_resume_step_must_be_an_int_below_total_steps(self, step):
+        cfg = logreg_config(total_steps=10)
+        ckpt = train(cfg, stop_after=3).checkpoint
+        with pytest.raises(ValueError, match="step"):
+            train(cfg, resume_from=Checkpoint(step, ckpt.weights, ckpt.optimizer))
+
 
 def _grow(value):
     """A layer's value (a list, or a state entry of lists and floats) one element longer."""
@@ -365,10 +393,9 @@ class TestSharedProblem:
             _same_run(log, train(cfg))
 
     def test_invalid_config_rejected_before_any_run(self, monkeypatch):
-        cfgs = [logreg_config(total_steps=5), logreg_config(total_steps=5, log_every=0)]
         calls = _count_builds(monkeypatch)
         with pytest.raises(ValueError, match="log_every"):
-            compare_runs(cfgs)
+            compare_runs([logreg_config(total_steps=5), logreg_config(total_steps=5, log_every=0)])
         assert calls == []
 
 
@@ -537,6 +564,23 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             lr_sweep(quadratic_config(), [])
+        with pytest.raises(ValueError, match="empty"):
+            lr_sweep(quadratic_config(), np.array([]))
+
+    def test_numpy_grids_serialize_as_a_python_grid(self):
+        cfg = logreg_config(total_steps=5, log_every=2)
+        grid = np.geomspace(0.01, 0.1, 3)
+        outputs = []
+        for lrs in (grid, list(grid), grid.tolist()):
+            rows, logs = lr_sweep(cfg, lrs)
+            outputs.append([sweep_to_csv(rows)] + [log_to_csv(log) + log_to_jsonl(log) for log in logs])
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "np." not in "".join(outputs[0])
+
+    @pytest.mark.parametrize("lrs", [5, "0.1", ["x"], [0.1, float("nan")], [0.1, 0.0], np.ones((2, 2)), [[0.1]]])
+    def test_malformed_grid_is_a_value_error(self, lrs):
+        with pytest.raises(ValueError, match="lrs|base_lr"):
+            lr_sweep(quadratic_config(), lrs)
 
 
 class TestSerialization:
