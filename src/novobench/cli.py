@@ -22,7 +22,7 @@ import numpy as np
 from . import harness, problems
 from .harness import ProblemSpec, RunConfig
 from .optim import make_config
-from .params import checked
+from .params import checked, checked_section
 from .schedule import LarcConfig, ScheduleSpec
 
 __all__ = ["main", "entrypoint", "ConfigError"]
@@ -162,11 +162,7 @@ def parse_sweep_config(tree: dict) -> tuple[RunConfig, list[float]]:
     section = _require(tree, "sweep", "config")
     if not isinstance(section, dict):
         raise ConfigError("sweep must be an object")
-    _check_keys(section, _SWEEP_SECTION.keys(), "sweep")
-    sweep = {}
-    for key, value in section.items():
-        expected, bounds = _SWEEP_SECTION[key]
-        sweep[key] = _build("sweep", checked, key, expected, value, bounds)
+    sweep = _build("sweep", checked_section, _SWEEP_SECTION, section, "sweep")
     if "lr_grid" in sweep:
         grid = sweep["lr_grid"]
         key = "lr_grid"

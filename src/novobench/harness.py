@@ -419,7 +419,8 @@ def compare_runs(
 
     All configs must share the same problem and seed so rows are comparable;
     the problem is built once for all of them.  Row order follows the input
-    order; duplicate optimizer tags get distinguishing labels.
+    order; ``labels``, if given, holds one label per config, and duplicate
+    optimizer tags get distinguishing labels.
     """
     if not cfgs:
         raise ValueError("no configs to compare")
@@ -429,6 +430,8 @@ def compare_runs(
             raise ValueError("mismatched problems: compared runs must share problem and seed")
     if labels is None:
         labels = [cfg.algorithm for cfg in cfgs]
+    elif len(labels) != len(cfgs):
+        raise ValueError(f"labels has {len(labels)} entries for {len(cfgs)} configs")
     labels = _dedupe_labels([checked("label", str, label) for label in labels])
     loss_threshold = checked("loss_threshold", float | None, loss_threshold)
     problem = build_problem(base.problem)

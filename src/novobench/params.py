@@ -33,6 +33,7 @@ import numpy as np
 __all__ = [
     "Config",
     "checked",
+    "checked_section",
     "ParameterLayer",
     "ModelParams",
     "l2_norm_sq",
@@ -284,6 +285,16 @@ def checked(key: str, expected, value, bounds=None):
         if name in _LIMITS and not _LIMITS[name][1](value, bound):
             raise ValueError(f"{key} must be {_LIMITS[name][0]} {bound}, got {value!r}")
     return value
+
+
+def checked_section(table: dict, section: dict, where: str) -> dict:
+    """``section`` checked fail-closed against ``table`` (key -> (type,
+    bounds)): an unknown key raises ``ValueError``, and each value comes
+    back as :func:`checked` returns it."""
+    for key in section:
+        if key not in table:
+            raise ValueError(f"unknown key '{key}' for {where}")
+    return {key: checked(key, table[key][0], value, table[key][1]) for key, value in section.items()}
 
 
 @cache

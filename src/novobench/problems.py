@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import Config, ModelParams, ParameterLayer, checked
+from .params import Config, ModelParams, ParameterLayer, _declared, checked_section
 
 __all__ = [
     "Problem",
@@ -47,7 +47,7 @@ __all__ = [
     "finite_diff_grad",
     "build",
     "validate_options",
-    "OPTION_TYPES",
+    "OPTIONS",
     "PROBLEM_KINDS",
 ]
 
@@ -130,11 +130,15 @@ class QuadraticProblem(Problem):
 
     @classmethod
     def random_spd(cls, dim: int, seed: int, b_scale: float = 1.0, w0=None) -> "QuadraticProblem":
-        """Random well-conditioned SPD instance: A = MM'/dim + I."""
+        """Random well-conditioned SPD instance: A = MM'/dim + I, b drawn
+        at scale ``b_scale``, which must leave b finite."""
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((dim, dim))
         a = m @ m.T / dim + np.eye(dim)
-        b = b_scale * rng.standard_normal(dim)
+        with np.errstate(over="ignore"):
+            b = b_scale * rng.standard_normal(dim)
+        if not np.isfinite(b).all():
+            raise ValueError(f"b_scale {b_scale!r} overflows b")
         return cls(a, b=b, w0=w0)
 
     def layer_layout(self):
@@ -534,11 +538,13 @@ def _class_means(spec: DatasetSpec) -> np.ndarray:
     return means
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below, naming the options
 def generate_dataset(spec: DatasetSpec) -> SyntheticDataset:
     """Materialize a deterministic synthetic classification dataset.
 
     Classes are balanced within one example; rows are shuffled with the
-    spec's seed so leading slices are class-mixed.
+    spec's seed so leading slices are class-mixed.  ``separation`` and
+    ``noise`` must leave every feature finite.
     """
     rng = np.random.default_rng(spec.seed)
     counts = _class_counts(spec.size, spec.n_classes)
@@ -559,77 +565,75 @@ def generate_dataset(spec: DatasetSpec) -> SyntheticDataset:
             chunks.append(means[cls] + spec.noise * rng.standard_normal((count, spec.dim)))
             labels.append(np.full(count, cls, dtype=np.int64))
     features = np.concatenate(chunks, axis=0)
+    if not np.isfinite(features).all():
+        raise ValueError(f"separation {spec.separation!r} and noise {spec.noise!r} overflow the features")
     label_arr = np.concatenate(labels)
     order = rng.permutation(spec.size)
     return SyntheticDataset(spec, features[order], label_arr[order])
 
 
-# each kind's option keys and their types; a list holds floats
-OPTION_TYPES = {
-    "quadratic": {"diag": list, "dim": int, "matrix_seed": int, "b": list, "b_scale": float, "w0": list},
-    "rosenbrock": {"w0": list},
-    "logreg": {
-        **dict.fromkeys(("size", "dim", "dataset_seed"), int),
-        **dict.fromkeys(("separation", "noise", "train_fraction"), float),
-        "task": str,
-    },
+# each kind's option keys -> (type, bounds); the dataset keys are DatasetSpec's
+# fields, its seed named dataset_seed
+_DATASET_OPTIONS = {
+    "dataset_seed" if name == "seed" else name: (expected, bounds) for name, expected, bounds in _declared(DatasetSpec)
 }
-OPTION_TYPES["mlp"] = {**OPTION_TYPES["logreg"], "n_classes": int, "hidden": int}
-PROBLEM_KINDS = tuple(OPTION_TYPES)
+_SPLIT_OPTIONS = {"train_fraction": (float, {"above": 0, "max": 1})}
+OPTIONS = {
+    "quadratic": {
+        **dict.fromkeys(("diag", "b", "w0"), (list, {})),
+        "dim": (int, {"min": 1}),
+        "matrix_seed": (int, {"min": 0}),
+        "b_scale": (float, {}),
+    },
+    "rosenbrock": {"w0": (list, {})},
+    "logreg": {**{k: v for k, v in _DATASET_OPTIONS.items() if k != "n_classes"}, **_SPLIT_OPTIONS},
+    "mlp": {**_DATASET_OPTIONS, **_SPLIT_OPTIONS, "hidden": (int, {"min": 1})},
+}
+PROBLEM_KINDS = tuple(OPTIONS)
+# the quadratic is given by diag (with b) or drawn from dim (with matrix_seed
+# and b_scale); each of these keys needs its shape
+_QUADRATIC_NEEDS = {"b": "diag", "matrix_seed": "dim", "b_scale": "dim"}
 
 
 def validate_options(kind: str, options: dict) -> dict:
-    """``options`` checked fail-closed against ``kind``'s keys and their
-    types (see :func:`checked`), numpy values turned into Python ones."""
+    """``options`` checked fail-closed against ``kind``'s keys, their types
+    and bounds (see :func:`checked_section`), numpy values turned into
+    Python ones; a quadratic takes exactly one of ``diag`` and ``dim`` and
+    only the keys that shape reads."""
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem '{kind}'")
-    for key in options:
-        if key not in OPTION_TYPES[kind]:
-            raise ValueError(f"unknown key '{key}' for problem '{kind}'")
-    return {key: checked(key, OPTION_TYPES[kind][key], value) for key, value in options.items()}
+    options = checked_section(OPTIONS[kind], options, f"problem '{kind}'")
+    if kind == "quadratic":
+        shapes = [key for key in ("diag", "dim") if key in options]
+        if len(shapes) != 1:
+            raise ValueError(f"quadratic takes either 'diag' or 'dim', got {shapes or 'neither'}")
+        for key, shape in _QUADRATIC_NEEDS.items():
+            if key in options and shape not in options:
+                raise ValueError(f"quadratic option '{key}' needs '{shape}', not '{shapes[0]}'")
+    return options
 
 
 def build(kind: str, options: dict | None = None) -> Problem:
-    """Construct a problem by tag; options are checked by :func:`validate_options`."""
+    """Construct a problem by tag; options are checked by :func:`validate_options`,
+    and each absent one takes the default of the constructor it feeds."""
     options = validate_options(kind, options or {})
     if kind == "quadratic":
-        b = options.get("b")
-        w0 = options.get("w0")
-        if "diag" in options and "dim" in options:
-            raise ValueError("quadratic takes either 'diag' or 'dim', not both")
         if "diag" in options:
-            return QuadraticProblem.diagonal(options["diag"], b=b, w0=w0)
-        if "dim" in options:
-            return QuadraticProblem.random_spd(
-                options["dim"],
-                options.get("matrix_seed", 0),
-                b_scale=options.get("b_scale", 1.0),
-                w0=w0,
-            )
-        raise ValueError("quadratic needs either 'diag' or 'dim'")
+            return QuadraticProblem.diagonal(**options)
+        return QuadraticProblem.random_spd(seed=options.pop("matrix_seed", 0), **options)
     if kind == "rosenbrock":
-        return RosenbrockProblem(w0=options.get("w0", (-1.2, 1.0)))
+        return RosenbrockProblem(**options)
     # logreg, mlp: generate the dataset, train on its leading fraction, keep the rest as test split
-    task, n_classes = ("two-gaussians", 2) if kind == "logreg" else ("multiclass-blobs", 3)
-    dataset = generate_dataset(
-        DatasetSpec(
-            task=options.get("task", task),
-            size=options.get("size", 200),
-            dim=options.get("dim", 2),
-            seed=options.get("dataset_seed", 0),
-            n_classes=options.get("n_classes", n_classes),
-            separation=options.get("separation", 6.0),
-            noise=options.get("noise", 1.0),
-        )
-    )
-    fraction = options.get("train_fraction", 1.0)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("train_fraction must be in (0, 1]")
+    fraction = options.pop("train_fraction", 1.0)
+    model = {"hidden": options.pop("hidden")} if "hidden" in options else {}
+    spec = {"seed" if key == "dataset_seed" else key: value for key, value in options.items()}
+    defaults = {"task": "two-gaussians"} if kind == "logreg" else {"task": "multiclass-blobs", "n_classes": 3}
+    dataset = generate_dataset(DatasetSpec(**{"size": 200, **defaults, **spec}))
     n_train = max(1, round(fraction * dataset.n))
     x, y = dataset.features, dataset.labels
     if kind == "logreg":
         problem = LogisticRegressionProblem(x[:n_train], y[:n_train])
     else:
-        problem = MlpProblem(x[:n_train], y[:n_train], dataset.spec.n_classes, hidden=options.get("hidden", 16))
+        problem = MlpProblem(x[:n_train], y[:n_train], dataset.spec.n_classes, **model)
     problem.test_features, problem.test_labels = x[n_train:], y[n_train:]
     return problem

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -12,7 +13,7 @@ from novobench import cli
 from novobench.cli import ConfigError, main
 from novobench.harness import ProblemSpec, RunConfig, compare_runs, log_to_csv, log_to_jsonl, lr_sweep, train
 from novobench.optim import ALGORITHMS, NovoGradConfig, make_config
-from novobench.problems import OPTION_TYPES
+from novobench.problems import OPTIONS
 from novobench.schedule import LarcConfig, ScheduleSpec
 
 
@@ -108,6 +109,28 @@ MISTYPED = [
     ("compare", "problem", "noise", True),
     ("compare", "problem", "train_fraction", float("nan")),
     ("compare", "problem", "task", 5),
+]
+# (problem section, key): an option out of its bounds, or a quadratic key
+# that the quadratic's shape (given by diag, or drawn from dim) does not read
+BAD_PROBLEMS = [
+    ({"kind": "logreg", "size": 0}, "size"),
+    ({"kind": "logreg", "dataset_seed": -1}, "dataset_seed"),
+    ({"kind": "logreg", "train_fraction": 0}, "train_fraction"),
+    ({"kind": "logreg", "train_fraction": 2.0}, "train_fraction"),
+    ({"kind": "logreg", "noise": -1}, "noise"),
+    ({"kind": "logreg", "task": "spiral"}, "task"),
+    ({"kind": "mlp", "hidden": 0}, "hidden"),
+    ({"kind": "mlp", "n_classes": 1}, "n_classes"),
+    ({"kind": "quadratic", "dim": 0}, "dim"),
+    ({"kind": "quadratic", "dim": 3, "matrix_seed": -1}, "matrix_seed"),
+    ({"kind": "quadratic"}, "diag"),
+    ({"kind": "quadratic", "diag": [1.0, 2.0], "dim": 2}, "dim"),
+    ({"kind": "quadratic", "dim": 3, "b": [100.0, 100.0, 100.0]}, "b"),
+    ({"kind": "quadratic", "diag": [1.0, 2.0], "matrix_seed": 1}, "matrix_seed"),
+    ({"kind": "quadratic", "diag": [1.0, 2.0], "b_scale": 2.0}, "b_scale"),
+]
+BAD_PROBLEM_PARAMS = [
+    pytest.param(problem, key, id="-".join(f"{k}={v}" for k, v in problem.items())) for problem, key in BAD_PROBLEMS
 ]
 CONFIG_TREES = {"run": lambda: run_config_tree(larc={}), "compare": compare_config_tree, "sweep": sweep_config_tree}
 
@@ -252,6 +275,13 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem,key", BAD_PROBLEM_PARAMS)
+    def test_bad_problem_option_is_a_config_error(self, tmp_path, capsys, problem, key):
+        cfg = write_config(tmp_path / "cfg.json", run_config_tree(problem=problem))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and re.search(rf"\b{key}\b", err)
+
     @pytest.mark.parametrize("key,value", [("n_classes", "3"), ("hidden", 4.0)])
     def test_mistyped_mlp_option_is_a_config_error(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "cfg.json", run_config_tree(problem={"kind": "mlp", key: value}))
@@ -323,6 +353,13 @@ class TestLibrary:
     def test_mistyped_value_is_a_value_error(self, command, section, key, value):
         with pytest.raises(ValueError, match=key):
             _build_directly(command, section, key, value)
+
+    @pytest.mark.parametrize("problem,key", BAD_PROBLEM_PARAMS)
+    def test_bad_problem_option_is_a_value_error(self, problem, key):
+        options = dict(problem)
+        kind = options.pop("kind")
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            ProblemSpec(kind, options)
 
     @pytest.mark.parametrize(
         "overrides,key",
@@ -585,7 +622,7 @@ def fuzzed_library_run(draw):
     }
     keys = {
         "problem": ["kind", "gradient_scale"],
-        "options": list(OPTION_TYPES[kind]),
+        "options": list(OPTIONS[kind]),
         "hyperparams": [f.name for f in fields(make_config(algorithm))],
         "schedule": ["base_lr", "family", "power", "warmup_steps", "min_lr"],
         "larc": [f.name for f in fields(LarcConfig)],
@@ -633,13 +670,10 @@ def test_fuzzed_library_config_builds_and_trains_or_raises_value_error(parts, lr
         lambda: lr_sweep(cfg, lrs),
         lambda: compare_runs([cfg, replace(cfg, algorithm="sgd", hyperparams={})], labels=["a", "b"]),
     ):
-        # a drawn magnitude near the float limit may overflow while the problem's
-        # data are generated; that is a warning and then a diverged run, not an error
-        with np.errstate(all="ignore"):
-            try:
-                run()
-            except ValueError:
-                pass
+        try:
+            run()
+        except ValueError:
+            pass
 
 
 def test_module_entrypoint_smoke():

@@ -398,6 +398,14 @@ class TestSharedProblem:
             compare_runs([logreg_config(total_steps=5), logreg_config(total_steps=5, log_every=0)])
         assert calls == []
 
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"], []])
+    def test_label_count_must_match_configs(self, monkeypatch, labels):
+        calls = _count_builds(monkeypatch)
+        cfg = logreg_config(total_steps=5)
+        with pytest.raises(ValueError, match="labels"):
+            compare_runs([cfg, cfg], labels=labels)
+        assert calls == []
+
 
 SMALL_MLP = ProblemSpec("mlp", {"size": 48, "dim": 3, "n_classes": 3, "hidden": 5, "dataset_seed": 4})
 

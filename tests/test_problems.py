@@ -609,6 +609,18 @@ class TestBuild:
         with pytest.raises(ValueError, match="unknown problem"):
             build("nosuch", {})
 
+    @pytest.mark.parametrize(
+        "kind,options,key",
+        [
+            ("quadratic", {"dim": 3, "b_scale": 1.7e308}, "b_scale"),
+            ("logreg", {"noise": 1.7e308}, "noise"),
+            ("mlp", {"separation": 1.7e308, "n_classes": 8, "dim": 1}, "separation"),
+        ],
+    )
+    def test_option_that_overflows_the_data_is_a_value_error(self, kind, options, key):
+        with pytest.raises(ValueError, match=key):
+            build(kind, options)
+
     def test_quadratic_needs_shape(self):
         with pytest.raises(ValueError, match="'diag' or 'dim'"):
             build("quadratic", {})
