@@ -272,7 +272,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     problem = problems.build(args.problem, dict(_GRADCHECK_OPTIONS.get(args.problem, {})))
-    report = harness.grad_check(problem, args.seed if args.seed is not None else 0, args.trials)
+    report = harness.grad_check(problem, args.seed, args.trials)
     for layer_id, err in report.max_rel_error.items():
         print(f"layer {layer_id}: max_rel_err={err:.3e} (tolerance {report.tolerance:.0e})")
     status = "PASS" if report.passed else "FAIL"

@@ -351,9 +351,8 @@ class GradCheckReport:
 def grad_check(problem: Problem, seed: int, trials: int) -> GradCheckReport:
     """Compare analytic gradients against central finite differences at
     random parameter/batch draws; report the worst relative error per layer."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
+    trials = checked("trials", int, trials, {"min": 1})
+    rng = np.random.default_rng(checked("seed", int, seed, {"min": 0}))
     worst = {name: 0.0 for name, _ in problem.layer_layout()}
     for _ in range(trials):
         params = ModelParams(

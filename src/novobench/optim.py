@@ -122,13 +122,6 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step_count: int = 0
 
-    @classmethod
-    def zeros(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            m={layer.id: np.zeros_like(layer.weights) for layer in params},
-            v={layer.id: np.zeros_like(layer.weights) for layer in params},
-        )
-
 
 @dataclass(frozen=True)
 class SgdMomentumConfig(Config):
@@ -144,10 +137,6 @@ class SgdMomentumState:
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     step_count: int = 0
-
-    @classmethod
-    def zeros(cls, params: ModelParams) -> "SgdMomentumState":
-        return cls(m={layer.id: np.zeros_like(layer.weights) for layer in params})
 
 
 @dataclass(frozen=True)
@@ -172,14 +161,17 @@ def _check_grad_finite(params: ModelParams) -> None:
 
 def _bind(state, params: ModelParams) -> list[np.ndarray]:
     """Flat buffers laid out like ``params.weights`` for the state's vector fields
-    (``m``, and Adam's ``v``), made when the state first meets ``params``; the fields'
-    entries become views into them.  Only NovoGrad may lack layers; other mismatches raise."""
+    (``m``, and Adam's ``v``), made when the state first meets ``params``, zero for a
+    fresh state (no step, no layers); the fields' entries become views into them.  Only
+    NovoGrad may lack layers (those not yet initialized); other mismatches raise."""
     if getattr(state, "_model", None) is not params:
         names = ("m", "v") if isinstance(state, AdamState) else ("m",)
-        state._buffers = [params.flatten(getattr(state, n), partial=isinstance(state, NovoGradState)) for n in names]
+        lazy = isinstance(state, NovoGradState)
+        fresh = state.step_count == 0 and not any(getattr(state, n) for n in names)
+        state._buffers = [params.flatten(getattr(state, n), partial=lazy or fresh) for n in names]
         for name, flat in zip(names, state._buffers):
-            views = dict(zip(params.layer_ids, params.split(flat)))
-            getattr(state, name).update({layer_id: views[layer_id] for layer_id in getattr(state, name)})
+            held = getattr(state, name)
+            held.update((i, view) for i, view in zip(params.layer_ids, params.split(flat)) if i in held or not lazy)
         state._model = params
     return state._buffers
 
@@ -258,14 +250,9 @@ def novograd_init(params: ModelParams, cfg: NovoGradConfig, lr_t: float) -> Novo
     """
     if len(params.layers) == 0:
         raise ValueError("no layers to optimize")
-    state = _new_novograd_state(params, cfg)
+    state = _REGISTRY["novograd"].new_state(cfg)
     novograd_step(params, state, cfg, lr_t)
     return state
-
-
-def _new_novograd_state(params: ModelParams, cfg: NovoGradConfig) -> NovoGradState:
-    """A state with every layer awaiting initialization."""
-    return NovoGradState(v_hat={} if cfg.ams else None)
 
 
 def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: float, decoupled: bool) -> None:
@@ -335,21 +322,21 @@ def sngd_step(params: ModelParams, cfg: SngdConfig, lr_t: float) -> None:
 
 
 class _Algorithm(NamedTuple):
-    """Registry entry: config class, state constructor ``(params, cfg)``
+    """Registry entry: config class, ``new_state(cfg)`` giving the empty state
     (None for a stateless algorithm) and ``step(params, state, cfg, lr_t)``."""
 
     config: type
-    new_state: Callable | None
+    new_state: Callable
     step: Callable
 
 
 # every per-algorithm difference outside the step functions lives here
 _REGISTRY = {
-    "novograd": _Algorithm(NovoGradConfig, _new_novograd_state, novograd_step),
-    "adam": _Algorithm(AdamConfig, lambda params, cfg: AdamState.zeros(params), adam_step),
-    "adamw": _Algorithm(AdamConfig, lambda params, cfg: AdamState.zeros(params), adamw_step),
-    "sgd": _Algorithm(SgdMomentumConfig, lambda params, cfg: SgdMomentumState.zeros(params), sgd_momentum_step),
-    "sngd": _Algorithm(SngdConfig, None, lambda params, state, cfg, lr_t: sngd_step(params, cfg, lr_t)),
+    "novograd": _Algorithm(NovoGradConfig, lambda cfg: NovoGradState(v_hat={} if cfg.ams else None), novograd_step),
+    "adam": _Algorithm(AdamConfig, lambda cfg: AdamState(), adam_step),
+    "adamw": _Algorithm(AdamConfig, lambda cfg: AdamState(), adamw_step),
+    "sgd": _Algorithm(SgdMomentumConfig, lambda cfg: SgdMomentumState(), sgd_momentum_step),
+    "sngd": _Algorithm(SngdConfig, lambda cfg: None, lambda params, state, cfg, lr_t: sngd_step(params, cfg, lr_t)),
 }
 
 ALGORITHMS = tuple(_REGISTRY)
@@ -369,12 +356,6 @@ def make_config(algorithm: str, hyperparams: dict | None = None):
         if key not in allowed:
             raise ValueError(f"unknown hyperparameter '{key}' for {algorithm}")
     return cls(**hp)
-
-
-def _empty_state(algorithm: str, cfg):
-    """The state ``algorithm`` keeps for a model without layers (None when stateless)."""
-    new_state = _REGISTRY[algorithm].new_state
-    return None if new_state is None else new_state(ModelParams([]), cfg)
 
 
 def _layer_fields(state) -> list[str]:
@@ -421,15 +402,11 @@ def state_from_dict(doc: dict):
             raise ValueError(f"{algorithm} requires decoupled={_V1_DECOUPLED[algorithm]}; use 'adam' or 'adamw'")
     config.pop(_V1_LR_KEY.get(algorithm), None)
     cfg = make_config(algorithm, config)
-    step_count = doc["step_count"]
-    layers = doc["layers"]
-    if step_count == 0 and not layers:
-        return algorithm, cfg, None  # saved before any step: recreate lazily
-    state = _empty_state(algorithm, cfg)
+    state = _REGISTRY[algorithm].new_state(cfg)
     if state is not None:
-        state.step_count = step_count
+        state.step_count = doc["step_count"]
     names = _layer_fields(state)
-    for entry in layers:
+    for entry in doc["layers"]:
         for name in names:
             value = entry[name]
             getattr(state, name)[entry["id"]] = (
@@ -441,30 +418,24 @@ def state_from_dict(doc: dict):
 class OptimizerDriver:
     """Uniform stepping facade over the registered step functions.
 
-    Owns the state, created on the first step, and provides state
-    (de)serialization for checkpointing.
+    Owns the state, the algorithm's empty state unless one is given, and
+    provides state (de)serialization for checkpointing.
     """
 
     def __init__(self, algorithm: str, cfg=None, state=None):
         if algorithm not in _REGISTRY:
             raise ValueError(f"unknown algorithm '{algorithm}'")
         self.algorithm = algorithm
-        self.cfg = cfg if cfg is not None else make_config(algorithm)
-        self.state = state
+        self.cfg = make_config(algorithm) if cfg is None else checked("cfg", _REGISTRY[algorithm].config, cfg)
+        self.state = _REGISTRY[algorithm].new_state(self.cfg) if state is None else state
 
     def step(self, params: ModelParams, lr_t: float) -> None:
-        entry = _REGISTRY[self.algorithm]
-        state = self.state
-        if state is None and entry.new_state is not None:
-            state = entry.new_state(params, self.cfg)
-        entry.step(params, state, self.cfg, lr_t)
-        self.state = state
+        _REGISTRY[self.algorithm].step(params, self.state, self.cfg, lr_t)
 
     def second_moments(self, params: ModelParams) -> dict[str, float] | None:
         """Per-layer second-moment summary: the state's ``v`` per layer (the
         mean of an element-wise ``v``); None for optimizers without one."""
-        state = self.state if self.state is not None else _empty_state(self.algorithm, self.cfg)
-        v = getattr(state, "v", None)
+        v = getattr(self.state, "v", None)
         if v is None:
             return None
         return {

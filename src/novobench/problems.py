@@ -590,6 +590,11 @@ OPTIONS = {
     "mlp": {**_DATASET_OPTIONS, **_SPLIT_OPTIONS, "hidden": (int, {"min": 1})},
 }
 PROBLEM_KINDS = tuple(OPTIONS)
+# the dataset options a logreg or MLP takes when absent; no DatasetSpec default fits both
+_DATASET_DEFAULTS = {
+    "logreg": {"task": "two-gaussians", "size": 200},
+    "mlp": {"task": "multiclass-blobs", "size": 200, "n_classes": 3},
+}
 # the quadratic is given by diag (with b) or drawn from dim (with matrix_seed
 # and b_scale); each of these keys needs its shape
 _QUADRATIC_NEEDS = {"b": "diag", "matrix_seed": "dim", "b_scale": "dim"}
@@ -599,7 +604,8 @@ def validate_options(kind: str, options: dict) -> dict:
     """``options`` checked fail-closed against ``kind``'s keys, their types
     and bounds (see :func:`checked_section`), numpy values turned into
     Python ones; a quadratic takes exactly one of ``diag`` and ``dim`` and
-    only the keys that shape reads."""
+    only the keys that shape reads, and a logreg or MLP's dataset options
+    must describe a :class:`DatasetSpec` (no data are generated)."""
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem '{kind}'")
     options = checked_section(OPTIONS[kind], options, f"problem '{kind}'")
@@ -610,12 +616,20 @@ def validate_options(kind: str, options: dict) -> dict:
         for key, shape in _QUADRATIC_NEEDS.items():
             if key in options and shape not in options:
                 raise ValueError(f"quadratic option '{key}' needs '{shape}', not '{shapes[0]}'")
+    if kind in _DATASET_DEFAULTS:
+        _dataset_spec(kind, options)
     return options
+
+
+def _dataset_spec(kind: str, options: dict) -> DatasetSpec:
+    """The dataset a logreg or MLP's checked ``options`` describe, absent ones at their defaults."""
+    spec = {"seed" if key == "dataset_seed" else key: value for key, value in options.items() if key in _DATASET_OPTIONS}
+    return DatasetSpec(**{**_DATASET_DEFAULTS[kind], **spec})
 
 
 def build(kind: str, options: dict | None = None) -> Problem:
     """Construct a problem by tag; options are checked by :func:`validate_options`,
-    and each absent one takes the default of the constructor it feeds."""
+    and each absent one takes the default of the constructor it feeds, or the kind's own."""
     options = validate_options(kind, options or {})
     if kind == "quadratic":
         if "diag" in options:
@@ -624,12 +638,9 @@ def build(kind: str, options: dict | None = None) -> Problem:
     if kind == "rosenbrock":
         return RosenbrockProblem(**options)
     # logreg, mlp: generate the dataset, train on its leading fraction, keep the rest as test split
-    fraction = options.pop("train_fraction", 1.0)
-    model = {"hidden": options.pop("hidden")} if "hidden" in options else {}
-    spec = {"seed" if key == "dataset_seed" else key: value for key, value in options.items()}
-    defaults = {"task": "two-gaussians"} if kind == "logreg" else {"task": "multiclass-blobs", "n_classes": 3}
-    dataset = generate_dataset(DatasetSpec(**{"size": 200, **defaults, **spec}))
-    n_train = max(1, round(fraction * dataset.n))
+    model = {"hidden": options["hidden"]} if "hidden" in options else {}
+    dataset = generate_dataset(_dataset_spec(kind, options))
+    n_train = max(1, round(options.get("train_fraction", 1.0) * dataset.n))
     x, y = dataset.features, dataset.labels
     if kind == "logreg":
         problem = LogisticRegressionProblem(x[:n_train], y[:n_train])

@@ -121,6 +121,8 @@ BAD_PROBLEMS = [
     ({"kind": "logreg", "task": "spiral"}, "task"),
     ({"kind": "mlp", "hidden": 0}, "hidden"),
     ({"kind": "mlp", "n_classes": 1}, "n_classes"),
+    ({"kind": "mlp", "task": "two-gaussians"}, "task"),
+    ({"kind": "logreg", "task": "two-moons-like", "dim": 3}, "dim"),
     ({"kind": "quadratic", "dim": 0}, "dim"),
     ({"kind": "quadratic", "dim": 3, "matrix_seed": -1}, "matrix_seed"),
     ({"kind": "quadratic"}, "diag"),
@@ -499,6 +501,10 @@ class TestGradcheck:
     def test_unknown_problem(self, capsys):
         assert main(["gradcheck", "nosuch"]) == 1
         assert "unknown problem" in capsys.readouterr().err
+
+    def test_negative_seed(self, capsys):
+        assert main(["gradcheck", "quadratic", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 PARSERS = {"run": cli.parse_run_config, "compare": cli.parse_compare_config, "sweep": cli.parse_sweep_config}

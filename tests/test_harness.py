@@ -302,6 +302,38 @@ def test_a_layout_mismatch_raises_naming_the_layer(algorithm, case, path):
             run()
 
 
+@pytest.mark.parametrize("algorithm", ["adam", "sgd"])
+@pytest.mark.parametrize(
+    "step_count,kept,missing", [(0, ["w"], "b"), (5, [], "w")], ids=["no step, some layers", "steps, no layers"]
+)
+@pytest.mark.parametrize("path", ["driver state", "checkpoint state"])
+def test_only_a_fresh_state_may_lack_layers(algorithm, step_count, kept, missing, path):
+    # a state with no step and no layers takes zero moments; any other missing layer raises
+    cfg = logreg_config(algorithm, total_steps=10)
+    doc = json.loads(json.dumps(checkpoint_to_dict(train(cfg, stop_after=5).checkpoint)))
+    doc["optimizer"]["step_count"] = step_count
+    doc["optimizer"]["layers"] = [entry for entry in doc["optimizer"]["layers"] if entry["id"] in kept]
+    if path == "driver state":
+        driver = OptimizerDriver.from_state_dict(doc["optimizer"])
+        params = harness.build_problem(cfg.problem).init_params(np.random.default_rng(0))
+        params.grad[...] = 1.0
+        run = lambda: driver.step(params, 0.1)  # noqa: E731
+    else:
+        run = lambda: train(cfg, resume_from=checkpoint_from_dict(doc))  # noqa: E731
+    with pytest.raises(ValueError, match=f"missing layer '{missing}'"):
+        run()
+
+
+@pytest.mark.parametrize("algorithm", ["adam", "sgd"])
+def test_a_bound_fresh_state_saves_zero_layers_and_resumes_alike(algorithm):
+    cfg = logreg_config(algorithm, total_steps=6)
+    fresh = train(cfg, stop_after=0).checkpoint
+    bound = train(cfg, resume_from=fresh, stop_after=0).checkpoint  # binds the fresh state at set-up
+    assert fresh.optimizer["layers"] == []
+    assert [(entry["id"], any(entry["m"])) for entry in bound.optimizer["layers"]] == [("w", False), ("b", False)]
+    assert log_to_jsonl(train(cfg, resume_from=fresh)) == log_to_jsonl(train(cfg, resume_from=bound))
+
+
 class TestGradCheck:
     def test_quadratic_tight_bound(self):
         report = grad_check(build("quadratic", {"diag": [2.0, 4.0]}), seed=0, trials=20)
@@ -317,6 +349,12 @@ class TestGradCheck:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             grad_check(build("rosenbrock", {}), seed=0, trials=0)
+
+    @pytest.mark.parametrize("key,value", [("trials", True), ("trials", 2.5), ("trials", "3"), ("seed", -1)])
+    def test_bad_argument_is_a_value_error_naming_it(self, key, value):
+        args = {"seed": 0, "trials": 1, key: value}
+        with pytest.raises(ValueError, match=rf"^{key} must be"):
+            grad_check(build("rosenbrock", {}), **args)
 
 
 class TestCompareRuns:

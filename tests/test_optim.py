@@ -244,7 +244,7 @@ class TestAdam:
     def test_cold_start_without_bias_correction(self):
         params = single_layer([0.0], [1.0])
         cfg = AdamConfig(beta1=0.9, beta2=0.999, epsilon=0.0, bias_correction=False)
-        state = AdamState.zeros(params)
+        state = AdamState()
         adam_step(params, state, cfg, 0.1)
         expected = -0.1 * 0.1 / math.sqrt(0.001)
         np.testing.assert_allclose(params.layer("w").weights, [expected], rtol=1e-12)
@@ -253,13 +253,13 @@ class TestAdam:
     def test_cold_start_with_bias_correction(self):
         params = single_layer([0.0], [1.0])
         cfg = AdamConfig(beta1=0.9, beta2=0.999, epsilon=0.0, bias_correction=True)
-        adam_step(params, AdamState.zeros(params), cfg, 0.1)
+        adam_step(params, AdamState(), cfg, 0.1)
         np.testing.assert_allclose(params.layer("w").weights, [-0.1], rtol=0, atol=1e-15)
 
     def test_zero_gradient_never_moves(self):
         params = single_layer([2.0], [0.0])
         cfg = AdamConfig()
-        state = AdamState.zeros(params)
+        state = AdamState()
         for _ in range(10):
             adam_step(params, state, cfg, 0.1)
         np.testing.assert_array_equal(params.layer("w").weights, [2.0])
@@ -271,7 +271,7 @@ class TestAdam:
         lrs = [0.02] * 7
         cfg = AdamConfig(weight_decay=0.05)
         params = single_layer(w0, grads[0])
-        state = AdamState.zeros(params)
+        state = AdamState()
         for g, lr in zip(grads, lrs):
             params.layer("w").grad[...] = g
             adam_step(params, state, cfg, lr)
@@ -298,7 +298,7 @@ class TestAdamW:
         grads = [rng.standard_normal(4) for _ in range(9)]
         a = single_layer(w0, grads[0])
         b = single_layer(w0, grads[0])
-        sa, sb = AdamState.zeros(a), AdamState.zeros(b)
+        sa, sb = AdamState(), AdamState()
         cfg = AdamConfig(weight_decay=0.0)
         for g in grads:
             a.layer("w").grad[...] = g
@@ -310,7 +310,7 @@ class TestAdamW:
     def test_pure_decay_step(self):
         params = single_layer([1.0], [0.0])
         cfg = AdamConfig(weight_decay=0.1)
-        adamw_step(params, AdamState.zeros(params), cfg, 0.1)
+        adamw_step(params, AdamState(), cfg, 0.1)
         np.testing.assert_allclose(params.layer("w").weights, [0.99], rtol=0, atol=1e-15)
 
     def test_equals_adam_step_plus_decay_term(self):
@@ -321,8 +321,8 @@ class TestAdamW:
         plain_cfg = AdamConfig(weight_decay=0.0)
         a = single_layer(w0, g)
         b = single_layer(w0, g)
-        adamw_step(a, AdamState.zeros(a), cfg, 0.1)
-        adam_step(b, AdamState.zeros(b), plain_cfg, 0.1)
+        adamw_step(a, AdamState(), cfg, 0.1)
+        adam_step(b, AdamState(), plain_cfg, 0.1)
         manual = b.layer("w").weights - 0.1 * 0.07 * w0
         # same identity, different association order: equal to float precision
         np.testing.assert_allclose(a.layer("w").weights, manual, rtol=0, atol=1e-15)
@@ -332,13 +332,13 @@ class TestSgdMomentum:
     def test_momentum_off_is_plain_sgd(self):
         params = single_layer([1.0, 2.0], [0.5, -0.5])
         cfg = SgdMomentumConfig(momentum=0.0)
-        sgd_momentum_step(params, SgdMomentumState.zeros(params), cfg, 0.1)
+        sgd_momentum_step(params, SgdMomentumState(), cfg, 0.1)
         np.testing.assert_allclose(params.layer("w").weights, [0.95, 2.05], rtol=0, atol=1e-15)
 
     def test_geometric_momentum_recursion(self):
         params = single_layer([0.0], [1.0])
         cfg = SgdMomentumConfig(momentum=0.9)
-        state = SgdMomentumState.zeros(params)
+        state = SgdMomentumState()
         seen = []
         for _ in range(3):
             sgd_momentum_step(params, state, cfg, 1.0)
@@ -349,7 +349,7 @@ class TestSgdMomentum:
 
     def test_zero_gradient_zero_momentum_is_noop(self):
         params = single_layer([3.0], [0.0])
-        sgd_momentum_step(params, SgdMomentumState.zeros(params), SgdMomentumConfig(), 0.1)
+        sgd_momentum_step(params, SgdMomentumState(), SgdMomentumConfig(), 0.1)
         np.testing.assert_array_equal(params.layer("w").weights, [3.0])
 
     def test_weight_decay_matches_oracle(self):
@@ -357,7 +357,7 @@ class TestSgdMomentum:
         w0 = rng.standard_normal(3)
         grads = [rng.standard_normal(3) for _ in range(5)]
         params = single_layer(w0, grads[0])
-        state = SgdMomentumState.zeros(params)
+        state = SgdMomentumState()
         cfg = SgdMomentumConfig(momentum=0.9, weight_decay=0.02)
         for g in grads:
             params.layer("w").grad[...] = g
@@ -554,10 +554,11 @@ class TestSerialization:
                 params.layer(layer.id).weights, restored_params.layer(layer.id).weights
             )
 
-    def test_fresh_state_round_trips_to_none(self):
+    def test_fresh_state_round_trips_to_the_empty_state(self):
         driver = OptimizerDriver("adam")
         restored = OptimizerDriver.from_state_dict(driver.state_dict())
-        assert restored.state is None
+        assert restored.state == AdamState()
+        assert restored.state_dict() == driver.state_dict()
 
     def test_unsupported_version_rejected(self):
         doc = state_to_dict("sgd", SgdMomentumConfig(), None)
@@ -655,6 +656,14 @@ def test_state_moves_to_a_same_layout_copy_bit_exactly(algorithm, dtype):
 
 
 class TestConfigs:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_driver_rejects_another_algorithms_config(self, algorithm):
+        own = type(make_config(algorithm))
+        for cls in (NovoGradConfig, AdamConfig, SgdMomentumConfig, SngdConfig):
+            if cls is not own:
+                with pytest.raises(ValueError, match=r"\bcfg\b"):
+                    OptimizerDriver(algorithm, cls())
+
     def test_make_config_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown hyperparameter 'beta3'"):
             make_config("adam", {"beta3": 0.5})
@@ -889,9 +898,12 @@ def test_fused_step_equals_per_layer_reference(algorithm, hyperparams, sizes, dt
     if algorithm == "novograd":
         ref = NovoGradState(v_hat={} if cfg.ams else None)
     elif algorithm in ("adam", "adamw"):
-        ref = AdamState.zeros(params)
+        ref = AdamState(
+            m={layer.id: np.zeros_like(layer.weights) for layer in params},
+            v={layer.id: np.zeros_like(layer.weights) for layer in params},
+        )
     elif algorithm == "sgd":
-        ref = SgdMomentumState.zeros(params)
+        ref = SgdMomentumState(m={layer.id: np.zeros_like(layer.weights) for layer in params})
     else:
         ref = None
     for step in range(6):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novobench.optim import AdamState, NovoGradConfig, novograd_init, state_report
+from novobench.optim import AdamConfig, AdamState, NovoGradConfig, adam_step, novograd_init, state_report
 from novobench.params import ModelParams, ParameterLayer, l2_norm_sq, zero_grads
 
 
@@ -287,7 +287,8 @@ class TestStateReport:
 
     def test_adam_report_matches_actual_state_layout(self):
         params = _params([100, 28])
-        state = AdamState.zeros(params)
+        state = AdamState()
+        adam_step(params, state, AdamConfig(), lr_t=0.0)
         actual = sum(m.size for m in state.m.values()) + sum(v.size for v in state.v.values())
         assert state_report("adam", params).total_state_elements == actual
 

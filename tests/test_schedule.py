@@ -123,8 +123,8 @@ class TestLarcScale:
         larc_applied = ModelParams([ParameterLayer("w", w.copy(), g.copy())])
         larc_applied.layer("w").grad *= scale
         sgd_cfg = SgdMomentumConfig(momentum=0.0)
-        sgd_momentum_step(pre_scaled, SgdMomentumState.zeros(pre_scaled), sgd_cfg, 0.1)
-        sgd_momentum_step(larc_applied, SgdMomentumState.zeros(larc_applied), sgd_cfg, 0.1)
+        sgd_momentum_step(pre_scaled, SgdMomentumState(m={"w": np.zeros(5)}), sgd_cfg, 0.1)
+        sgd_momentum_step(larc_applied, SgdMomentumState(m={"w": np.zeros(5)}), sgd_cfg, 0.1)
         np.testing.assert_array_equal(
             pre_scaled.layer("w").weights, larc_applied.layer("w").weights
         )
