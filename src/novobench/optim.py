@@ -22,9 +22,9 @@ schedules stay outside the optimizer.
 
 from __future__ import annotations
 
-import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -80,21 +80,28 @@ class NovoGradConfig(Config):
 
 
 @dataclass
-class NovoGradState:
-    """Per-layer first moment vectors and second-moment scalars.
+class _State:
+    """Optimizer state as arrays laid out like the model it last met (see
+    ``_bind``): ``m`` (and Adam's ``v``) flat like the weights and in their
+    dtype, ``order`` the indices of the layers it holds, in document order.
+    Before it meets one it holds its document's layer entries as ``pending``."""
 
-    A layer appears in ``m``/``v`` only once initialized; layers whose
-    first gradient is all-zero stay uninitialized until a nonzero gradient
-    arrives (the init formula divides by the gradient norm).
-    """
+    _vectors: ClassVar[tuple[str, ...]] = ("m",)
+    step_count: int = field(default=0, init=False)
+    pending: list[dict] | None = field(default_factory=list, init=False)
+    order: list[int] = field(default_factory=list, init=False)
+    m: np.ndarray | None = field(default=None, init=False)
+    _model: ModelParams | None = field(default=None, init=False, repr=False, compare=False)
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, float] = field(default_factory=dict)
-    v_hat: dict[str, float] | None = None
-    step_count: int = 0
 
-    def initialized(self, layer_id: str) -> bool:
-        return layer_id in self.v
+@dataclass
+class NovoGradState(_State):
+    """``m`` plus one float64 ``v`` (and ``v_hat``, the running max of ``ams``) per
+    layer, NaN until the layer initializes (an all-zero gradient defers the init,
+    which divides by the norm); ``order`` lists the layers in init order."""
+
+    v: np.ndarray | None = field(default=None, init=False)
+    v_hat: np.ndarray | None = field(default=None, init=False)
 
 
 @dataclass(frozen=True)
@@ -115,12 +122,11 @@ class AdamConfig(Config):
 
 
 @dataclass
-class AdamState:
-    """Element-wise first and second moment vectors per layer."""
+class AdamState(_State):
+    """Element-wise first and second moment vectors ``m`` and ``v``."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step_count: int = 0
+    _vectors: ClassVar[tuple[str, ...]] = ("m", "v")
+    v: np.ndarray | None = field(default=None, init=False)
 
 
 @dataclass(frozen=True)
@@ -132,11 +138,8 @@ class SgdMomentumConfig(Config):
 
 
 @dataclass
-class SgdMomentumState:
-    """Momentum buffer per layer."""
-
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    step_count: int = 0
+class SgdMomentumState(_State):
+    """Momentum vector ``m``."""
 
 
 @dataclass(frozen=True)
@@ -159,21 +162,45 @@ def _check_grad_finite(params: ModelParams) -> None:
         raise ValueError(f"non-finite gradient in layer '{bad}'")
 
 
-def _bind(state, params: ModelParams) -> list[np.ndarray]:
-    """Flat buffers laid out like ``params.weights`` for the state's vector fields
-    (``m``, and Adam's ``v``), made when the state first meets ``params``, zero for a
-    fresh state (no step, no layers); the fields' entries become views into them.  Only
-    NovoGrad may lack layers (those not yet initialized); other mismatches raise."""
-    if getattr(state, "_model", None) is not params:
-        names = ("m", "v") if isinstance(state, AdamState) else ("m",)
+def _entries(state) -> list[dict]:
+    """The state's layers as document entries (vectors as arrays): its
+    ``pending`` entries, or its arrays' values for the layers in ``order``."""
+    if state.pending is not None:
+        return state.pending
+    ids, vectors = state._model.layer_ids, [(n, state._model.split(getattr(state, n))) for n in state._vectors]
+    entries = [{"id": ids[i], **{name: parts[i] for name, parts in vectors}} for i in state.order]
+    if isinstance(state, NovoGradState):  # v_hat is NaN without ams
+        for entry, v, v_hat in zip(entries, state.v[state.order].tolist(), state.v_hat[state.order].tolist()):
+            entry.update({"v": v, "v_hat": v_hat} if v_hat == v_hat else {"v": v})
+    return entries
+
+
+def _second_moment(key: str, value) -> float:
+    """A document's per-layer ``v`` or ``v_hat``: a number, not below 0.  Infinity
+    and NaN pass, since a step whose layer norm overflows writes them."""
+    if type(value) not in (int, float) or value < 0:
+        raise ValueError(f"{key} must be a number >= 0, got {value!r}")
+    return value
+
+
+def _bind(state, params: ModelParams) -> None:
+    """Lay the state out like ``params`` when it first meets that model, from its
+    document entries (``pending``, or those of the model it last met).  A fresh
+    state (no step, no layers) gets zero moments; only NovoGrad may lack layers
+    (those not yet initialized); other mismatches raise, naming the layer."""
+    if state._model is not params:
+        entries = _entries(state)
         lazy = isinstance(state, NovoGradState)
-        fresh = state.step_count == 0 and not any(getattr(state, n) for n in names)
-        state._buffers = [params.flatten(getattr(state, n), partial=lazy or fresh) for n in names]
-        for name, flat in zip(names, state._buffers):
-            held = getattr(state, name)
-            held.update((i, view) for i, view in zip(params.layer_ids, params.split(flat)) if i in held or not lazy)
-        state._model = params
-    return state._buffers
+        fresh = state.step_count == 0 and not entries
+        for name in state._vectors:
+            setattr(state, name, params.flatten({e["id"]: e[name] for e in entries}, partial=lazy or fresh))
+        state.order = [params.layer_ids.index(e["id"]) for e in entries] if entries or lazy else list(range(len(params)))
+        if lazy:  # NaN: a layer not initialized, or no v_hat (without ams)
+            state.v, state.v_hat = np.full((2, len(params)), np.nan)
+            for i, e in zip(state.order, entries):
+                state.v[i] = _second_moment("v", e.get("v"))
+                state.v_hat[i] = _second_moment("v_hat", e["v_hat"]) if "v_hat" in e else np.nan
+        state._model, state.pending = params, None
 
 
 def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig, lr_t: float) -> None:
@@ -182,43 +209,36 @@ def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig
     Initialized layers take the moment update; layers holding their first
     nonzero gradient are initialized (v_1 = ||g||^2, m_1 = g/||g|| + d*w)
     and take the paired update; the rest stay untouched.  Weight decay uses
-    the pre-step weights.  The per-layer scalars are computed in Python
-    floats and broadcast over their layers' elements in the model's dtype,
-    so every element sees the arithmetic of a per-layer loop.
+    the pre-step weights.  The per-layer scalars are computed in float64 and
+    broadcast over their layers' elements in the model's dtype, so every
+    element sees the arithmetic of a per-layer loop.
     """
     _check_lr(lr_t)
     _check_grad_finite(params)
-    (m,) = _bind(state, params)
+    _bind(state, params)
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     decoupled = cfg.wd_placement == "decoupled_update"
-    g, w = params.grad, params.weights
-    denoms: list[float] = []  # divisor of each layer's gradient; 0 leaves it at 0
-    known: list[bool] = []  # initialized before this step
-    active: list[bool] = []  # updated this step
-    for layer_id, gsq, m_l in zip(params.layer_ids, l2_norm_sq(g, params.offsets).tolist(), params.split(m)):
-        was_known = layer_id in state.v
-        if was_known:
-            v = beta2 * state.v[layer_id] + (1.0 - beta2) * gsq
-            state.v[layer_id] = v
-            if state.v_hat is not None:
-                v = max(state.v_hat[layer_id], v)
-                state.v_hat[layer_id] = v
-            denoms.append(math.sqrt(v) + eps)
-        elif gsq != 0.0:  # an all-zero first gradient defers init
-            state.v[layer_id], state.m[layer_id] = gsq, m_l
-            if state.v_hat is not None:
-                state.v_hat[layer_id] = gsq
-            denoms.append(math.sqrt(gsq))
-        else:
-            denoms.append(0.0)
-        known.append(was_known)
-        active.append(was_known or gsq != 0.0)
+    g, w, m = params.grad, params.weights, state.m
+    gsq = l2_norm_sq(g, params.offsets)
+    with np.errstate(invalid="ignore") if beta2 in (0.0, 1.0) else nullcontext():  # 0 * inf is NaN, silently, as in Python floats
+        v = np.add(beta2 * state.v, (1.0 - beta2) * gsq, out=state.v)  # a layer not yet initialized stays NaN
+    known = active = True  # initialized before this step, and updated in it: every layer, once all have initialized
+    if fresh := len(state.order) < len(params):
+        known = np.zeros(len(params), bool)
+        known[state.order] = True
+        active = known | (gsq != 0.0)  # an all-zero first gradient defers init
+        v = np.where(known, v, gsq)
+        np.copyto(state.v, v, where=active)
+    if cfg.ams:
+        v = np.fmax(state.v_hat, v)  # a layer initializing has no v_hat yet
+        np.copyto(state.v_hat, v, where=active)
+    denoms = np.sqrt(v) + eps * known  # an initializing layer divides by ||g||; 0 leaves g at 0
     denom = params.broadcast(denoms, g.dtype)
-    if all(denoms):
+    if all(denoms.tolist()):  # on L values Python's all() is faster than numpy's reduction
         normalized = g / denom
     else:  # zero where denom == 0 (only reachable when g == 0)
         normalized = np.zeros_like(g)
-        np.divide(g, denom, out=normalized, where=params.broadcast([x != 0.0 for x in denoms]))
+        np.divide(g, denom, out=normalized, where=params.broadcast(denoms != 0.0))
     if d != 0.0 and not decoupled:
         contrib = normalized + d * w
     else:
@@ -227,9 +247,10 @@ def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig
         m_new = beta1 * m + (1.0 - beta1) * contrib
     else:
         m_new = beta1 * m + contrib
-    if not all(known):  # a layer being initialized takes m_1 = contrib
+    if fresh:  # a layer being initialized takes m_1 = contrib
         m_new = np.where(params.broadcast(known), m_new, contrib)
-    where = True if all(active) else params.broadcast(active)
+        state.order += np.flatnonzero(active & ~known).tolist()
+    where = params.broadcast(active) if fresh and not all(active.tolist()) else True
     np.copyto(m, m_new, where=where)
     if d != 0.0 and decoupled:
         decay = lr_t * d * w
@@ -250,7 +271,7 @@ def novograd_init(params: ModelParams, cfg: NovoGradConfig, lr_t: float) -> Novo
     """
     if len(params.layers) == 0:
         raise ValueError("no layers to optimize")
-    state = _REGISTRY["novograd"].new_state(cfg)
+    state = NovoGradState()
     novograd_step(params, state, cfg, lr_t)
     return state
 
@@ -258,11 +279,11 @@ def novograd_init(params: ModelParams, cfg: NovoGradConfig, lr_t: float) -> Novo
 def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: float, decoupled: bool) -> None:
     _check_lr(lr_t)
     _check_grad_finite(params)
-    m, v = _bind(state, params)
+    _bind(state, params)
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     state.step_count += 1
     t = state.step_count
-    w = params.weights
+    w, m, v = params.weights, state.m, state.v
     g = params.grad
     if d != 0.0 and not decoupled:
         g = g + d * w
@@ -299,12 +320,12 @@ def sgd_momentum_step(params: ModelParams, state: SgdMomentumState, cfg: SgdMome
     """One heavy-ball SGD update with coupled L2 decay."""
     _check_lr(lr_t)
     _check_grad_finite(params)
+    _bind(state, params)
     mu, d = cfg.momentum, cfg.weight_decay
-    w = params.weights
+    w, m = params.weights, state.m
     g = params.grad
     if d != 0.0:
         g = g + d * w
-    (m,) = _bind(state, params)
     m[...] = mu * m + g
     w -= lr_t * m
     state.step_count += 1
@@ -322,21 +343,21 @@ def sngd_step(params: ModelParams, cfg: SngdConfig, lr_t: float) -> None:
 
 
 class _Algorithm(NamedTuple):
-    """Registry entry: config class, ``new_state(cfg)`` giving the empty state
-    (None for a stateless algorithm) and ``step(params, state, cfg, lr_t)``."""
+    """Registry entry: config class, state class (called for the empty state; NoneType,
+    giving None, for a stateless algorithm) and ``step(params, state, cfg, lr_t)``."""
 
     config: type
-    new_state: Callable
+    state: type
     step: Callable
 
 
 # every per-algorithm difference outside the step functions lives here
 _REGISTRY = {
-    "novograd": _Algorithm(NovoGradConfig, lambda cfg: NovoGradState(v_hat={} if cfg.ams else None), novograd_step),
-    "adam": _Algorithm(AdamConfig, lambda cfg: AdamState(), adam_step),
-    "adamw": _Algorithm(AdamConfig, lambda cfg: AdamState(), adamw_step),
-    "sgd": _Algorithm(SgdMomentumConfig, lambda cfg: SgdMomentumState(), sgd_momentum_step),
-    "sngd": _Algorithm(SngdConfig, lambda cfg: None, lambda params, state, cfg, lr_t: sngd_step(params, cfg, lr_t)),
+    "novograd": _Algorithm(NovoGradConfig, NovoGradState, novograd_step),
+    "adam": _Algorithm(AdamConfig, AdamState, adam_step),
+    "adamw": _Algorithm(AdamConfig, AdamState, adamw_step),
+    "sgd": _Algorithm(SgdMomentumConfig, SgdMomentumState, sgd_momentum_step),
+    "sngd": _Algorithm(SngdConfig, type(None), lambda params, state, cfg, lr_t: sngd_step(params, cfg, lr_t)),
 }
 
 ALGORITHMS = tuple(_REGISTRY)
@@ -358,60 +379,54 @@ def make_config(algorithm: str, hyperparams: dict | None = None):
     return cls(**hp)
 
 
-def _layer_fields(state) -> list[str]:
-    """Names of the state's per-layer dict fields (``m``, ``v``, ``v_hat``), in field order."""
-    if state is None:
-        return []
-    return [f.name for f in fields(state) if isinstance(getattr(state, f.name), dict)]
-
-
 def state_to_dict(algorithm: str, cfg, state) -> dict:
     """Serialize optimizer state to a JSON-compatible tree.
 
-    Each initialized layer becomes one entry holding its value of every
-    per-layer field of the state.  Floats survive a JSON round trip
-    exactly (shortest-repr formatting), so checkpoint/restore reproduces
-    trajectories bit-for-bit.
+    Each layer the state holds becomes one entry with its value of every
+    per-layer field (``m``; ``v``; ``v_hat`` with ``ams``), in the state's
+    ``order``.  Floats survive a JSON round trip exactly (shortest-repr
+    formatting), so checkpoint/restore reproduces trajectories bit-for-bit.
     """
-    doc = {
+    return {
         "format_version": STATE_FORMAT_VERSION,
         "algorithm": algorithm,
         "config": asdict(cfg),
         "step_count": 0 if state is None else state.step_count,
-        "layers": [],
+        "layers": [
+            {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in entry.items()}
+            for entry in ([] if state is None else _entries(state))
+        ],
     }
-    names = _layer_fields(state)
-    for layer_id in getattr(state, names[0]) if names else ():
-        entry = {"id": layer_id}
-        for name in names:
-            value = getattr(state, name)[layer_id]
-            entry[name] = value.tolist() if isinstance(value, np.ndarray) else value
-        doc["layers"].append(entry)
-    return doc
 
 
 def state_from_dict(doc: dict):
-    """Inverse of :func:`state_to_dict`; returns (algorithm, config, state)."""
+    """Inverse of :func:`state_to_dict`; returns (algorithm, config, state), which
+    holds a copy of the document's layer entries as ``pending``.  A mistyped or
+    out-of-range top-level value (``layers``: dicts with unique string ``id``s)
+    raises ``ValueError`` naming its key."""
     version = doc.get("format_version")
     if version != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format version: {version}")
-    algorithm = doc["algorithm"]
-    config = dict(doc["config"])
+    algorithm = checked("algorithm", str, doc.get("algorithm"), {"choices": ALGORITHMS})
+    config = dict(checked("config", dict, doc.get("config")))
+    step_count = checked("step_count", int, doc.get("step_count"), {"min": 0})
+    layers = checked("layers", list[dict], doc.get("layers"))
+    ids = [checked("id", str, entry.get("id")) for entry in layers]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"layers must have unique ids, got {ids}")
     if algorithm in _V1_DECOUPLED and "decoupled" in config:
         if config.pop("decoupled") != _V1_DECOUPLED[algorithm]:
             raise ValueError(f"{algorithm} requires decoupled={_V1_DECOUPLED[algorithm]}; use 'adam' or 'adamw'")
     config.pop(_V1_LR_KEY.get(algorithm), None)
     cfg = make_config(algorithm, config)
-    state = _REGISTRY[algorithm].new_state(cfg)
-    if state is not None:
-        state.step_count = doc["step_count"]
-    names = _layer_fields(state)
-    for entry in doc["layers"]:
-        for name in names:
-            value = entry[name]
-            getattr(state, name)[entry["id"]] = (
-                np.asarray(value, dtype=np.float64) if isinstance(value, list) else float(value)
-            )
+    state = _REGISTRY[algorithm].state()
+    if state is not None:  # the entries keep only the algorithm's fields (NovoGrad: v, and v_hat with ams)
+        names = {"id", *state._vectors, *(("v", "v_hat")[: 1 + cfg.ams] if isinstance(state, NovoGradState) else ())}
+        state.step_count = step_count
+        state.pending = [
+            {key: np.asarray(x, np.float64) if isinstance(x, list) else x for key, x in entry.items() if key in names}
+            for entry in layers
+        ]
     return algorithm, cfg, state
 
 
@@ -423,26 +438,24 @@ class OptimizerDriver:
     """
 
     def __init__(self, algorithm: str, cfg=None, state=None):
-        if algorithm not in _REGISTRY:
-            raise ValueError(f"unknown algorithm '{algorithm}'")
+        entry = _REGISTRY[checked("algorithm", str, algorithm, {"choices": ALGORITHMS})]
         self.algorithm = algorithm
-        self.cfg = make_config(algorithm) if cfg is None else checked("cfg", _REGISTRY[algorithm].config, cfg)
-        self.state = _REGISTRY[algorithm].new_state(self.cfg) if state is None else state
+        self.cfg = make_config(algorithm) if cfg is None else checked("cfg", entry.config, cfg)
+        self.state = entry.state() if state is None else checked("state", entry.state, state)
 
     def step(self, params: ModelParams, lr_t: float) -> None:
         _REGISTRY[self.algorithm].step(params, self.state, self.cfg, lr_t)
 
     def second_moments(self, params: ModelParams) -> dict[str, float] | None:
-        """Per-layer second-moment summary: the state's ``v`` per layer (the
-        mean of an element-wise ``v``); None for optimizers without one."""
-        v = getattr(self.state, "v", None)
-        if v is None:
+        """Per-layer second-moment summary of the state, bound to ``params``: its
+        ``v`` per layer (the mean of an element-wise ``v``), for the layers it
+        holds; None for optimizers without one."""
+        if not hasattr(self.state, "v"):
             return None
-        return {
-            # np.mean's arithmetic without its Python wrapper
-            layer_id: value if isinstance(value, float) else float(np.add.reduce(value) / value.size)
-            for layer_id, value in v.items()
-        }
+        _bind(self.state, params)
+        v = self.state.v  # Adam's: each layer's mean, by np.mean's arithmetic without its wrapper
+        v = [float(np.add.reduce(x) / x.size) for x in params.split(v)] if isinstance(self.state, AdamState) else v.tolist()
+        return {params.layer_ids[i]: v[i] for i in self.state.order}
 
     def state_dict(self) -> dict:
         return state_to_dict(self.algorithm, self.cfg, self.state)
@@ -477,8 +490,8 @@ def state_report(algorithm: str, params: ModelParams, *, ams: bool = False) -> S
     model = params.copy()
     model.grad[...] = 1.0
     driver.step(model, 0.0)
-    per_layer = [list(getattr(driver.state, name).values()) for name in _layer_fields(driver.state)]
-    full_vectors = sum(any(isinstance(x, np.ndarray) for x in values) for values in per_layer)
-    scalars = sum(bool(values) for values in per_layer) - full_vectors
-    total = sum(np.size(x) for values in per_layer for x in values)
-    return StateReport(algorithm, scalars, full_vectors, total)
+    entries = [] if driver.state is None else _entries(driver.state)
+    per_layer = [(name, value) for entry in entries for name, value in entry.items() if name != "id"]
+    vectors = {name for name, value in per_layer if isinstance(value, np.ndarray)}
+    scalars = {name for name, _ in per_layer} - vectors
+    return StateReport(algorithm, len(scalars), len(vectors), sum(np.size(value) for _, value in per_layer))

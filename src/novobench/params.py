@@ -255,20 +255,22 @@ def checked(key: str, expected, value, bounds=None):
     ``above``, ``below``, ``max``, ``choices``); any mismatch raises
     ``ValueError`` naming ``key``.
 
-    A bool is no number, a float must be finite (an int too, within float
-    range) and a list (or tuple, returned as a list) holds floats.  Numpy
-    scalars and arrays are returned as Python values, Python values as given.
+    A bool is no number, a float must be finite (an int too, within float range),
+    a list (or tuple, returned as a list) holds floats, or the ``X`` of ``list[X]``.
+    Numpy scalars and arrays are returned as Python values, Python values as given.
     """
-    if type(expected) is not type:  # X | None, or a generic such as dict[str, np.ndarray]
+    item = float  # a list's items
+    if type(expected) is not type:  # X | None, or a generic such as list[dict]
         if isinstance(expected, UnionType):
             if value is None:
                 return None
             expected = get_args(expected)[0]
+        item = (get_args(expected) or (item,))[0]
         expected = get_origin(expected) or expected
     if isinstance(value, (np.generic, np.ndarray)):
         value = value.tolist()
     if expected is list and type(value) in (list, tuple):
-        return [checked(key, float, item) for item in value]
+        return [checked(key, item, x) for x in value]
     if expected is float:
         valid = type(value) in (int, float)
     elif expected in (int, bool, str):

@@ -296,7 +296,8 @@ def test_a_layout_mismatch_raises_naming_the_layer(algorithm, case, path):
     if algorithm == "novograd" and case == "missing" and path != "checkpoint weights":
         run()  # a NovoGrad state may lack a layer: it initializes on its next nonzero gradient
         if path == "driver state":
-            assert list(driver.state.m) == ["w", "b"] and driver.state.v["b"] == 1.0
+            layers = driver.state_dict()["layers"]
+            assert [entry["id"] for entry in layers] == ["w", "b"] and layers[1]["v"] == 1.0
     else:
         with pytest.raises(ValueError, match=_MISMATCH_ERRORS[case]):
             run()
@@ -322,6 +323,21 @@ def test_only_a_fresh_state_may_lack_layers(algorithm, step_count, kept, missing
         run = lambda: train(cfg, resume_from=checkpoint_from_dict(doc))  # noqa: E731
     with pytest.raises(ValueError, match=f"missing layer '{missing}'"):
         run()
+
+
+def test_resume_after_a_layer_norm_overflows_equals_the_uninterrupted_run():
+    # gradients near 1e200 square to inf: NovoGrad's v is inf from the first step, and weight decay moves the weights
+    base = logreg_config("novograd", total_steps=12, log_every=1, hyperparams={"weight_decay": 0.1})
+    cfg = replace(base, problem=replace(base.problem, gradient_scale=1e200))
+    full = train(cfg, record_weight_trace=True)
+    first = train(cfg, stop_after=5, record_weight_trace=True)
+    doc = json.loads(json.dumps(checkpoint_to_dict(first.checkpoint)))
+    assert [entry["v"] for entry in doc["optimizer"]["layers"]] == [float("inf")] * 2
+    second = train(cfg, resume_from=checkpoint_from_dict(doc), record_weight_trace=True)
+    assert full.termination == second.termination == "completed"
+    for wa, wb in zip(first.weight_trace + second.weight_trace, full.weight_trace, strict=True):
+        assert all(wa[layer_id].tobytes() == wb[layer_id].tobytes() for layer_id in wb)
+    assert not np.array_equal(full.weight_trace[0]["w"], full.final_weights["w"])
 
 
 @pytest.mark.parametrize("algorithm", ["adam", "sgd"])

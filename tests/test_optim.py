@@ -1,6 +1,7 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,18 @@ def single_layer(weights, grad):
     return ModelParams([ParameterLayer("w", np.array(weights, dtype=float), np.array(grad, dtype=float))])
 
 
+def layers_of(state) -> dict:
+    """Layer id -> the per-layer values of ``state``, read through its document
+    (whose algorithm and config fields are only labels here)."""
+    return {entry.pop("id"): entry for entry in state_to_dict("novograd", NovoGradConfig(), state)["layers"]}
+
+
+def novograd_state(cfg, step_count, layers):
+    """A NovoGrad state restored from a document with these layer entries."""
+    doc = {"format_version": 1, "algorithm": "novograd", "config": asdict(cfg), "step_count": step_count, "layers": layers}
+    return state_from_dict(doc)[2]
+
+
 def run_novograd(w0, grads, lrs, cfg):
     """Drive the implementation over a gradient stream; returns weight snapshots."""
     params = single_layer(w0, grads[0])
@@ -56,15 +69,15 @@ class TestNovoGradInit:
         params = single_layer([1.0, 1.0], [3.0, 4.0])
         cfg = NovoGradConfig(beta1=0.9, beta2=0.25, epsilon=0.0)
         state = novograd_init(params, cfg, lr_t=0.1)
-        assert state.v["w"] == 25.0
-        np.testing.assert_allclose(state.m["w"], [0.6, 0.8], rtol=0, atol=1e-15)
+        assert layers_of(state)["w"]["v"] == 25.0
+        np.testing.assert_allclose(layers_of(state)["w"]["m"], [0.6, 0.8], rtol=0, atol=1e-15)
         np.testing.assert_allclose(params.layer("w").weights, [0.94, 0.92], rtol=0, atol=1e-15)
         assert state.step_count == 1
 
     def test_weight_decay_enters_first_moment(self):
         params = single_layer([1.0, 1.0], [3.0, 4.0])
         state = novograd_init(params, NovoGradConfig(weight_decay=0.1), lr_t=0.0)
-        np.testing.assert_allclose(state.m["w"], [0.7, 0.9], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(layers_of(state)["w"]["m"], [0.7, 0.9], rtol=0, atol=1e-15)
 
     def test_zero_gradient_layer_deferred(self):
         params = ModelParams(
@@ -74,8 +87,7 @@ class TestNovoGradInit:
             ]
         )
         state = novograd_init(params, NovoGradConfig(), lr_t=0.1)
-        assert state.initialized("a")
-        assert not state.initialized("b")
+        assert list(layers_of(state)) == ["a"]  # b is not initialized
         np.testing.assert_array_equal(params.layer("b").weights, [5.0])
 
     def test_deferred_layer_initializes_on_first_nonzero_gradient(self):
@@ -87,7 +99,7 @@ class TestNovoGradInit:
         # the late init must follow init semantics, not the EMA recursion
         fresh = ModelParams([ParameterLayer("b", np.array([5.0]), np.array([2.0]))])
         fresh_state = novograd_init(fresh, cfg, lr_t=0.1)
-        assert state.v["b"] == fresh_state.v["b"]
+        assert layers_of(state)["b"]["v"] == layers_of(fresh_state)["b"]["v"]
         np.testing.assert_array_equal(params.layer("b").weights, fresh.layer("b").weights)
 
     def test_no_layers_rejected(self):
@@ -99,8 +111,8 @@ class TestNovoGradStep:
     def test_hand_checked_trace_second_step(self):
         cfg = NovoGradConfig(beta1=0.9, beta2=0.25, epsilon=0.0)
         snapshots, state = run_novograd([1.0, 1.0], [[3.0, 4.0], [0.0, 5.0]], [0.1, 0.1], cfg)
-        assert state.v["w"] == 25.0
-        np.testing.assert_allclose(state.m["w"], [0.54, 1.72], rtol=0, atol=1e-15)
+        assert layers_of(state)["w"]["v"] == 25.0
+        np.testing.assert_allclose(layers_of(state)["w"]["m"], [0.54, 1.72], rtol=0, atol=1e-15)
         np.testing.assert_allclose(snapshots[-1], [0.886, 0.748], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("style", ["cumulative", "ema"])
@@ -142,21 +154,21 @@ class TestNovoGradStep:
             w = rng.standard_normal(3)
             g = rng.standard_normal(3)
             nov = single_layer(w, g)
-            state = NovoGradState(
-                m={"w": rng.standard_normal(3)}, v={"w": float(rng.uniform(0.1, 10))}, step_count=3
-            )
+            m, v = rng.standard_normal(3).tolist(), float(rng.uniform(0.1, 10))
+            state = novograd_state(cfg, 3, [{"id": "w", "m": m, "v": v}])
             novograd_step(nov, state, cfg, 0.2)
+            assert state.step_count == 4  # the step continued the document's state
             ref = single_layer(w, g)
             sngd_step(ref, SngdConfig(epsilon=0.0), 0.2)
-            np.testing.assert_allclose(nov.layer("w").weights, ref.layer("w").weights, rtol=1e-12)
+            np.testing.assert_array_equal(nov.layer("w").weights, ref.layer("w").weights)
 
     def test_ams_uses_running_max(self):
         # norms 5 then 4 with beta2=0: v drops 25 -> 16 but the max holds at 25
         cfg = NovoGradConfig(beta1=0.9, beta2=0.0, epsilon=0.0, ams=True)
         grads = [[5.0], [4.0]]
         snapshots, state = run_novograd([1.0], grads, [0.1, 0.1], cfg)
-        assert state.v["w"] == 16.0
-        assert state.v_hat["w"] == 25.0
+        assert layers_of(state)["w"]["v"] == 16.0
+        assert layers_of(state)["w"]["v_hat"] == 25.0
         expected, _, _ = oracle.novograd_trace(
             [1.0], grads, [0.1, 0.1], beta1=0.9, beta2=0.0, ams=True
         )
@@ -167,13 +179,13 @@ class TestNovoGradStep:
         cfg = NovoGradConfig(ams=True)
         params = single_layer(rng.standard_normal(3), rng.standard_normal(3))
         state = novograd_init(params, cfg, 0.01)
-        prev = state.v_hat["w"]
+        prev = layers_of(state)["w"]["v_hat"]
         for t in range(40):
             scale = 1e3 if t % 2 == 0 else 1e-3
             params.layer("w").grad[...] = scale * rng.standard_normal(3)
             novograd_step(params, state, cfg, 0.01)
-            assert state.v_hat["w"] >= prev
-            prev = state.v_hat["w"]
+            assert layers_of(state)["w"]["v_hat"] >= prev
+            prev = layers_of(state)["w"]["v_hat"]
 
     @pytest.mark.parametrize(
         "variant",
@@ -206,7 +218,7 @@ class TestNovoGradStep:
         # beta2=0 zero grad drives v to 0; the guard keeps the update finite
         assert np.isfinite(params.layer("w").weights).all()
         np.testing.assert_allclose(
-            params.layer("w").weights, w_before - 0.1 * 0.9 * np.asarray(state.m["w"]) / 0.9
+            params.layer("w").weights, w_before - 0.1 * 0.9 * np.asarray(layers_of(state)["w"]["m"]) / 0.9
         )
 
     def test_negative_lr_rejected(self):
@@ -236,8 +248,9 @@ class TestNovoGradStep:
             params.layer("w").grad[...] = magnitude * rng.standard_normal(3)
             novograd_step(params, state, cfg, 0.01)
             assert np.isfinite(params.layer("w").weights).all()
-            assert np.isfinite(state.m["w"]).all()
-            assert math.isfinite(state.v["w"]) and state.v["w"] >= 0.0
+            layer = layers_of(state)["w"]
+            assert np.isfinite(layer["m"]).all()
+            assert math.isfinite(layer["v"]) and layer["v"] >= 0.0
 
 
 class TestAdam:
@@ -342,7 +355,7 @@ class TestSgdMomentum:
         seen = []
         for _ in range(3):
             sgd_momentum_step(params, state, cfg, 1.0)
-            seen.append(float(state.m["w"][0]))
+            seen.append(layers_of(state)["w"]["m"][0])
         np.testing.assert_allclose(seen, [1.0, 1.9, 2.71], rtol=1e-12)
         _, ms = oracle.sgd_momentum_trace([0.0], [[1.0]] * 3, [1.0] * 3, 0.9)
         np.testing.assert_allclose(seen, [m[0] for m in ms], rtol=0)
@@ -594,7 +607,11 @@ class TestSerialization:
 
     def test_v1_ams_state_without_layers_keeps_an_empty_running_max(self):
         restored = OptimizerDriver.from_state_dict(json.loads(_V1_DOCUMENTS["novograd-ams-no-layers"]))
-        assert (restored.state.step_count, restored.state.m, restored.state.v_hat) == (1, {}, {})
+        assert (restored.state.step_count, layers_of(restored.state)) == (1, {})
+        params = _two_layer_model()
+        params.grad[...] = [3.0, 4.0, 0.0]
+        restored.step(params, 0.1)
+        assert layers_of(restored.state) == {"a": {"m": [0.6, 0.8], "v": 25.0, "v_hat": 25.0}}
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @settings(max_examples=10, deadline=None)
@@ -629,8 +646,9 @@ class TestSerialization:
             params.grad[...] = rng.standard_normal(params.grad.size) * np.exp2(rng.integers(-30, 30, params.grad.size))
             driver.step(params, 0.01)
         moments = driver.second_moments(params)
-        for layer_id, v in driver.state.v.items():
-            assert v.dtype == dtype and moments[layer_id] == float(np.mean(v))
+        assert driver.state.v.dtype == dtype
+        for layer_id, layer in layers_of(driver.state).items():
+            assert moments[layer_id] == float(np.mean(np.array(layer["v"], dtype)))
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -653,6 +671,132 @@ def test_state_moves_to_a_same_layout_copy_bit_exactly(algorithm, dtype):
     assert moved.weights.tobytes() == stay.weights.tobytes()
     assert json.dumps(moved_driver.state_dict()) == json.dumps(stay_driver.state_dict())
     assert not np.array_equal(left.weights, moved.weights)  # the first model no longer moves
+
+
+_MISSING = object()
+
+
+class TestStateObjects:
+    @pytest.mark.parametrize("cls", [NovoGradState, AdamState, SgdMomentumState])
+    @pytest.mark.parametrize("name", ["m", "v", "v_hat", "step_count"])
+    def test_a_state_is_made_empty_and_takes_no_values(self, cls, name):
+        with pytest.raises(TypeError):
+            cls(**{name: {"w": np.zeros(2)} if name != "step_count" else 3})
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("cls", [NovoGradState, AdamState, SgdMomentumState])
+    def test_driver_rejects_another_algorithms_state(self, algorithm, cls):
+        if cls is type(OptimizerDriver(algorithm).state):
+            params = _two_layer_model()
+            params.grad[...] = 1.0
+            OptimizerDriver(algorithm, state=cls()).step(params, 0.1)
+        else:
+            with pytest.raises(ValueError, match=r"\bstate\b"):
+                OptimizerDriver(algorithm, state=cls())
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("algorithm", _MISSING),
+            ("algorithm", 3),
+            ("algorithm", "lamb"),
+            ("config", _MISSING),
+            ("config", []),
+            ("config", None),
+            ("step_count", _MISSING),
+            ("step_count", -1),
+            ("step_count", 2.5),
+            ("step_count", "2"),
+            ("step_count", True),
+            ("layers", _MISSING),
+            ("layers", {}),
+            ("layers", [["a"]]),
+            ("layers", "ab"),
+        ],
+    )
+    def test_malformed_document_names_the_key(self, key, value):
+        doc = json.loads(_V1_DOCUMENTS["adam"])
+        if value is _MISSING:
+            del doc[key]
+        else:
+            doc[key] = value
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            OptimizerDriver.from_state_dict(doc)
+
+    @pytest.mark.parametrize("change", ["no id", "numeric id", "duplicate"])
+    @pytest.mark.parametrize("name", ["adam", "sgd", "novograd"])
+    def test_layer_entries_need_unique_string_ids(self, name, change):
+        doc = json.loads(_V1_DOCUMENTS[name])
+        if change == "no id":
+            del doc["layers"][1]["id"]
+        elif change == "numeric id":
+            doc["layers"][1]["id"] = 1
+        else:
+            doc["layers"].append(dict(doc["layers"][0]))
+        with pytest.raises(ValueError, match="layers" if change == "duplicate" else r"\bid\b"):
+            OptimizerDriver.from_state_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field_name,value", [("v", -1.0), ("v", -math.inf), ("v", "1"), ("v", True), ("v", _MISSING), ("v_hat", -4.0)]
+    )
+    def test_a_novograd_second_moment_must_be_a_nonnegative_number(self, field_name, value):
+        doc = json.loads(_V1_DOCUMENTS["novograd-ams-deferred-init"])
+        if value is _MISSING:
+            del doc["layers"][0][field_name]
+        else:
+            doc["layers"][0][field_name] = value
+        driver = OptimizerDriver.from_state_dict(doc)
+        with pytest.raises(ValueError, match=rf"\b{field_name}\b"):
+            driver.step(_two_layer_model(), 0.1)
+
+    @pytest.mark.parametrize("beta2", [0.0, 1.0])
+    def test_an_overflowing_layer_norm_at_beta2_zero_or_one_gives_nan_v_silently(self, beta2):
+        # layer a's squared norm is inf, so its second v is 0 * inf + ... (NaN, as in Python floats); b stays finite
+        params = _two_layer_model()
+        driver = OptimizerDriver("novograd", NovoGradConfig(beta2=beta2))
+        for _ in range(2):
+            params.grad[...] = [1e200, 1e200, 3.0]
+            driver.step(params, 0.1)
+        v = [entry["v"] for entry in driver.state_dict()["layers"]]
+        assert math.isnan(v[0]) and v[1] == 9.0
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_novograd_second_moment_may_be_what_an_overflowing_step_writes(self, value):
+        doc = json.loads(_V1_DOCUMENTS["novograd-ams-deferred-init"])
+        doc["layers"][0]["v"] = doc["layers"][0]["v_hat"] = value
+        driver = OptimizerDriver.from_state_dict(doc)
+        driver.step(_two_layer_model(), 0.1)
+        assert json.dumps(driver.state_dict()["layers"][0]["v"]) == json.dumps(value)
+
+    @pytest.mark.parametrize("name,extra", [("novograd", {"v_hat": 1.0}), ("adam", {"v_hat": 1.0}), ("sgd", {"v": [1.0]})])
+    def test_a_restored_state_keeps_only_its_algorithms_fields(self, name, extra):
+        doc = json.loads(_V1_DOCUMENTS[name])
+        for entry in doc["layers"]:  # a field of another algorithm or config, and one no algorithm has
+            entry.update(extra, u=[2.0])
+        driver = OptimizerDriver.from_state_dict(doc)
+        assert driver.state_dict() == OptimizerDriver.from_state_dict(json.loads(_V1_DOCUMENTS[name])).state_dict()
+        params = _two_layer_model()
+        params.grad[...] = 1.0
+        driver.step(params, 0.1)
+        fields = {"novograd": ["id", "m", "v"], "adam": ["id", "m", "v"], "sgd": ["id", "m"]}[name]
+        assert [sorted(entry) for entry in driver.state_dict()["layers"]] == [fields, fields]
+
+    @pytest.mark.parametrize("name", sorted(_V1_DOCUMENTS))
+    def test_a_restored_state_keeps_its_document_apart_from_the_callers(self, name):
+        doc = json.loads(_V1_DOCUMENTS[name])
+        expected = json.loads(_V1_DOCUMENTS[name])
+        expected["config"].pop("decoupled", None)
+        expected["config"].pop("lr0" if name.startswith("novograd") else "lr", None)
+        driver = OptimizerDriver.from_state_dict(doc)
+        for entry in doc["layers"]:  # the caller edits its document
+            entry["id"] += "x"
+            entry["m"][0] = 99.0
+        doc["layers"].append({"id": "c"})
+        saved = driver.state_dict()
+        assert json.dumps(saved) == json.dumps(expected)
+        for entry in saved["layers"]:  # and the one it saved
+            entry["m"].append(1.0)
+        assert json.dumps(driver.state_dict()) == json.dumps(expected)
 
 
 class TestConfigs:
@@ -772,7 +916,7 @@ def test_float32_footprint_mode_runs_in_reduced_precision():
         params.layer("w").grad[...] = rng.standard_normal(8).astype(np.float32)
         driver.step(params, 0.05)
     assert params.layer("w").weights.dtype == np.float32
-    assert driver.state.m["w"].dtype == np.float32
+    assert driver.state.m.dtype == np.float32
     assert np.isfinite(params.layer("w").weights).all()
 
 
@@ -868,16 +1012,17 @@ _FUSED_CASES = [
 def _assert_same_state(algorithm, state, ref):
     if algorithm == "sngd":
         return
-    assert list(state.m) == list(ref.m)
-    for layer_id in ref.m:
-        assert state.m[layer_id].dtype == ref.m[layer_id].dtype
-        assert state.m[layer_id].tobytes() == ref.m[layer_id].tobytes()
+    layers = layers_of(state)
+    assert list(layers) == list(ref.m)
+    assert state.m.dtype == next(iter(ref.m.values()), state.m).dtype
+    for layer_id, m in ref.m.items():  # a document value cast back to the model's dtype is the value
+        assert np.array(layers[layer_id]["m"], m.dtype).tobytes() == m.tobytes()
     if algorithm == "novograd":
-        assert list(state.v.items()) == list(ref.v.items())
-        assert state.v_hat == ref.v_hat
+        assert [layer["v"] for layer in layers.values()] == list(ref.v.values())
+        assert [layer.get("v_hat") for layer in layers.values()] == list((ref.v_hat or dict.fromkeys(ref.v)).values())
     elif algorithm in ("adam", "adamw"):
-        for layer_id in ref.v:
-            assert state.v[layer_id].tobytes() == ref.v[layer_id].tobytes()
+        for layer_id, v in ref.v.items():
+            assert np.array(layers[layer_id]["v"], v.dtype).tobytes() == v.tobytes()
 
 
 @pytest.mark.parametrize("algorithm,hyperparams", _FUSED_CASES)
@@ -895,15 +1040,14 @@ def test_fused_step_equals_per_layer_reference(algorithm, hyperparams, sizes, dt
     )
     ref_weights = [layer.weights.copy() for layer in params]
     driver = OptimizerDriver(algorithm, cfg)
+    # the references' state: per-layer dicts, which the driver's state holds as arrays
+    zeros = {layer.id: np.zeros_like(layer.weights) for layer in params}
     if algorithm == "novograd":
-        ref = NovoGradState(v_hat={} if cfg.ams else None)
+        ref = SimpleNamespace(m={}, v={}, v_hat={} if cfg.ams else None)
     elif algorithm in ("adam", "adamw"):
-        ref = AdamState(
-            m={layer.id: np.zeros_like(layer.weights) for layer in params},
-            v={layer.id: np.zeros_like(layer.weights) for layer in params},
-        )
+        ref = SimpleNamespace(m=dict(zeros), v={k: z.copy() for k, z in zeros.items()}, step_count=0)
     elif algorithm == "sgd":
-        ref = SgdMomentumState(m={layer.id: np.zeros_like(layer.weights) for layer in params})
+        ref = SimpleNamespace(m=dict(zeros))
     else:
         ref = None
     for step in range(6):
@@ -949,9 +1093,55 @@ def test_steps_on_an_empty_model_only_count():
     params = ModelParams([])
     state = NovoGradState()
     novograd_step(params, state, NovoGradConfig(), 0.1)
-    assert (state.step_count, state.m, state.v) == (1, {}, {})
+    assert (state.step_count, layers_of(state)) == (1, {})
     driver = OptimizerDriver("novograd")
     driver.step(params, 0.1)
-    assert (driver.state.step_count, driver.state.m, driver.state.v) == (1, {}, {})
+    assert (driver.state.step_count, driver.state_dict()["layers"]) == (1, [])
     for algorithm in ("adam", "adamw", "sgd", "sngd"):
         OptimizerDriver(algorithm).step(params, 0.1)
+
+
+# configurations whose trajectory is invariant to scaling each layer's gradient
+# by its own power of two: the layer-wise normalization (NovoGrad, SNGD) and the
+# element-wise one (Adam; AdamW's decay does not touch the gradient), at epsilon 0
+_PER_LAYER_INVARIANT = [
+    ("novograd", {"epsilon": 0.0}),
+    ("novograd", {"epsilon": 0.0, "first_moment_style": "ema", "ams": True, "weight_decay": 0.01}),
+    ("sngd", {"epsilon": 0.0}),
+    ("adam", {"epsilon": 0.0}),
+    ("adamw", {"epsilon": 0.0, "weight_decay": 0.01}),
+]
+
+
+@pytest.mark.parametrize("algorithm,hyperparams", _PER_LAYER_INVARIANT)
+@settings(max_examples=20, deadline=None)
+@given(
+    data=st.data(),
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_layer_power_of_two_gradient_scaling_leaves_the_trajectory_unchanged(
+    algorithm, hyperparams, data, sizes, dtype, seed
+):
+    bound = 60 if dtype == np.float64 else 40
+    exponents = data.draw(st.lists(st.integers(-bound, bound), min_size=len(sizes), max_size=len(sizes)))
+    rng = np.random.default_rng(seed)
+    w0 = rng.standard_normal(sum(sizes)).astype(dtype)
+    grads = []
+    for step in range(6):
+        # magnitudes in [1/4, 4], so no scaled square leaves the normal range
+        g = rng.uniform(0.25, 4.0, sum(sizes)) * rng.choice([-1.0, 1.0], sum(sizes))
+        zero = rng.uniform(size=len(sizes)) < 0.2  # a zero layer; NovoGrad defers the first layer's init
+        zero[0] |= step == 0
+        grads.append(g * np.repeat(~zero, sizes))
+    lrs = rng.uniform(0.0, 0.1, len(grads)).tolist()
+    finals = []
+    for factors in (np.ones(len(sizes)), np.exp2(exponents)):
+        params = ModelParams([ParameterLayer(f"l{i}", w) for i, w in enumerate(np.split(w0, np.cumsum(sizes)[:-1]))])
+        driver = OptimizerDriver(algorithm, make_config(algorithm, hyperparams))
+        for g, lr in zip(grads, lrs):
+            params.grad[...] = g.astype(dtype) * params.broadcast(factors, dtype)
+            driver.step(params, lr)
+        finals.append(params.weights.tobytes())
+    assert finals[0] == finals[1]

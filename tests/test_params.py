@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novobench.optim import AdamConfig, AdamState, NovoGradConfig, adam_step, novograd_init, state_report
+from novobench.optim import AdamConfig, AdamState, NovoGradConfig, adam_step, novograd_init, state_report, state_to_dict
 from novobench.params import ModelParams, ParameterLayer, l2_norm_sq, zero_grads
 
 
@@ -279,9 +279,8 @@ class TestStateReport:
         for layer in params:
             layer.grad[...] = rng.standard_normal(layer.size)
         state = novograd_init(params, NovoGradConfig(ams=True), lr_t=0.0)
-        actual = (
-            sum(m.size for m in state.m.values()) + len(state.v) + len(state.v_hat)
-        )
+        layers = state_to_dict("novograd", NovoGradConfig(ams=True), state)["layers"]
+        actual = sum(len(layer["m"]) + np.size(layer["v"]) + np.size(layer["v_hat"]) for layer in layers)
         assert actual == 1008
         assert state_report("novograd", params, ams=True).total_state_elements == actual
 
@@ -289,7 +288,7 @@ class TestStateReport:
         params = _params([100, 28])
         state = AdamState()
         adam_step(params, state, AdamConfig(), lr_t=0.0)
-        actual = sum(m.size for m in state.m.values()) + sum(v.size for v in state.v.values())
+        actual = sum(len(layer["m"]) + len(layer["v"]) for layer in state_to_dict("adam", AdamConfig(), state)["layers"])
         assert state_report("adam", params).total_state_elements == actual
 
     def test_sgd_and_sngd(self):

@@ -1,7 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from novobench.optim import SgdMomentumConfig, SgdMomentumState, sgd_momentum_step
+from novobench.optim import SgdMomentumConfig, sgd_momentum_step, state_from_dict
 from novobench.params import ModelParams, ParameterLayer
 from novobench.schedule import FAMILIES, LarcConfig, ScheduleSpec, larc_scale, lr_at
 
@@ -123,8 +125,10 @@ class TestLarcScale:
         larc_applied = ModelParams([ParameterLayer("w", w.copy(), g.copy())])
         larc_applied.layer("w").grad *= scale
         sgd_cfg = SgdMomentumConfig(momentum=0.0)
-        sgd_momentum_step(pre_scaled, SgdMomentumState(m={"w": np.zeros(5)}), sgd_cfg, 0.1)
-        sgd_momentum_step(larc_applied, SgdMomentumState(m={"w": np.zeros(5)}), sgd_cfg, 0.1)
+        m = rng.standard_normal(5).tolist()  # momentum 0: the moment read from the document drops out
+        for params in (pre_scaled, larc_applied):
+            doc = {"format_version": 1, "algorithm": "sgd", "config": asdict(sgd_cfg), "step_count": 1, "layers": [{"id": "w", "m": m}]}
+            sgd_momentum_step(params, state_from_dict(doc)[2], sgd_cfg, 0.1)
         np.testing.assert_array_equal(
             pre_scaled.layer("w").weights, larc_applied.layer("w").weights
         )
