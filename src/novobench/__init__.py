@@ -1,6 +1,6 @@
 """NovoGrad and reference optimizers with a deterministic benchmark harness."""
 
-from .params import ModelParams, ParameterLayer, l2_norm, l2_norm_sq, zero_grads
+from .params import ModelParams, ParameterLayer, l2_norm_sq
 from .optim import (
     AdamConfig,
     AdamState,
@@ -10,11 +10,11 @@ from .optim import (
     SgdMomentumConfig,
     SgdMomentumState,
     SngdConfig,
+    SngdState,
     StateReport,
     adam_step,
     adamw_step,
     make_config,
-    novograd_init,
     novograd_step,
     sgd_momentum_step,
     sngd_step,

@@ -190,8 +190,7 @@ class _Row:
             if self.driver.algorithm != cfg.algorithm:
                 raise ValueError("checkpoint algorithm does not match config")
             self.params.weights[...] = self.params.flatten(resume_from.weights)
-            if self.driver.state is not None:  # the state's layout is checked here, not at its first step
-                _bind(self.driver.state, self.params)
+            _bind(self.driver.state, self.params)  # the state's layout is checked here, not at its first step
             self.start = resume_from.step
         else:
             self.driver = OptimizerDriver(cfg.algorithm, make_config(cfg.algorithm, cfg.hyperparams))
@@ -569,6 +568,7 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
 
 
 def checkpoint_from_dict(doc: dict) -> Checkpoint:
+    doc = checked("checkpoint", dict, doc)
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version: {doc.get('format_version')}")
     weights = checked("weights", dict, doc.get("weights"))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
@@ -38,7 +39,7 @@ __all__ = [
     "SgdMomentumConfig",
     "SgdMomentumState",
     "SngdConfig",
-    "novograd_init",
+    "SngdState",
     "novograd_step",
     "adam_step",
     "adamw_step",
@@ -79,29 +80,43 @@ class NovoGradConfig(Config):
     ams: bool = False
 
 
+def _per(layout: str):
+    """A state field and its layout, declared once: ``"weight"``, a flat array laid
+    out like the weights and in their dtype (a list in a document entry), or
+    ``"layer"``, one float64 per layer, NaN where a layer has none (a number)."""
+    return field(default=None, init=False, metadata={"per": layout})
+
+
 @dataclass
 class _State:
-    """Optimizer state as arrays laid out like the model it last met (see
-    ``_bind``): ``m`` (and Adam's ``v``) flat like the weights and in their
-    dtype, ``order`` the indices of the layers it holds, in document order.
-    Before it meets one it holds its document's layer entries as ``pending``."""
+    """Optimizer state as arrays laid out like the model it last met (see ``_bind``).
+    A subclass declares its per-layer fields with ``_per``, and ``lazy`` false if every
+    layer joins a fresh state at zero, not as a step initializes it.  ``order`` holds
+    the indices of its layers, in document order; before it meets a model it holds
+    its document's layer entries as ``pending``."""
 
-    _vectors: ClassVar[tuple[str, ...]] = ("m",)
+    lazy: ClassVar[bool] = True
     step_count: int = field(default=0, init=False)
     pending: list[dict] | None = field(default_factory=list, init=False)
     order: list[int] = field(default_factory=list, init=False)
-    m: np.ndarray | None = field(default=None, init=False)
     _model: ModelParams | None = field(default=None, init=False, repr=False, compare=False)
+
+
+@cache
+def _layout(cls) -> dict[str, str]:
+    """Name -> layout of each per-layer field the state class ``cls`` declares."""
+    return {f.name: f.metadata["per"] for f in fields(cls) if "per" in f.metadata}
 
 
 @dataclass
 class NovoGradState(_State):
-    """``m`` plus one float64 ``v`` (and ``v_hat``, the running max of ``ams``) per
-    layer, NaN until the layer initializes (an all-zero gradient defers the init,
-    which divides by the norm); ``order`` lists the layers in init order."""
+    """``m`` plus one ``v`` (and ``v_hat``, the running max of ``ams``) per layer;
+    a layer joins at its first nonzero gradient (an all-zero one defers the init,
+    which divides by the norm), so ``order`` lists the layers in init order."""
 
-    v: np.ndarray | None = field(default=None, init=False)
-    v_hat: np.ndarray | None = field(default=None, init=False)
+    m: np.ndarray | None = _per("weight")
+    v: np.ndarray | None = _per("layer")
+    v_hat: np.ndarray | None = _per("layer")
 
 
 @dataclass(frozen=True)
@@ -125,8 +140,9 @@ class AdamConfig(Config):
 class AdamState(_State):
     """Element-wise first and second moment vectors ``m`` and ``v``."""
 
-    _vectors: ClassVar[tuple[str, ...]] = ("m", "v")
-    v: np.ndarray | None = field(default=None, init=False)
+    lazy: ClassVar[bool] = False
+    m: np.ndarray | None = _per("weight")
+    v: np.ndarray | None = _per("weight")
 
 
 @dataclass(frozen=True)
@@ -141,6 +157,9 @@ class SgdMomentumConfig(Config):
 class SgdMomentumState(_State):
     """Momentum vector ``m``."""
 
+    lazy: ClassVar[bool] = False
+    m: np.ndarray | None = _per("weight")
+
 
 @dataclass(frozen=True)
 class SngdConfig(Config):
@@ -149,57 +168,53 @@ class SngdConfig(Config):
     epsilon: float = field(default=1e-8, metadata={"min": 0})
 
 
-def _check_lr(lr_t: float) -> None:
+@dataclass
+class SngdState(_State):
+    """No fields, so no layers: SNGD keeps no state."""
+
+
+def _check_step(params: ModelParams, lr_t: float) -> None:
+    """A step's inputs: ``lr_t`` >= 0, and a finite gradient, in one check of the
+    whole buffer; the error names the first non-finite layer."""
     if lr_t < 0:
         raise ValueError(f"negative learning rate: {lr_t}")
-
-
-def _check_grad_finite(params: ModelParams) -> None:
-    """One check of the whole gradient buffer; the error names the first
-    non-finite layer."""
     if not np.isfinite(params.grad).all():
         bad = next(layer.id for layer in params if not np.isfinite(layer.grad).all())
         raise ValueError(f"non-finite gradient in layer '{bad}'")
 
 
 def _entries(state) -> list[dict]:
-    """The state's layers as document entries (vectors as arrays): its
-    ``pending`` entries, or its arrays' values for the layers in ``order``."""
+    """The state's layers as entries holding every declared field (vectors as
+    arrays): its ``pending`` entries, or its arrays' values for the layers in ``order``."""
     if state.pending is not None:
         return state.pending
-    ids, vectors = state._model.layer_ids, [(n, state._model.split(getattr(state, n))) for n in state._vectors]
-    entries = [{"id": ids[i], **{name: parts[i] for name, parts in vectors}} for i in state.order]
-    if isinstance(state, NovoGradState):  # v_hat is NaN without ams
-        for entry, v, v_hat in zip(entries, state.v[state.order].tolist(), state.v_hat[state.order].tolist()):
-            entry.update({"v": v, "v_hat": v_hat} if v_hat == v_hat else {"v": v})
-    return entries
+    model, columns = state._model, {}
+    for name, per in _layout(type(state)).items():
+        columns[name] = model.split(getattr(state, name)) if per == "weight" else getattr(state, name).tolist()
+    return [{"id": model.layer_ids[i], **{name: column[i] for name, column in columns.items()}} for i in state.order]
 
 
-def _second_moment(key: str, value) -> float:
-    """A document's per-layer ``v`` or ``v_hat``: a number, not below 0.  Infinity
-    and NaN pass, since a step whose layer norm overflows writes them."""
-    if type(value) not in (int, float) or value < 0:
-        raise ValueError(f"{key} must be a number >= 0, got {value!r}")
-    return value
+def _entry_fields(state, cfg) -> dict[str, str]:
+    """Name -> layout of the fields each document entry of ``state`` holds under
+    ``cfg``: every declared field, but NovoGrad's ``v_hat`` only with ``ams``."""
+    return {name: per for name, per in _layout(type(state)).items() if name != "v_hat" or cfg.ams}
 
 
 def _bind(state, params: ModelParams) -> None:
     """Lay the state out like ``params`` when it first meets that model, from its
     document entries (``pending``, or those of the model it last met).  A fresh
-    state (no step, no layers) gets zero moments; only NovoGrad may lack layers
-    (those not yet initialized); other mismatches raise, naming the layer."""
+    state (no step, no layers) gets zero moments; only a ``lazy`` state may lack
+    layers (those not yet initialized); other mismatches raise, naming the layer."""
     if state._model is not params:
         entries = _entries(state)
-        lazy = isinstance(state, NovoGradState)
-        fresh = state.step_count == 0 and not entries
-        for name in state._vectors:
-            setattr(state, name, params.flatten({e["id"]: e[name] for e in entries}, partial=lazy or fresh))
-        state.order = [params.layer_ids.index(e["id"]) for e in entries] if entries or lazy else list(range(len(params)))
-        if lazy:  # NaN: a layer not initialized, or no v_hat (without ams)
-            state.v, state.v_hat = np.full((2, len(params)), np.nan)
-            for i, e in zip(state.order, entries):
-                state.v[i] = _second_moment("v", e.get("v"))
-                state.v_hat[i] = _second_moment("v_hat", e["v_hat"]) if "v_hat" in e else np.nan
+        partial = state.lazy or (state.step_count == 0 and not entries)
+        for name, per in _layout(type(state)).items():
+            values = {e["id"]: e.get(name, np.nan) for e in entries}  # NaN: no v_hat without ams
+            if per == "weight":
+                setattr(state, name, params.flatten(values, partial=partial))
+            else:
+                setattr(state, name, np.array([values.get(i, np.nan) for i in params.layer_ids], np.float64))
+        state.order = [params.layer_ids.index(e["id"]) for e in entries] if entries or state.lazy else list(range(len(params)))
         state._model, state.pending = params, None
 
 
@@ -213,8 +228,7 @@ def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig
     broadcast over their layers' elements in the model's dtype, so every
     element sees the arithmetic of a per-layer loop.
     """
-    _check_lr(lr_t)
-    _check_grad_finite(params)
+    _check_step(params, lr_t)
     _bind(state, params)
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     decoupled = cfg.wd_placement == "decoupled_update"
@@ -261,24 +275,8 @@ def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig
     state.step_count += 1
 
 
-def novograd_init(params: ModelParams, cfg: NovoGradConfig, lr_t: float) -> NovoGradState:
-    """Initialize moments from the first gradients and take the first step.
-
-    For every layer holding its first stochastic gradient:
-    v_1 = ||g_1||^2, m_1 = g_1/||g_1|| + d*w_1, then w_2 = w_1 - lr_t*m_1.
-    Layers with an all-zero first gradient are left uninitialized and
-    untouched.  ``step_count`` becomes 1.
-    """
-    if len(params.layers) == 0:
-        raise ValueError("no layers to optimize")
-    state = NovoGradState()
-    novograd_step(params, state, cfg, lr_t)
-    return state
-
-
 def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: float, decoupled: bool) -> None:
-    _check_lr(lr_t)
-    _check_grad_finite(params)
+    _check_step(params, lr_t)
     _bind(state, params)
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     state.step_count += 1
@@ -318,8 +316,7 @@ def adamw_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: flo
 
 def sgd_momentum_step(params: ModelParams, state: SgdMomentumState, cfg: SgdMomentumConfig, lr_t: float) -> None:
     """One heavy-ball SGD update with coupled L2 decay."""
-    _check_lr(lr_t)
-    _check_grad_finite(params)
+    _check_step(params, lr_t)
     _bind(state, params)
     mu, d = cfg.momentum, cfg.weight_decay
     w, m = params.weights, state.m
@@ -331,10 +328,10 @@ def sgd_momentum_step(params: ModelParams, state: SgdMomentumState, cfg: SgdMome
     state.step_count += 1
 
 
-def sngd_step(params: ModelParams, cfg: SngdConfig, lr_t: float) -> None:
-    """One normalized-gradient step; layers with zero gradient are no-ops."""
-    _check_lr(lr_t)
-    _check_grad_finite(params)
+def sngd_step(params: ModelParams, state: SngdState, cfg: SngdConfig, lr_t: float) -> None:
+    """One normalized-gradient step; layers with zero gradient are no-ops.
+    ``state`` has no fields and stays as it is."""
+    _check_step(params, lr_t)
     norms = np.sqrt(l2_norm_sq(params.grad, params.offsets))
     moving = norms != 0.0
     denom = params.broadcast(np.where(moving, norms + cfg.epsilon, 1.0), params.grad.dtype)
@@ -343,21 +340,21 @@ def sngd_step(params: ModelParams, cfg: SngdConfig, lr_t: float) -> None:
 
 
 class _Algorithm(NamedTuple):
-    """Registry entry: config class, state class (called for the empty state; NoneType,
-    giving None, for a stateless algorithm) and ``step(params, state, cfg, lr_t)``."""
+    """Registry entry: config class, state class (called for the empty state) and
+    ``step(params, state, cfg, lr_t)``."""
 
     config: type
     state: type
     step: Callable
 
 
-# every per-algorithm difference outside the step functions lives here
+# every per-algorithm difference outside the step functions lives here and in the state classes
 _REGISTRY = {
     "novograd": _Algorithm(NovoGradConfig, NovoGradState, novograd_step),
     "adam": _Algorithm(AdamConfig, AdamState, adam_step),
     "adamw": _Algorithm(AdamConfig, AdamState, adamw_step),
     "sgd": _Algorithm(SgdMomentumConfig, SgdMomentumState, sgd_momentum_step),
-    "sngd": _Algorithm(SngdConfig, type(None), lambda params, state, cfg, lr_t: sngd_step(params, cfg, lr_t)),
+    "sngd": _Algorithm(SngdConfig, SngdState, sngd_step),
 }
 
 ALGORITHMS = tuple(_REGISTRY)
@@ -380,31 +377,49 @@ def make_config(algorithm: str, hyperparams: dict | None = None):
 
 
 def state_to_dict(algorithm: str, cfg, state) -> dict:
-    """Serialize optimizer state to a JSON-compatible tree.
-
-    Each layer the state holds becomes one entry with its value of every
-    per-layer field (``m``; ``v``; ``v_hat`` with ``ams``), in the state's
-    ``order``.  Floats survive a JSON round trip exactly (shortest-repr
-    formatting), so checkpoint/restore reproduces trajectories bit-for-bit.
-    """
+    """Serialize optimizer state to a JSON-compatible tree: one entry per layer it
+    holds, in its ``order``, with the layer's value of each field in ``_entry_fields``.
+    Floats survive a JSON round trip exactly, so a restore continues bit for bit."""
+    keys = ["id", *_entry_fields(state, cfg)]
     return {
         "format_version": STATE_FORMAT_VERSION,
         "algorithm": algorithm,
         "config": asdict(cfg),
-        "step_count": 0 if state is None else state.step_count,
+        "step_count": state.step_count,
         "layers": [
-            {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in entry.items()}
-            for entry in ([] if state is None else _entries(state))
+            {key: entry[key].tolist() if isinstance(entry[key], np.ndarray) else entry[key] for key in keys}
+            for entry in _entries(state)
         ],
     }
 
 
+def _entry(entry: dict, layer_fields: dict[str, str]) -> dict:
+    """A document's layer entry, holding exactly ``id`` and ``layer_fields`` (name ->
+    layout): a vector a list of numbers (returned as a float64 array), a per-layer
+    value a number >= 0.  Infinity and NaN pass: a step writes them when a square
+    or a layer norm overflows, and its checkpoint must resume."""
+    layer = entry["id"]
+    if wrong := entry.keys() ^ {"id", *layer_fields}:
+        key = min(wrong, key=str)
+        raise ValueError(f"{'unknown' if key in entry else 'missing'} key '{key}' in layer '{layer}'")
+    for key, per in layer_fields.items():
+        value = entry[key]
+        if per == "weight" and not (type(value) is list and all(type(x) in (int, float) for x in value)):
+            raise ValueError(f"{key} of layer '{layer}' must be a list of numbers, got {value!r}")
+        if per == "layer" and not (type(value) in (int, float) and not value < 0):
+            raise ValueError(f"{key} of layer '{layer}' must be a number >= 0, got {value!r}")
+    return {key: np.array(x, np.float64) if layer_fields.get(key) == "weight" else x for key, x in entry.items()}
+
+
 def state_from_dict(doc: dict):
     """Inverse of :func:`state_to_dict`; returns (algorithm, config, state), which
-    holds a copy of the document's layer entries as ``pending``.  A mistyped or
-    out-of-range top-level value (``layers``: dicts with unique string ``id``s)
-    raises ``ValueError`` naming its key."""
-    version = doc.get("format_version")
+    holds a checked copy of the document's layer entries as ``pending``.  Any
+    missing, unknown, mistyped or out-of-range key, at the top level or in a
+    layer entry (see ``_entry``), raises ``ValueError`` naming it."""
+    doc = checked("state", dict, doc)
+    for key in doc.keys() - {"format_version", "algorithm", "config", "step_count", "layers"}:
+        raise ValueError(f"unknown key '{key}' in the state document")
+    version = checked("format_version", int, doc.get("format_version"))
     if version != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format version: {version}")
     algorithm = checked("algorithm", str, doc.get("algorithm"), {"choices": ALGORITHMS})
@@ -420,13 +435,11 @@ def state_from_dict(doc: dict):
     config.pop(_V1_LR_KEY.get(algorithm), None)
     cfg = make_config(algorithm, config)
     state = _REGISTRY[algorithm].state()
-    if state is not None:  # the entries keep only the algorithm's fields (NovoGrad: v, and v_hat with ams)
-        names = {"id", *state._vectors, *(("v", "v_hat")[: 1 + cfg.ams] if isinstance(state, NovoGradState) else ())}
-        state.step_count = step_count
-        state.pending = [
-            {key: np.asarray(x, np.float64) if isinstance(x, list) else x for key, x in entry.items() if key in names}
-            for entry in layers
-        ]
+    layer_fields = _entry_fields(state, cfg)
+    if layers and not layer_fields:
+        raise ValueError(f"layers must be empty: {algorithm} keeps no per-layer state, got layer '{ids[0]}'")
+    state.step_count = step_count
+    state.pending = [_entry(entry, layer_fields) for entry in layers]
     return algorithm, cfg, state
 
 
@@ -441,7 +454,7 @@ class OptimizerDriver:
         entry = _REGISTRY[checked("algorithm", str, algorithm, {"choices": ALGORITHMS})]
         self.algorithm = algorithm
         self.cfg = make_config(algorithm) if cfg is None else checked("cfg", entry.config, cfg)
-        self.state = entry.state() if state is None else checked("state", entry.state, state)
+        self.state = checked("state", entry.state | None, state) or entry.state()
 
     def step(self, params: ModelParams, lr_t: float) -> None:
         _REGISTRY[self.algorithm].step(params, self.state, self.cfg, lr_t)
@@ -450,11 +463,12 @@ class OptimizerDriver:
         """Per-layer second-moment summary of the state, bound to ``params``: its
         ``v`` per layer (the mean of an element-wise ``v``), for the layers it
         holds; None for optimizers without one."""
-        if not hasattr(self.state, "v"):
+        per = _layout(type(self.state)).get("v")
+        if per is None:
             return None
         _bind(self.state, params)
-        v = self.state.v  # Adam's: each layer's mean, by np.mean's arithmetic without its wrapper
-        v = [float(np.add.reduce(x) / x.size) for x in params.split(v)] if isinstance(self.state, AdamState) else v.tolist()
+        v = self.state.v  # per weight: each layer's mean, by np.mean's arithmetic without its wrapper
+        v = [float(np.add.reduce(x) / x.size) for x in params.split(v)] if per == "weight" else v.tolist()
         return {params.layer_ids[i]: v[i] for i in self.state.order}
 
     def state_dict(self) -> dict:
@@ -477,21 +491,16 @@ class StateReport:
 
 
 def state_report(algorithm: str, params: ModelParams, *, ams: bool = False) -> StateReport:
-    """Measure the persistent state an optimizer keeps for ``params``.
-
-    A copy of ``params`` takes one step at ``lr_t = 0`` on a unit gradient,
-    which initializes every layer; the report counts the elements the
-    resulting state holds.  ``ams`` selects NovoGrad's running-max
-    variant.  NovoGrad keeps one momentum vector plus one second-moment
-    scalar per layer (two scalars with ``ams``), roughly half of Adam's
-    two full moment vectors.
-    """
+    """Measure the persistent state an optimizer keeps for ``params``: a copy of
+    ``params`` takes one step at ``lr_t = 0`` on a unit gradient, which initializes
+    every layer, and the report counts the elements its saved state holds.  ``ams``
+    selects NovoGrad's running max.  NovoGrad keeps one momentum vector plus one
+    scalar per layer (two with ``ams``), about half of Adam's two moment vectors."""
     driver = OptimizerDriver(algorithm, make_config(algorithm, {"ams": True} if ams else None))
     model = params.copy()
     model.grad[...] = 1.0
     driver.step(model, 0.0)
-    entries = [] if driver.state is None else _entries(driver.state)
-    per_layer = [(name, value) for entry in entries for name, value in entry.items() if name != "id"]
-    vectors = {name for name, value in per_layer if isinstance(value, np.ndarray)}
+    per_layer = [(name, value) for entry in driver.state_dict()["layers"] for name, value in entry.items() if name != "id"]
+    vectors = {name for name, value in per_layer if isinstance(value, list)}
     scalars = {name for name, _ in per_layer} - vectors
     return StateReport(algorithm, len(scalars), len(vectors), sum(np.size(value) for _, value in per_layer))

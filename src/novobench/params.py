@@ -19,7 +19,6 @@ validation rule of the library and the CLI.
 
 from __future__ import annotations
 
-import math
 import operator
 import sys
 from dataclasses import dataclass, field, fields
@@ -37,8 +36,6 @@ __all__ = [
     "ParameterLayer",
     "ModelParams",
     "l2_norm_sq",
-    "l2_norm",
-    "zero_grads",
 ]
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -69,11 +66,6 @@ def l2_norm_sq(v, offsets=None):
     with np.errstate(over="ignore"):
         sums = np.add.reduceat(x * x, _START if single else offsets, axis=-1)
     return float(sums[0]) if single else sums
-
-
-def l2_norm(v) -> float:
-    """Euclidean norm, sqrt of :func:`l2_norm_sq`."""
-    return math.sqrt(l2_norm_sq(v))
 
 
 @dataclass
@@ -233,11 +225,6 @@ class ModelParams:
         copy = ModelParams([ParameterLayer(layer.id, layer.weights[row]) for layer in self.layers])
         copy._bind(self.weights.copy(), self.grad.copy())
         return copy
-
-
-def zero_grads(params: ModelParams) -> None:
-    """Zero every gradient buffer in place; weights are untouched."""
-    params.grad[...] = 0.0
 
 
 # the bounds a field may declare in its metadata, with their text and test

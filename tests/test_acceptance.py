@@ -28,6 +28,7 @@ from novobench.optim import (
     NovoGradConfig,
     OptimizerDriver,
     SngdConfig,
+    SngdState,
     novograd_step,
     sngd_step,
     state_from_dict,
@@ -133,7 +134,7 @@ def test_criterion_03_degenerate_reduction_to_sngd():
         _, _, state = state_from_dict(doc)
         novograd_step(a, state, cfg, 0.1)
         b = ModelParams([ParameterLayer("w", w.copy(), g.copy())])
-        sngd_step(b, SngdConfig(epsilon=0.0), 0.1)
+        sngd_step(b, SngdState(), SngdConfig(epsilon=0.0), 0.1)
         differing += a.weights.tobytes() != b.weights.tobytes() or state.step_count != 3
     check(3, "beta2=0, beta1=0, d=0, eps=0 step equals SNGD bit for bit on 100 random states", differing == 0, f"{differing} differ")
 

@@ -248,6 +248,11 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match=key):
             checkpoint_from_dict(json.loads(json.dumps(doc)))
 
+    @pytest.mark.parametrize("doc", [1, None, "{}", [], [["step", 3]]])
+    def test_a_checkpoint_that_is_no_object_is_rejected(self, doc):
+        with pytest.raises(ValueError, match=r"^checkpoint must be of type dict"):
+            checkpoint_from_dict(doc)
+
     @pytest.mark.parametrize("step", [3.5, "3", 10, 100])
     def test_resume_step_must_be_an_int_below_total_steps(self, step):
         cfg = logreg_config(total_steps=10)
@@ -338,6 +343,25 @@ def test_resume_after_a_layer_norm_overflows_equals_the_uninterrupted_run():
     for wa, wb in zip(first.weight_trace + second.weight_trace, full.weight_trace, strict=True):
         assert all(wa[layer_id].tobytes() == wb[layer_id].tobytes() for layer_id in wb)
     assert not np.array_equal(full.weight_trace[0]["w"], full.final_weights["w"])
+
+
+@pytest.mark.parametrize("algorithm", ["adam", "adamw"])
+def test_resume_after_adams_v_overflows_equals_the_uninterrupted_run(algorithm):
+    # a finite float64 gradient above about 1e154 squares to inf, so v holds inf; AdamW's decay still moves the weights
+    cfg = quadratic_config(
+        algorithm, base_lr=0.01, total_steps=10, log_every=1, hyperparams={"weight_decay": 0.1},
+        problem=ProblemSpec("quadratic", {"dim": 4}, 1e200),
+    )
+    full = train(cfg, record_weight_trace=True)
+    first = train(cfg, stop_after=4, record_weight_trace=True)
+    doc = json.loads(json.dumps(checkpoint_to_dict(first.checkpoint)))
+    assert [v for entry in doc["optimizer"]["layers"] for v in entry["v"]] == [float("inf")] * 4
+    second = train(cfg, resume_from=checkpoint_from_dict(doc), record_weight_trace=True)
+    assert full.termination == second.termination == "completed"
+    assert log_to_jsonl(second).splitlines()[1:] == log_to_jsonl(full).splitlines()[5:]
+    for wa, wb in zip(first.weight_trace + second.weight_trace, full.weight_trace, strict=True):
+        assert all(wa[layer_id].tobytes() == wb[layer_id].tobytes() for layer_id in wb)
+    assert np.array_equal(full.weight_trace[0]["w"], full.final_weights["w"]) == (algorithm == "adam")
 
 
 @pytest.mark.parametrize("algorithm", ["adam", "sgd"])

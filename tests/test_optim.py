@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict, fields
 from types import SimpleNamespace
 
@@ -19,10 +20,10 @@ from novobench.optim import (
     SgdMomentumConfig,
     SgdMomentumState,
     SngdConfig,
+    SngdState,
     adam_step,
     adamw_step,
     make_config,
-    novograd_init,
     novograd_step,
     sgd_momentum_step,
     sngd_step,
@@ -37,10 +38,11 @@ def single_layer(weights, grad):
     return ModelParams([ParameterLayer("w", np.array(weights, dtype=float), np.array(grad, dtype=float))])
 
 
-def layers_of(state) -> dict:
+def layers_of(state, cfg=NovoGradConfig()) -> dict:
     """Layer id -> the per-layer values of ``state``, read through its document
-    (whose algorithm and config fields are only labels here)."""
-    return {entry.pop("id"): entry for entry in state_to_dict("novograd", NovoGradConfig(), state)["layers"]}
+    (whose algorithm is only a label here; ``cfg`` tells whether a NovoGrad entry
+    holds ``v_hat``)."""
+    return {entry.pop("id"): entry for entry in state_to_dict("novograd", cfg, state)["layers"]}
 
 
 def novograd_state(cfg, step_count, layers):
@@ -52,14 +54,11 @@ def novograd_state(cfg, step_count, layers):
 def run_novograd(w0, grads, lrs, cfg):
     """Drive the implementation over a gradient stream; returns weight snapshots."""
     params = single_layer(w0, grads[0])
-    state = None
+    state = NovoGradState()
     snapshots = []
     for g, lr in zip(grads, lrs):
         params.layer("w").grad[...] = g
-        if state is None:
-            state = novograd_init(params, cfg, lr)
-        else:
-            novograd_step(params, state, cfg, lr)
+        novograd_step(params, state, cfg, lr)
         snapshots.append(params.layer("w").weights.copy())
     return snapshots, state
 
@@ -68,7 +67,8 @@ class TestNovoGradInit:
     def test_hand_checked_trace(self):
         params = single_layer([1.0, 1.0], [3.0, 4.0])
         cfg = NovoGradConfig(beta1=0.9, beta2=0.25, epsilon=0.0)
-        state = novograd_init(params, cfg, lr_t=0.1)
+        state = NovoGradState()
+        novograd_step(params, state, cfg, lr_t=0.1)
         assert layers_of(state)["w"]["v"] == 25.0
         np.testing.assert_allclose(layers_of(state)["w"]["m"], [0.6, 0.8], rtol=0, atol=1e-15)
         np.testing.assert_allclose(params.layer("w").weights, [0.94, 0.92], rtol=0, atol=1e-15)
@@ -76,7 +76,8 @@ class TestNovoGradInit:
 
     def test_weight_decay_enters_first_moment(self):
         params = single_layer([1.0, 1.0], [3.0, 4.0])
-        state = novograd_init(params, NovoGradConfig(weight_decay=0.1), lr_t=0.0)
+        state = NovoGradState()
+        novograd_step(params, state, NovoGradConfig(weight_decay=0.1), lr_t=0.0)
         np.testing.assert_allclose(layers_of(state)["w"]["m"], [0.7, 0.9], rtol=0, atol=1e-15)
 
     def test_zero_gradient_layer_deferred(self):
@@ -86,25 +87,24 @@ class TestNovoGradInit:
                 ParameterLayer("b", np.array([5.0]), np.array([0.0])),
             ]
         )
-        state = novograd_init(params, NovoGradConfig(), lr_t=0.1)
+        state = NovoGradState()
+        novograd_step(params, state, NovoGradConfig(), lr_t=0.1)
         assert list(layers_of(state)) == ["a"]  # b is not initialized
         np.testing.assert_array_equal(params.layer("b").weights, [5.0])
 
     def test_deferred_layer_initializes_on_first_nonzero_gradient(self):
         params = ModelParams([ParameterLayer("b", np.array([5.0]), np.array([0.0]))])
         cfg = NovoGradConfig(beta1=0.9, beta2=0.25, epsilon=0.0)
-        state = novograd_init(params, cfg, lr_t=0.1)
+        state = NovoGradState()
+        novograd_step(params, state, cfg, lr_t=0.1)
         params.layer("b").grad[...] = [2.0]
         novograd_step(params, state, cfg, lr_t=0.1)
         # the late init must follow init semantics, not the EMA recursion
         fresh = ModelParams([ParameterLayer("b", np.array([5.0]), np.array([2.0]))])
-        fresh_state = novograd_init(fresh, cfg, lr_t=0.1)
+        fresh_state = NovoGradState()
+        novograd_step(fresh, fresh_state, cfg, lr_t=0.1)
         assert layers_of(state)["b"]["v"] == layers_of(fresh_state)["b"]["v"]
         np.testing.assert_array_equal(params.layer("b").weights, fresh.layer("b").weights)
-
-    def test_no_layers_rejected(self):
-        with pytest.raises(ValueError, match="no layers"):
-            novograd_init(ModelParams([]), NovoGradConfig(), 0.1)
 
 
 class TestNovoGradStep:
@@ -159,7 +159,7 @@ class TestNovoGradStep:
             novograd_step(nov, state, cfg, 0.2)
             assert state.step_count == 4  # the step continued the document's state
             ref = single_layer(w, g)
-            sngd_step(ref, SngdConfig(epsilon=0.0), 0.2)
+            sngd_step(ref, SngdState(), SngdConfig(epsilon=0.0), 0.2)
             np.testing.assert_array_equal(nov.layer("w").weights, ref.layer("w").weights)
 
     def test_ams_uses_running_max(self):
@@ -168,7 +168,7 @@ class TestNovoGradStep:
         grads = [[5.0], [4.0]]
         snapshots, state = run_novograd([1.0], grads, [0.1, 0.1], cfg)
         assert layers_of(state)["w"]["v"] == 16.0
-        assert layers_of(state)["w"]["v_hat"] == 25.0
+        assert layers_of(state, cfg)["w"]["v_hat"] == 25.0
         expected, _, _ = oracle.novograd_trace(
             [1.0], grads, [0.1, 0.1], beta1=0.9, beta2=0.0, ams=True
         )
@@ -178,14 +178,15 @@ class TestNovoGradStep:
         rng = np.random.default_rng(9)
         cfg = NovoGradConfig(ams=True)
         params = single_layer(rng.standard_normal(3), rng.standard_normal(3))
-        state = novograd_init(params, cfg, 0.01)
-        prev = layers_of(state)["w"]["v_hat"]
+        state = NovoGradState()
+        novograd_step(params, state, cfg, 0.01)
+        prev = layers_of(state, cfg)["w"]["v_hat"]
         for t in range(40):
             scale = 1e3 if t % 2 == 0 else 1e-3
             params.layer("w").grad[...] = scale * rng.standard_normal(3)
             novograd_step(params, state, cfg, 0.01)
-            assert layers_of(state)["w"]["v_hat"] >= prev
-            prev = layers_of(state)["w"]["v_hat"]
+            assert layers_of(state, cfg)["w"]["v_hat"] >= prev
+            prev = layers_of(state, cfg)["w"]["v_hat"]
 
     @pytest.mark.parametrize(
         "variant",
@@ -211,7 +212,8 @@ class TestNovoGradStep:
     def test_zero_gradient_with_zero_denominator_is_noop(self):
         cfg = NovoGradConfig(beta1=0.9, beta2=0.0, epsilon=0.0)
         params = single_layer([1.0], [2.0])
-        state = novograd_init(params, cfg, 0.0)
+        state = NovoGradState()
+        novograd_step(params, state, cfg, 0.0)
         params.layer("w").grad[...] = 0.0
         w_before = params.layer("w").weights.copy()
         novograd_step(params, state, cfg, 0.1)
@@ -223,7 +225,8 @@ class TestNovoGradStep:
 
     def test_negative_lr_rejected(self):
         params = single_layer([1.0], [1.0])
-        state = novograd_init(params, NovoGradConfig(), 0.1)
+        state = NovoGradState()
+        novograd_step(params, state, NovoGradConfig(), 0.1)
         with pytest.raises(ValueError, match="negative learning rate"):
             novograd_step(params, state, NovoGradConfig(), -0.1)
 
@@ -242,7 +245,8 @@ class TestNovoGradStep:
         rng = np.random.default_rng(17)
         cfg = NovoGradConfig(epsilon=1e-8, weight_decay=0.01)
         params = single_layer(rng.standard_normal(3), rng.standard_normal(3))
-        state = novograd_init(params, cfg, 0.01)
+        state = NovoGradState()
+        novograd_step(params, state, cfg, 0.01)
         for t in range(60):
             magnitude = 10.0 ** rng.uniform(-100, 100)
             params.layer("w").grad[...] = magnitude * rng.standard_normal(3)
@@ -382,20 +386,20 @@ class TestSgdMomentum:
 class TestSngd:
     def test_unit_direction_step(self):
         params = single_layer([0.0, 0.0], [3.0, 4.0])
-        sngd_step(params, SngdConfig(epsilon=0.0), 0.5)
+        sngd_step(params, SngdState(), SngdConfig(epsilon=0.0), 0.5)
         np.testing.assert_allclose(params.layer("w").weights, [-0.3, -0.4], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("c", [2.0**-8, 2.0, 2.0**9])
     def test_direction_only_scale_free(self, c):
         base = single_layer([1.0, 1.0], [3.0, 4.0])
         scaled = single_layer([1.0, 1.0], [c * 3.0, c * 4.0])
-        sngd_step(base, SngdConfig(epsilon=0.0), 0.5)
-        sngd_step(scaled, SngdConfig(epsilon=0.0), 0.5)
+        sngd_step(base, SngdState(), SngdConfig(epsilon=0.0), 0.5)
+        sngd_step(scaled, SngdState(), SngdConfig(epsilon=0.0), 0.5)
         np.testing.assert_array_equal(base.layer("w").weights, scaled.layer("w").weights)
 
     def test_zero_gradient_noop(self):
         params = single_layer([1.0, 2.0], [0.0, 0.0])
-        sngd_step(params, SngdConfig(), 0.5)
+        sngd_step(params, SngdState(), SngdConfig(), 0.5)
         np.testing.assert_array_equal(params.layer("w").weights, [1.0, 2.0])
 
 
@@ -574,7 +578,7 @@ class TestSerialization:
         assert restored.state_dict() == driver.state_dict()
 
     def test_unsupported_version_rejected(self):
-        doc = state_to_dict("sgd", SgdMomentumConfig(), None)
+        doc = OptimizerDriver("sgd").state_dict()
         doc["format_version"] = 99
         with pytest.raises(ValueError, match="format version"):
             state_from_dict(doc)
@@ -588,9 +592,8 @@ class TestSerialization:
         restored = OptimizerDriver.from_state_dict(doc)
         assert restored.state_dict() == expected
         assert json.dumps(restored.state_dict()) == json.dumps(expected)
-        if restored.state is not None:  # bound to a model of its layout, the state serializes unchanged
-            _bind(restored.state, _two_layer_model())
-            assert json.dumps(restored.state_dict()) == json.dumps(expected)
+        _bind(restored.state, _two_layer_model())  # bound to a model of its layout, the state serializes unchanged
+        assert json.dumps(restored.state_dict()) == json.dumps(expected)
 
     def test_deferred_init_document_lists_layers_in_init_order(self):
         # b initializes at step 1 and a, its first gradient zero, at step 2:
@@ -611,7 +614,7 @@ class TestSerialization:
         params = _two_layer_model()
         params.grad[...] = [3.0, 4.0, 0.0]
         restored.step(params, 0.1)
-        assert layers_of(restored.state) == {"a": {"m": [0.6, 0.8], "v": 25.0, "v_hat": 25.0}}
+        assert layers_of(restored.state, restored.cfg) == {"a": {"m": [0.6, 0.8], "v": 25.0, "v_hat": 25.0}}
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @settings(max_examples=10, deadline=None)
@@ -677,14 +680,14 @@ _MISSING = object()
 
 
 class TestStateObjects:
-    @pytest.mark.parametrize("cls", [NovoGradState, AdamState, SgdMomentumState])
+    @pytest.mark.parametrize("cls", [NovoGradState, AdamState, SgdMomentumState, SngdState])
     @pytest.mark.parametrize("name", ["m", "v", "v_hat", "step_count"])
     def test_a_state_is_made_empty_and_takes_no_values(self, cls, name):
         with pytest.raises(TypeError):
             cls(**{name: {"w": np.zeros(2)} if name != "step_count" else 3})
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("cls", [NovoGradState, AdamState, SgdMomentumState])
+    @pytest.mark.parametrize("cls", [NovoGradState, AdamState, SgdMomentumState, SngdState])
     def test_driver_rejects_another_algorithms_state(self, algorithm, cls):
         if cls is type(OptimizerDriver(algorithm).state):
             params = _two_layer_model()
@@ -712,6 +715,10 @@ class TestStateObjects:
             ("layers", {}),
             ("layers", [["a"]]),
             ("layers", "ab"),
+            ("format_version", _MISSING),
+            ("format_version", True),
+            ("format_version", "1"),
+            ("extra", 1),
         ],
     )
     def test_malformed_document_names_the_key(self, key, value):
@@ -745,9 +752,8 @@ class TestStateObjects:
             del doc["layers"][0][field_name]
         else:
             doc["layers"][0][field_name] = value
-        driver = OptimizerDriver.from_state_dict(doc)
-        with pytest.raises(ValueError, match=rf"\b{field_name}\b"):
-            driver.step(_two_layer_model(), 0.1)
+        with pytest.raises(ValueError, match=rf"\b{field_name}\b.*layer 'b'"):
+            OptimizerDriver.from_state_dict(doc)
 
     @pytest.mark.parametrize("beta2", [0.0, 1.0])
     def test_an_overflowing_layer_norm_at_beta2_zero_or_one_gives_nan_v_silently(self, beta2):
@@ -768,18 +774,47 @@ class TestStateObjects:
         driver.step(_two_layer_model(), 0.1)
         assert json.dumps(driver.state_dict()["layers"][0]["v"]) == json.dumps(value)
 
-    @pytest.mark.parametrize("name,extra", [("novograd", {"v_hat": 1.0}), ("adam", {"v_hat": 1.0}), ("sgd", {"v": [1.0]})])
-    def test_a_restored_state_keeps_only_its_algorithms_fields(self, name, extra):
+    @pytest.mark.parametrize(
+        "name,extra",
+        [("novograd", {"v_hat": 1.0}), ("adam", {"v_hat": 1.0}), ("sgd", {"v": [1.0]}), ("novograd", {"u": [2.0]})],
+    )
+    def test_a_restored_state_rejects_a_field_it_does_not_declare(self, name, extra):
+        # a field of another algorithm or config, and one no algorithm has
         doc = json.loads(_V1_DOCUMENTS[name])
-        for entry in doc["layers"]:  # a field of another algorithm or config, and one no algorithm has
-            entry.update(extra, u=[2.0])
-        driver = OptimizerDriver.from_state_dict(doc)
-        assert driver.state_dict() == OptimizerDriver.from_state_dict(json.loads(_V1_DOCUMENTS[name])).state_dict()
-        params = _two_layer_model()
-        params.grad[...] = 1.0
-        driver.step(params, 0.1)
-        fields = {"novograd": ["id", "m", "v"], "adam": ["id", "m", "v"], "sgd": ["id", "m"]}[name]
-        assert [sorted(entry) for entry in driver.state_dict()["layers"]] == [fields, fields]
+        doc["layers"][1].update(extra)
+        key, layer = next(iter(extra)), doc["layers"][1]["id"]
+        with pytest.raises(ValueError, match=rf"unknown key '{key}' in layer '{layer}'"):
+            OptimizerDriver.from_state_dict(doc)
+
+    @pytest.mark.parametrize("name,key", [("novograd", "m"), ("novograd-ams-deferred-init", "v_hat"), ("adam", "v"), ("sgd", "m")])
+    def test_a_restored_state_rejects_a_missing_field(self, name, key):
+        # an SGD entry without m used to load and fail at the first step as a KeyError
+        doc = json.loads(_V1_DOCUMENTS[name])
+        del doc["layers"][1][key]
+        layer = doc["layers"][1]["id"]
+        with pytest.raises(ValueError, match=rf"missing key '{key}' in layer '{layer}'"):
+            OptimizerDriver.from_state_dict(doc)
+
+    @pytest.mark.parametrize("value", [[True, 1.0], [1.0, "2"], "1.0", 1.0, [[1.0], [2.0]], None])
+    @pytest.mark.parametrize("name,key", [("adam", "m"), ("adam", "v"), ("sgd", "m"), ("novograd", "m")])
+    def test_a_vector_must_be_a_list_of_numbers(self, name, key, value):
+        doc = json.loads(_V1_DOCUMENTS[name])
+        doc["layers"][0][key] = value
+        with pytest.raises(ValueError, match=rf"\b{key} of layer 'a' must be a list of numbers"):
+            OptimizerDriver.from_state_dict(doc)
+
+    @pytest.mark.parametrize("layers", [[{"id": "a"}], [{"id": "a", "m": [1.0, 2.0]}]])
+    def test_an_sngd_document_holds_no_layers(self, layers):
+        doc = json.loads(_V1_DOCUMENTS["sngd"])
+        doc["layers"] = layers
+        with pytest.raises(ValueError, match=r"\blayers\b.*layer 'a'"):
+            OptimizerDriver.from_state_dict(doc)
+
+    @pytest.mark.parametrize("loader", [state_from_dict, OptimizerDriver.from_state_dict])
+    @pytest.mark.parametrize("doc", [1, None, "{}", [], [["format_version", 1]]])
+    def test_a_document_that_is_no_object_is_rejected(self, loader, doc):
+        with pytest.raises(ValueError, match=r"^state must be of type dict"):
+            loader(doc)
 
     @pytest.mark.parametrize("name", sorted(_V1_DOCUMENTS))
     def test_a_restored_state_keeps_its_document_apart_from_the_callers(self, name):
@@ -799,6 +834,92 @@ class TestStateObjects:
         assert json.dumps(driver.state_dict()) == json.dumps(expected)
 
 
+# --- document fuzzer ---------------------------------------------------------
+#
+# Valid state documents of every algorithm, each with one key mutated at the
+# top level or in a layer entry.  A mutated document either raises ValueError
+# naming the key, or resumes bit for bit like the valid one.
+
+_FUZZ_VARIANTS = [("novograd", {}), ("novograd", {"ams": True}), ("adam", {}), ("adamw", {}), ("sgd", {}), ("sngd", {})]
+_RETYPED = [True, "s", [[1.0]]]  # a bool, a string and a nested list
+
+
+@st.composite
+def _valid_documents(draw, algorithm, hyperparams):
+    """(document, model, rng seed): the state and weights after a few steps on a
+    model of 1-3 layers.  Layer gradients are zero at random, and layer 0's first
+    one is (so NovoGrad's layers initialize out of model order); in one draw of two,
+    layer 0's are scaled by 1e200, whose squares overflow: Adam's and NovoGrad's v
+    hold inf there."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    steps = draw(st.integers(0, 3))
+    zeros = draw(st.lists(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)), min_size=steps, max_size=steps))
+    if zeros:  # layer 0 defers its init, so NovoGrad's other layers initialize before it
+        zeros[0][0] = True
+    huge = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    params = ModelParams([ParameterLayer(f"l{i}", rng.standard_normal(n)) for i, n in enumerate(sizes)])
+    driver = OptimizerDriver(algorithm, make_config(algorithm, hyperparams))
+    for zero in zeros:
+        params.grad[...] = rng.standard_normal(params.grad.size) * params.broadcast(np.logical_not(zero))
+        if huge:
+            params.layers[0].grad[...] *= 1e200
+        with np.errstate(over="ignore"):
+            driver.step(params, 0.05)
+    return driver.state_dict(), params, seed
+
+
+def _mutations(doc):
+    """(description, key, the mutated JSON text) of every mutation of ``doc``."""
+    text = json.dumps(doc)
+
+    def mutated(layer, change):  # change the top level (layer None) or that layer's entry
+        copy = json.loads(text)
+        change(copy if layer is None else next(e for e in copy["layers"] if e["id"] == layer))
+        return json.dumps(copy)
+
+    for place, layer in [(doc, None)] + [(entry, entry["id"]) for entry in doc["layers"]]:
+        for key in place:
+            yield "drop", key, mutated(layer, lambda target: target.pop(key))
+            for value in _RETYPED:
+                if not (key == "id" and isinstance(value, str)):  # another string id is another layer
+                    yield "retype", key, mutated(layer, lambda target: target.__setitem__(key, value))
+            # the key twice in the text, with one value: JSON keeps the last
+            inner = json.dumps(place)
+            yield "duplicate", key, text.replace(inner, inner[:-1] + ", " + json.dumps({key: place[key]})[1:], 1)
+        for key in {"u", "m", "v", "v_hat", "id"} - place.keys():
+            yield "add", key, mutated(layer, lambda target: target.__setitem__(key, [2.0]))
+    if doc["layers"]:
+        yield "duplicate entry", "layers", json.dumps({**doc, "layers": doc["layers"] + doc["layers"][:1]})
+
+
+def _resumed(doc, params, seed):
+    """The weights and the saved state after two steps from ``doc`` on a copy of ``params``."""
+    rng = np.random.default_rng(seed)
+    model = params.copy()
+    driver = OptimizerDriver.from_state_dict(doc)
+    for _ in range(2):
+        model.grad[...] = rng.standard_normal(model.grad.size)
+        driver.step(model, 0.05)
+    return model.weights.tobytes(), json.dumps(driver.state_dict())
+
+
+@pytest.mark.parametrize("algorithm,hyperparams", _FUZZ_VARIANTS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_mutated_document_names_the_key_or_resumes_alike(algorithm, hyperparams, data):
+    doc, params, seed = data.draw(_valid_documents(algorithm, hyperparams))
+    expected = _resumed(json.loads(json.dumps(doc)), params, seed)
+    for change, key, text in _mutations(doc):
+        try:
+            actual = _resumed(json.loads(text), params, seed)
+        except ValueError as error:
+            assert re.search(rf"\b{key}\b", str(error)), (change, key, str(error))
+        else:
+            assert actual == expected, (change, key)
+
+
 class TestConfigs:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_driver_rejects_another_algorithms_config(self, algorithm):
@@ -816,7 +937,7 @@ class TestConfigs:
     def test_decoupled_contradicting_the_algorithm_is_rejected(self, algorithm, decoupled):
         with pytest.raises(ValueError, match="unknown hyperparameter 'decoupled'"):
             make_config(algorithm, {"decoupled": decoupled})
-        doc = state_to_dict(algorithm, AdamConfig(), None)
+        doc = OptimizerDriver(algorithm).state_dict()
         doc["config"]["decoupled"] = decoupled
         with pytest.raises(ValueError, match="decoupled"):
             state_from_dict(doc)
@@ -1009,10 +1130,10 @@ _FUSED_CASES = [
 ]
 
 
-def _assert_same_state(algorithm, state, ref):
+def _assert_same_state(algorithm, cfg, state, ref):
     if algorithm == "sngd":
         return
-    layers = layers_of(state)
+    layers = layers_of(state, cfg if algorithm == "novograd" else NovoGradConfig())
     assert list(layers) == list(ref.m)
     assert state.m.dtype == next(iter(ref.m.values()), state.m).dtype
     for layer_id, m in ref.m.items():  # a document value cast back to the model's dtype is the value
@@ -1072,7 +1193,7 @@ def test_fused_step_equals_per_layer_reference(algorithm, hyperparams, sizes, dt
         for layer, w in zip(params, ref_weights):
             assert layer.weights.dtype == w.dtype
             assert layer.weights.tobytes() == w.tobytes(), (step, layer.id)
-        _assert_same_state(algorithm, driver.state, ref)
+        _assert_same_state(algorithm, cfg, driver.state, ref)
 
 
 def test_non_finite_gradient_leaves_the_model_untouched():

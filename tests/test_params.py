@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novobench.optim import AdamConfig, AdamState, NovoGradConfig, adam_step, novograd_init, state_report, state_to_dict
-from novobench.params import ModelParams, ParameterLayer, l2_norm_sq, zero_grads
+from novobench.optim import AdamConfig, AdamState, NovoGradConfig, NovoGradState, adam_step, novograd_step, state_report, state_to_dict
+from novobench.params import ModelParams, ParameterLayer, l2_norm_sq
 
 
 def _params(sizes, rng=None):
@@ -278,7 +278,8 @@ class TestStateReport:
         params = _params([250, 250, 250, 250], rng)
         for layer in params:
             layer.grad[...] = rng.standard_normal(layer.size)
-        state = novograd_init(params, NovoGradConfig(ams=True), lr_t=0.0)
+        state = NovoGradState()
+        novograd_step(params, state, NovoGradConfig(ams=True), lr_t=0.0)
         layers = state_to_dict("novograd", NovoGradConfig(ams=True), state)["layers"]
         actual = sum(len(layer["m"]) + np.size(layer["v"]) + np.size(layer["v_hat"]) for layer in layers)
         assert actual == 1008
@@ -306,18 +307,3 @@ class TestStateReport:
         novograd = state_report("novograd", params).total_state_elements
         adam = state_report("adam", params).total_state_elements
         assert novograd <= -(-adam // 2) + len(sizes)
-
-
-class TestZeroGrads:
-    def test_zeroes_grads_only(self):
-        params = ModelParams([ParameterLayer("w", np.array([5.0]), np.array([7.0]))])
-        zero_grads(params)
-        np.testing.assert_array_equal(params.layer("w").grad, [0.0])
-        np.testing.assert_array_equal(params.layer("w").weights, [5.0])
-
-    def test_idempotent(self):
-        params = ModelParams([ParameterLayer("w", [1.0, 2.0], [1.0, 2.0])])
-        zero_grads(params)
-        first = params.layer("w").grad.copy()
-        zero_grads(params)
-        np.testing.assert_array_equal(params.layer("w").grad, first)

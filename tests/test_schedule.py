@@ -1,3 +1,4 @@
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -117,9 +118,9 @@ class TestLarcScale:
         w = rng.standard_normal(5)
         g = rng.standard_normal(5)
         cfg = LarcConfig(trust_coefficient=0.001)
-        from novobench.params import l2_norm
+        from novobench.params import l2_norm_sq
 
-        scale = larc_scale(l2_norm(w), l2_norm(g), 0.1, cfg)
+        scale = larc_scale(math.sqrt(l2_norm_sq(w)), math.sqrt(l2_norm_sq(g)), 0.1, cfg)
 
         pre_scaled = ModelParams([ParameterLayer("w", w.copy(), scale * g)])
         larc_applied = ModelParams([ParameterLayer("w", w.copy(), g.copy())])

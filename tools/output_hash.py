@@ -31,8 +31,10 @@ order:
   AdamW and SGD with weight decay}), as ``json.dumps(state_dict())``,
   ``second_moments`` and the weights; layer 0 has a zero gradient at step
   0 and layer 1 at steps 0-1, so NovoGrad initializes its layers out of
-  model order; before step 4 the state goes through JSON and moves to a
-  copy of the model;
+  model order; before step 4 the state goes through JSON, is saved again
+  before it binds, and moves to a copy of the model; plus an SNGD MLP run
+  resumed from its JSON checkpoint at step 4 and stopped again at step 9,
+  as that checkpoint's JSON and the run's log;
 - ``wide``: a float64 and a float32 (accumulation 3, LARC) 7-point
   NovoGrad ``lr_sweep`` at the layer sizes of the benchmark's wide MLP
   (dim 32 / hidden 256 / size 2000, batch 64);
@@ -301,6 +303,7 @@ def accumulation_outputs(h):
 def state_outputs(h):
     import numpy as np
 
+    from novobench import harness
     from novobench.optim import ALGORITHMS, OptimizerDriver, make_config
     from novobench.params import ModelParams, ParameterLayer
 
@@ -320,9 +323,10 @@ def state_outputs(h):
             params = ModelParams(layers)
             driver = OptimizerDriver(algorithm, make_config(algorithm, hyperparams))
             for step in range(8):
-                if step == 4:  # resume from the JSON state on a copy of the model
+                if step == 4:  # resume from the JSON state on a copy of the model, saved again before it binds
                     driver = OptimizerDriver.from_state_dict(json.loads(json.dumps(driver.state_dict())))
                     params = params.copy()
+                    h.update(json.dumps(driver.state_dict()).encode())
                 params.grad[...] = rng.standard_normal(params.grad.size)
                 if step == 0:
                     layers[0].grad[...] = 0.0
@@ -332,6 +336,13 @@ def state_outputs(h):
                 h.update(json.dumps(driver.state_dict()).encode())
                 h.update(repr(driver.second_moments(params)).encode())
                 h.update(params.weights.tobytes())
+    # SNGD keeps no state: resumed from a checkpoint and stopped again, it saves an empty one
+    cfg = _config("mlp", {}, "sngd", accumulation_factor=2)
+    first = harness.train(cfg, stop_after=4)
+    resume = harness.checkpoint_from_dict(json.loads(json.dumps(harness.checkpoint_to_dict(first.checkpoint))))
+    second = harness.train(cfg, resume_from=resume, stop_after=9)
+    h.update(json.dumps(harness.checkpoint_to_dict(second.checkpoint), sort_keys=True).encode())
+    h.update(harness.log_to_jsonl(second).encode())
 
 
 def _sweep_outputs(h, cfg, lrs):
