@@ -2,8 +2,8 @@
 
 Config files are JSON trees (documented in the README); unknown keys are
 errors so hyperparameter typos cannot silently fall back to defaults.
-Precedence is flags > file > defaults, and the effective config is echoed
-into every output file header.
+Precedence is flags > file > defaults.  A trajectory's header echoes its
+run's effective config, a table's the file's tree after the flags.
 
 Exit codes: 0 success, 1 usage/config error, 2 divergence (run only).
 """
@@ -14,7 +14,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import asdict, fields
+from functools import wraps
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import harness, problems
 from .harness import ProblemSpec, RunConfig
 from .optim import make_config
-from .params import checked, checked_section
+from .params import checked, checked_keys, checked_section
 from .schedule import LarcConfig, ScheduleSpec
 
 __all__ = ["main", "entrypoint", "ConfigError"]
@@ -47,6 +48,8 @@ _SWEEP_SECTION = {
     "points": (int, {"min": 1, "max": _MAX_SWEEP_POINTS}),
     "spacing": (str, {"choices": ("log", "linear")}),
 }
+# a sweep's grid is its lr_grid, or the range these keys describe
+_SWEEP_RANGE = ("lr_min", "lr_max", "points", "spacing")
 
 # representative instances for `gradcheck <tag>`
 _GRADCHECK_OPTIONS = {
@@ -57,125 +60,90 @@ _GRADCHECK_OPTIONS = {
 }
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in {where}")
+def _config_errors(parse):
+    """``parse`` with each ``ValueError`` it raises raised as a ``ConfigError``."""
+
+    @wraps(parse)
+    def parse_tree(tree):
+        try:
+            return parse(tree)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+
+    return parse_tree
 
 
-def _require(tree: dict, key: str, where: str):
-    if key not in tree:
-        raise ConfigError(f"missing required key '{key}' in {where}")
-    return tree[key]
-
-
-def _build(where: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, its ``ValueError`` reported as a
-    ``ConfigError`` in ``where``."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as err:
-        raise ConfigError(f"{err} (in {where})") from None
-
-
-def _parse_problem(section, where="problem") -> ProblemSpec:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    options = dict(section)
-    _require(options, "kind", where)
+def _parse_common(tree: dict, keys: set[str], optimizer: str) -> dict:
+    """The fields of the run a config tree of ``keys`` and its ``optimizer`` key
+    describe, its algorithm and hyperparameters excepted."""
+    tree = checked_keys(tree, "config", keys, ("problem", "schedule", "total_steps", optimizer))
+    options = dict(checked_keys(tree["problem"], "problem", None, ("kind",)))
     kind, gradient_scale = options.pop("kind"), options.pop("gradient_scale", 1.0)
-    return _build(where, ProblemSpec, kind, options, gradient_scale)
-
-
-def _parse_optimizer(section, where="optimizer") -> tuple[str, dict]:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    section = dict(section)
-    algorithm = _require(section, "algorithm", where)
-    section.pop("algorithm")
-    _parse_section(type(_build(where, make_config, algorithm)), section, where)
-    return algorithm, section
-
-
-def _parse_section(cls, section, where: str, **fixed):
-    """Build dataclass ``cls`` from a config object keyed by its field names
-    (those in ``fixed`` excepted); absent keys take the field defaults."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    keys = {f.name for f in fields(cls)} - fixed.keys()
-    _check_keys(section, keys, where)
-    for f in fields(cls):
-        if f.name in keys and f.default is MISSING:
-            _require(section, f.name, where)
-    return _build(where, cls, **section, **fixed)
-
-
-def _parse_common(tree: dict) -> dict:
-    total_steps = _require(tree, "total_steps", "config")
     larc = tree.get("larc")
     return {
-        "problem": _parse_problem(_require(tree, "problem", "config")),
-        "schedule": _parse_section(
-            ScheduleSpec, _require(tree, "schedule", "config"), "schedule", total_steps=total_steps
-        ),
-        "larc": None if larc is None else _parse_section(LarcConfig, larc, "larc"),
+        "problem": ProblemSpec(kind, options, gradient_scale),
+        "schedule": ScheduleSpec.from_dict(tree["schedule"], "schedule", total_steps=tree["total_steps"]),
+        "larc": None if larc is None else LarcConfig.from_dict(larc, "larc"),
         **{key: tree[key] for key in _RUN_SCALARS if key in tree},
     }
 
 
+def _parse_optimizer(section: dict, where: str) -> dict:
+    """The algorithm and hyperparameters of an optimizer object, checked as
+    the algorithm's config."""
+    hyperparams = dict(checked_keys(section, where, None, ("algorithm",)))
+    algorithm = hyperparams.pop("algorithm")
+    make_config(algorithm, hyperparams, where)
+    return {"algorithm": algorithm, "hyperparams": hyperparams}
+
+
+@_config_errors
 def parse_run_config(tree: dict) -> RunConfig:
-    _check_keys(tree, _RUN_KEYS, "config")
-    common = _parse_common(tree)
-    algorithm, hyperparams = _parse_optimizer(_require(tree, "optimizer", "config"))
-    return _build("config", RunConfig, algorithm=algorithm, hyperparams=hyperparams, **common)
+    common = _parse_common(tree, _RUN_KEYS, "optimizer")
+    return RunConfig(**_parse_optimizer(tree["optimizer"], "optimizer"), **common)
 
 
+@_config_errors
 def parse_compare_config(tree: dict) -> tuple[list[RunConfig], list[str], float | None]:
-    _check_keys(tree, _COMPARE_KEYS, "config")
-    common = _parse_common(tree)
-    entries = _require(tree, "optimizers", "config")
+    common = _parse_common(tree, _COMPARE_KEYS, "optimizers")
+    entries = tree["optimizers"]
     if not isinstance(entries, list) or not entries:
-        raise ConfigError("'optimizers' must be a non-empty list")
+        raise ValueError("'optimizers' must be a non-empty list")
     cfgs = []
     labels = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"optimizers[{i}] must be an object")
-        entry = dict(entry)
         where = f"optimizers[{i}]"
-        label = entry.pop("label", None)
-        base_lr = entry.pop("base_lr", None)
-        algorithm, hyperparams = _parse_optimizer(entry, where=where)
-        fields = dict(common)
-        if base_lr is not None:
-            fields["schedule"] = _build(where, replace, fields["schedule"], base_lr=base_lr)
-        cfgs.append(_build("config", RunConfig, algorithm=algorithm, hyperparams=hyperparams, **fields))
-        labels.append(algorithm if label is None else _build(where, checked, "label", str, label))
-    threshold = _build("config", checked, "loss_threshold", float | None, tree.get("loss_threshold"))
+        entry = dict(checked(where, dict, entry))
+        given = {key: entry.pop(key) for key in ("label", "base_lr") if key in entry}
+        optimizer = _parse_optimizer(entry, where)
+        schedule = common["schedule"]
+        if "base_lr" in given:
+            schedule = ScheduleSpec.from_dict({**asdict(schedule), "base_lr": given["base_lr"]}, where)
+        cfgs.append(RunConfig(**{**common, "schedule": schedule}, **optimizer))
+        labels.append(checked(f"label of {where}", str, given.get("label", optimizer["algorithm"])))
+    threshold = checked("loss_threshold", float | None, tree.get("loss_threshold"))
     return cfgs, labels, threshold
 
 
+@_config_errors
 def parse_sweep_config(tree: dict) -> tuple[RunConfig, list[float]]:
-    _check_keys(tree, _SWEEP_KEYS, "config")
-    run_tree = {k: v for k, v in tree.items() if k != "sweep"}
-    cfg = parse_run_config(run_tree)
-    section = _require(tree, "sweep", "config")
-    if not isinstance(section, dict):
-        raise ConfigError("sweep must be an object")
-    sweep = _build("sweep", checked_section, _SWEEP_SECTION, section, "sweep")
+    tree = checked_keys(tree, "config", _SWEEP_KEYS, ("sweep",))
+    cfg = parse_run_config({k: v for k, v in tree.items() if k != "sweep"})
+    sweep = checked_section(_SWEEP_SECTION, tree["sweep"], "sweep")
     if "lr_grid" in sweep:
+        if given := [key for key in _SWEEP_RANGE if key in sweep]:
+            raise ValueError(f"sweep takes either 'lr_grid' or a range, got 'lr_grid' and '{given[0]}'")
         grid = sweep["lr_grid"]
         key = "lr_grid"
     else:
-        for key in ("lr_min", "lr_max", "points"):
-            _require(sweep, key, "sweep")
+        checked_keys(sweep, "sweep", None, _SWEEP_RANGE[:3])
         space = np.geomspace if sweep.get("spacing", "log") == "log" else np.linspace
         grid = space(sweep["lr_min"], sweep["lr_max"], sweep["points"]).tolist()
         key = "lr_min/lr_max"
     if not grid:
-        raise ConfigError("empty learning-rate grid")
+        raise ValueError("empty learning-rate grid")
     for lr in grid:  # each point is a base rate of the run's schedule
-        _build(f"{key} of sweep", replace, cfg.schedule, base_lr=lr)
+        ScheduleSpec.from_dict({**asdict(cfg.schedule), "base_lr": lr}, f"{key} of sweep")
     return cfg, [float(x) for x in grid]
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import problems as problems_mod
 from .optim import OptimizerDriver, _bind, make_config
-from .params import Config, ModelParams, ParameterLayer, checked, l2_norm_sq
+from .params import Config, ModelParams, ParameterLayer, checked, checked_keys, checked_vector, l2_norm_sq
 from .problems import GradientScaledProblem, Problem, finite_diff_grad
 from .schedule import LarcConfig, ScheduleSpec, larc_scale, lr_at
 
@@ -67,9 +67,6 @@ class ProblemSpec(Config):
         super().__post_init__()
         self.options = problems_mod.validate_options(self.kind, self.options)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "options": dict(self.options), "gradient_scale": self.gradient_scale}
-
 
 def build_problem(spec: ProblemSpec) -> Problem:
     problem = problems_mod.build(spec.kind, spec.options)
@@ -102,17 +99,10 @@ class RunConfig(Config):
         self.hyperparams = {key: getattr(optimizer, key) for key in self.hyperparams}
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem.to_dict(),
-            "optimizer": {"algorithm": self.algorithm, **self.hyperparams},
-            "schedule": asdict(self.schedule),
-            "larc": None if self.larc is None else asdict(self.larc),
-            "batch_size": self.batch_size,
-            "accumulation_factor": self.accumulation_factor,
-            "total_steps": self.total_steps,
-            "seed": self.seed,
-            "log_every": self.log_every,
-        }
+        """The run's fields as a tree, ``algorithm`` and ``hyperparams`` joined in one ``optimizer``."""
+        tree = asdict(self)
+        tree["optimizer"] = {"algorithm": tree.pop("algorithm"), **tree.pop("hyperparams")}
+        return tree
 
 
 @dataclass
@@ -171,6 +161,7 @@ def train(
     step ``s`` and attaches a resumable checkpoint; ``record_weight_trace``
     keeps a post-update weights snapshot per step (testing aid).
     """
+    stop_after = checked("stop_after", int | None, stop_after, {"min": 0})
     if resume_from is not None and resume_from.step >= cfg.total_steps:
         raise ValueError(f"checkpoint step {resume_from.step} is not below total_steps {cfg.total_steps}")
     problem = build_problem(cfg.problem)
@@ -568,12 +559,13 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
 
 
 def checkpoint_from_dict(doc: dict) -> Checkpoint:
-    doc = checked("checkpoint", dict, doc)
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format version: {doc.get('format_version')}")
-    weights = checked("weights", dict, doc.get("weights"))
-    return Checkpoint(
-        step=doc.get("step"),
-        weights={k: np.asarray(v, dtype=np.float64) for k, v in weights.items()},
-        optimizer=doc.get("optimizer"),
-    )
+    """Inverse of :func:`checkpoint_to_dict`: after its ``format_version``, the
+    document is read as :meth:`Checkpoint.from_dict` reads it, and each of its
+    weights as a vector (see :func:`~novobench.params.checked_vector`)."""
+    doc = dict(checked_keys(doc, "checkpoint", None, ["format_version"]))
+    version = checked("format_version", int, doc.pop("format_version"))
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format version: {version}")
+    ckpt = Checkpoint.from_dict(doc, "checkpoint")
+    ckpt.weights = {layer: checked_vector(f"weights of layer '{layer}'", w) for layer, w in ckpt.weights.items()}
+    return ckpt

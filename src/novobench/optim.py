@@ -29,7 +29,7 @@ from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
-from .params import Config, ModelParams, checked, l2_norm_sq
+from .params import Config, ModelParams, checked, checked_keys, checked_vector, l2_norm_sq
 
 __all__ = [
     "NovoGradConfig",
@@ -365,15 +365,11 @@ _V1_DECOUPLED = {"adam": False, "adamw": True}
 _V1_LR_KEY = {"novograd": "lr0", "adam": "lr", "adamw": "lr", "sgd": "lr"}
 
 
-def make_config(algorithm: str, hyperparams: dict | None = None):
-    """Build the config dataclass for ``algorithm``, rejecting unknown keys."""
+def make_config(algorithm: str, hyperparams: dict | None = None, where: str = "hyperparams"):
+    """The config dataclass of ``algorithm`` from ``hyperparams``, a JSON object
+    named ``where`` (see :meth:`~novobench.params.Config.from_dict`)."""
     cls = _REGISTRY[checked("algorithm", str, algorithm, {"choices": ALGORITHMS})].config
-    hp = checked("hyperparams", dict, {} if hyperparams is None else hyperparams)
-    allowed = {f.name for f in fields(cls)}
-    for key in hp:
-        if key not in allowed:
-            raise ValueError(f"unknown hyperparameter '{key}' for {algorithm}")
-    return cls(**hp)
+    return cls.from_dict({} if hyperparams is None else hyperparams, where)
 
 
 def state_to_dict(algorithm: str, cfg, state) -> dict:
@@ -398,17 +394,19 @@ def _entry(entry: dict, layer_fields: dict[str, str]) -> dict:
     layout): a vector a list of numbers (returned as a float64 array), a per-layer
     value a number >= 0.  Infinity and NaN pass: a step writes them when a square
     or a layer norm overflows, and its checkpoint must resume."""
-    layer = entry["id"]
-    if wrong := entry.keys() ^ {"id", *layer_fields}:
-        key = min(wrong, key=str)
-        raise ValueError(f"{'unknown' if key in entry else 'missing'} key '{key}' in layer '{layer}'")
+    keys = ["id", *layer_fields]
+    where = f"layer '{entry['id']}'"
+    entry = dict(checked_keys(entry, where, keys, keys))
     for key, per in layer_fields.items():
-        value = entry[key]
-        if per == "weight" and not (type(value) is list and all(type(x) in (int, float) for x in value)):
-            raise ValueError(f"{key} of layer '{layer}' must be a list of numbers, got {value!r}")
-        if per == "layer" and not (type(value) in (int, float) and not value < 0):
-            raise ValueError(f"{key} of layer '{layer}' must be a number >= 0, got {value!r}")
-    return {key: np.array(x, np.float64) if layer_fields.get(key) == "weight" else x for key, x in entry.items()}
+        if per == "weight":
+            entry[key] = checked_vector(f"{key} of {where}", entry[key])
+        elif not (type(entry[key]) in (int, float) and not entry[key] < 0):
+            raise ValueError(f"{key} of {where} must be a number >= 0, got {entry[key]!r}")
+    return entry
+
+
+# the keys of a state document, each required
+_STATE_KEYS = ("format_version", "algorithm", "config", "step_count", "layers")
 
 
 def state_from_dict(doc: dict):
@@ -416,16 +414,14 @@ def state_from_dict(doc: dict):
     holds a checked copy of the document's layer entries as ``pending``.  Any
     missing, unknown, mistyped or out-of-range key, at the top level or in a
     layer entry (see ``_entry``), raises ``ValueError`` naming it."""
-    doc = checked("state", dict, doc)
-    for key in doc.keys() - {"format_version", "algorithm", "config", "step_count", "layers"}:
-        raise ValueError(f"unknown key '{key}' in the state document")
-    version = checked("format_version", int, doc.get("format_version"))
+    doc = checked_keys(doc, "state", _STATE_KEYS, _STATE_KEYS)
+    version = checked("format_version", int, doc["format_version"])
     if version != STATE_FORMAT_VERSION:
         raise ValueError(f"unsupported state format version: {version}")
-    algorithm = checked("algorithm", str, doc.get("algorithm"), {"choices": ALGORITHMS})
-    config = dict(checked("config", dict, doc.get("config")))
-    step_count = checked("step_count", int, doc.get("step_count"), {"min": 0})
-    layers = checked("layers", list[dict], doc.get("layers"))
+    algorithm = checked("algorithm", str, doc["algorithm"], {"choices": ALGORITHMS})
+    config = dict(checked("config", dict, doc["config"]))
+    step_count = checked("step_count", int, doc["step_count"], {"min": 0})
+    layers = checked("layers", list[dict], doc["layers"])
     ids = [checked("id", str, entry.get("id")) for entry in layers]
     if len(set(ids)) != len(ids):
         raise ValueError(f"layers must have unique ids, got {ids}")
@@ -433,7 +429,7 @@ def state_from_dict(doc: dict):
         if config.pop("decoupled") != _V1_DECOUPLED[algorithm]:
             raise ValueError(f"{algorithm} requires decoupled={_V1_DECOUPLED[algorithm]}; use 'adam' or 'adamw'")
     config.pop(_V1_LR_KEY.get(algorithm), None)
-    cfg = make_config(algorithm, config)
+    cfg = make_config(algorithm, config, "config")
     state = _REGISTRY[algorithm].state()
     layer_fields = _entry_fields(state, cfg)
     if layers and not layer_fields:

@@ -14,14 +14,15 @@ is exact.
 
 :class:`Config` is the base of every config dataclass: it checks each field
 against its annotation and declared bounds through :func:`checked`, the one
-validation rule of the library and the CLI.
+validation rule of the library and the CLI, and :meth:`Config.from_dict`
+reads one from a JSON object through :func:`checked_keys`, the one key rule.
 """
 
 from __future__ import annotations
 
 import operator
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from itertools import accumulate
 from types import UnionType
@@ -32,7 +33,9 @@ import numpy as np
 __all__ = [
     "Config",
     "checked",
+    "checked_keys",
     "checked_section",
+    "checked_vector",
     "ParameterLayer",
     "ModelParams",
     "l2_norm_sq",
@@ -276,14 +279,37 @@ def checked(key: str, expected, value, bounds=None):
     return value
 
 
-def checked_section(table: dict, section: dict, where: str) -> dict:
-    """``section`` checked fail-closed against ``table`` (key -> (type,
-    bounds)): an unknown key raises ``ValueError``, and each value comes
-    back as :func:`checked` returns it."""
+def checked_keys(section, where: str, keys=None, required=()) -> dict:
+    """``section``, a JSON object named ``where``, once each of its keys is one
+    of ``keys`` (None: any key) and each of ``required`` is among them; else
+    ``ValueError`` naming the key and ``where``."""
+    section = checked(where, dict, section)
     for key in section:
-        if key not in table:
-            raise ValueError(f"unknown key '{key}' for {where}")
+        if keys is not None and key not in keys:
+            raise ValueError(f"unknown key '{key}' in {where}")
+    for key in required:
+        if key not in section:
+            raise ValueError(f"missing key '{key}' in {where}")
+    return section
+
+
+def checked_section(table: dict, section, where: str) -> dict:
+    """``section`` checked fail-closed against ``table`` (key -> (type,
+    bounds)) by :func:`checked_keys`, each value as :func:`checked` returns it."""
+    section = checked_keys(section, where, table)
     return {key: checked(key, table[key][0], value, table[key][1]) for key, value in section.items()}
+
+
+def checked_vector(key: str, value) -> np.ndarray:
+    """A document's vector ``key``: a list of numbers (a bool or a string is
+    none; infinity and NaN pass, since a diverging run saves them), returned
+    as a float64 array."""
+    if not (type(value) is list and all(type(x) in (int, float) for x in value)):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    try:
+        return np.array(value, np.float64)
+    except OverflowError:  # an int beyond float range
+        raise ValueError(f"{key} must be a list of numbers in float range, got {value!r}") from None
 
 
 @cache
@@ -302,3 +328,17 @@ class Config:
     def __post_init__(self):
         for name, expected, bounds in _declared(type(self)):
             object.__setattr__(self, name, checked(name, expected, getattr(self, name), bounds))
+
+    @classmethod
+    def from_dict(cls, section, where: str, **fixed):
+        """An instance from the JSON object ``section`` named ``where``, keyed by
+        the field names but those ``fixed`` gives (see :func:`checked_keys`; a
+        field without a default is required).  A ``ValueError`` of the
+        constructor is raised with ``(in where)`` appended."""
+        declared = [f for f in fields(cls) if f.name not in fixed]
+        required = [f.name for f in declared if f.default is MISSING and f.default_factory is MISSING]
+        section = checked_keys(section, where, [f.name for f in declared], required)
+        try:
+            return cls(**section, **fixed)
+        except ValueError as err:
+            raise ValueError(f"{err} (in {where})") from None

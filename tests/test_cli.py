@@ -448,6 +448,16 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "non-empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["base_lr", "label"])
+    def test_a_null_base_lr_or_label_is_a_config_error(self, tmp_path, capsys, key):
+        # null used to read as absent: the schedule's rate, the algorithm's name
+        tree = compare_config_tree()
+        tree["optimizers"][1][key] = None
+        cfg = write_config(tmp_path / "cfg.json", tree)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key} " in err and "optimizers[1]" in err
+
     def test_custom_labels(self, tmp_path):
         tree = compare_config_tree()
         tree["optimizers"] = [
@@ -485,10 +495,58 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("lr_min", 1.0), ("lr_max", 5.0), ("points", 9), ("spacing", "linear")])
+    def test_a_grid_with_a_range_key_is_a_config_error(self, tmp_path, capsys, key, value):
+        # the range keys used to be ignored: the grid was swept
+        cfg = write_config(tmp_path / "cfg.json", sweep_config_tree(lr_grid=[0.1, 0.2], **{key: value}))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: sweep takes either 'lr_grid' or a range, got 'lr_grid' and '{key}'\n"
+
     def test_unknown_sweep_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", sweep_config_tree(lr_gird=[0.1]))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "lr_gird" in capsys.readouterr().err
+
+
+# (command, where in the tree, change, message): each object of a config file
+# has its keys checked by one reader, whose message names the key and the
+# object once
+KEY_ERRORS = [
+    ("run", None, {"bogus": 1}, "unknown key 'bogus' in config"),
+    ("run", None, {"total_steps": None}, "missing key 'total_steps' in config"),
+    ("run", "problem", {"bogus": 1}, "unknown key 'bogus' in problem 'quadratic'"),
+    ("run", "problem", {"kind": None}, "missing key 'kind' in problem"),
+    ("run", "optimizer", {"beta3": 1}, "unknown key 'beta3' in optimizer"),
+    ("run", "optimizer", {"algorithm": None}, "missing key 'algorithm' in optimizer"),
+    ("run", "schedule", {"bogus": 1}, "unknown key 'bogus' in schedule"),
+    ("run", "schedule", {"total_steps": 50}, "unknown key 'total_steps' in schedule"),
+    ("run", "schedule", {"base_lr": None}, "missing key 'base_lr' in schedule"),
+    ("run", "larc", {"bogus": 1}, "unknown key 'bogus' in larc"),
+    ("compare", None, {"optimizers": None}, "missing key 'optimizers' in config"),
+    ("compare", "optimizers", {"beta3": 1}, "unknown key 'beta3' in optimizers[0]"),
+    ("compare", "optimizers", {"algorithm": None}, "missing key 'algorithm' in optimizers[0]"),
+    ("sweep", None, {"sweep": None}, "missing key 'sweep' in config"),
+    ("sweep", "sweep", {"lr_gird": 1}, "unknown key 'lr_gird' in sweep"),
+    ("sweep", "sweep", {"points": None}, "missing key 'points' in sweep"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,section,change,message", [pytest.param(*case, id=case[-1]) for case in KEY_ERRORS]
+)
+def test_a_key_error_names_the_key_and_its_object_once(command, section, change, message):
+    tree = CONFIG_TREES[command]()
+    node = tree if section is None else tree[section]
+    node = node[0] if isinstance(node, list) else node
+    for key, value in change.items():
+        if value is None:  # None drops the key
+            del node[key]
+        else:
+            node[key] = value
+    with pytest.raises(ConfigError) as info:
+        PARSERS[command](tree)
+    assert str(info.value) == message
 
 
 class TestGradcheck:

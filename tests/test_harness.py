@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+import re
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -252,6 +254,36 @@ class TestCheckpointing:
     def test_a_checkpoint_that_is_no_object_is_rejected(self, doc):
         with pytest.raises(ValueError, match=r"^checkpoint must be of type dict"):
             checkpoint_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "place,key,value,message",
+        [
+            (None, "extra", 1, "unknown key 'extra' in checkpoint"),
+            ("weights", "w", [True, 0.0, 0.0], "weights of layer 'w' must be a list of numbers"),
+            ("weights", "w", ["a"], "weights of layer 'w' must be a list of numbers"),
+            ("weights", "b", "0.0", "weights of layer 'b' must be a list of numbers"),
+            ("weights", "b", [[0.0]], "weights of layer 'b' must be a list of numbers"),
+            ("weights", "b", [10**400], "weights of layer 'b' must be a list of numbers in float range"),
+        ],
+    )
+    def test_an_unknown_key_or_a_weight_not_a_list_of_numbers_is_rejected(self, place, key, value, message):
+        # the extra key used to be ignored, [true, ...] to load as 1.0 and ["a"] to raise numpy's error
+        doc = json.loads(json.dumps(checkpoint_to_dict(train(logreg_config(total_steps=10), stop_after=5).checkpoint)))
+        (doc if place is None else doc[place])[key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            checkpoint_from_dict(doc)
+
+    def test_weights_may_hold_infinity_and_nan(self):
+        doc = json.loads(json.dumps(checkpoint_to_dict(train(logreg_config(total_steps=10), stop_after=5).checkpoint)))
+        doc["weights"]["w"] = [math.inf, -math.inf, math.nan]
+        restored = checkpoint_from_dict(json.loads(json.dumps(doc)))
+        np.testing.assert_array_equal(restored.weights["w"], [math.inf, -math.inf, math.nan])
+
+    @pytest.mark.parametrize("stop_after", [-1, 2.5, True, "3"])
+    def test_stop_after_is_an_int_of_zero_or_more(self, stop_after):
+        # -1 used to checkpoint at step 0, 2.5 at step 3 and True at step 1
+        with pytest.raises(ValueError, match="stop_after"):
+            train(logreg_config(total_steps=10), stop_after=stop_after)
 
     @pytest.mark.parametrize("step", [3.5, "3", 10, 100])
     def test_resume_step_must_be_an_int_below_total_steps(self, step):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
+from novobench.harness import Checkpoint, checkpoint_from_dict, checkpoint_to_dict
 from novobench.optim import (
     ALGORITHMS,
     AdamConfig,
@@ -837,8 +838,10 @@ class TestStateObjects:
 # --- document fuzzer ---------------------------------------------------------
 #
 # Valid state documents of every algorithm, each with one key mutated at the
-# top level or in a layer entry.  A mutated document either raises ValueError
-# naming the key, or resumes bit for bit like the valid one.
+# top level or in a layer entry, and the checkpoints that hold them, each with
+# one key mutated at the top level or in its weights.  A mutated document
+# either raises ValueError naming the key, or resumes bit for bit like the
+# valid one.
 
 _FUZZ_VARIANTS = [("novograd", {}), ("novograd", {"ams": True}), ("adam", {}), ("adamw", {}), ("sgd", {}), ("sngd", {})]
 _RETYPED = [True, "s", [[1.0]]]  # a bool, a string and a nested list
@@ -870,28 +873,36 @@ def _valid_documents(draw, algorithm, hyperparams):
     return driver.state_dict(), params, seed
 
 
-def _mutations(doc):
-    """(description, key, the mutated JSON text) of every mutation of ``doc``."""
+def _mutations(doc, places):
+    """(description, key, the mutated JSON text) of every mutation of ``doc`` in
+    each of ``places``, functions that return one object of a document (its top
+    level, a layer entry, a checkpoint's weights)."""
     text = json.dumps(doc)
 
-    def mutated(layer, change):  # change the top level (layer None) or that layer's entry
+    def mutated(place, change):  # change that object of a copy of doc
         copy = json.loads(text)
-        change(copy if layer is None else next(e for e in copy["layers"] if e["id"] == layer))
+        change(place(copy))
         return json.dumps(copy)
 
-    for place, layer in [(doc, None)] + [(entry, entry["id"]) for entry in doc["layers"]]:
-        for key in place:
-            yield "drop", key, mutated(layer, lambda target: target.pop(key))
+    for place in places:
+        target = place(doc)
+        for key in target:
+            yield "drop", key, mutated(place, lambda obj: obj.pop(key))
             for value in _RETYPED:
                 if not (key == "id" and isinstance(value, str)):  # another string id is another layer
-                    yield "retype", key, mutated(layer, lambda target: target.__setitem__(key, value))
+                    yield "retype", key, mutated(place, lambda obj: obj.__setitem__(key, value))
             # the key twice in the text, with one value: JSON keeps the last
-            inner = json.dumps(place)
-            yield "duplicate", key, text.replace(inner, inner[:-1] + ", " + json.dumps({key: place[key]})[1:], 1)
-        for key in {"u", "m", "v", "v_hat", "id"} - place.keys():
-            yield "add", key, mutated(layer, lambda target: target.__setitem__(key, [2.0]))
-    if doc["layers"]:
+            inner = json.dumps(target)
+            yield "duplicate", key, text.replace(inner, inner[:-1] + ", " + json.dumps({key: target[key]})[1:], 1)
+        for key in {"u", "m", "v", "v_hat", "id"} - target.keys():
+            yield "add", key, mutated(place, lambda obj: obj.__setitem__(key, [2.0]))
+    if doc.get("layers"):
         yield "duplicate entry", "layers", json.dumps({**doc, "layers": doc["layers"] + doc["layers"][:1]})
+
+
+def _state_places(doc):
+    """The top level and each layer entry of a state document."""
+    return [lambda d: d] + [lambda d, i=i: d["layers"][i] for i in range(len(doc["layers"]))]
 
 
 def _resumed(doc, params, seed):
@@ -905,19 +916,34 @@ def _resumed(doc, params, seed):
     return model.weights.tobytes(), json.dumps(driver.state_dict())
 
 
+def _resumed_checkpoint(doc, params, seed):
+    """The checkpoint document ``doc``'s step, and :func:`_resumed` from its state
+    on a copy of ``params`` that holds its weights."""
+    ckpt = checkpoint_from_dict(doc)
+    model = params.copy()
+    model.weights[...] = model.flatten(ckpt.weights)
+    return ckpt.step, _resumed(ckpt.optimizer, model, seed)
+
+
 @pytest.mark.parametrize("algorithm,hyperparams", _FUZZ_VARIANTS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_a_mutated_document_names_the_key_or_resumes_alike(algorithm, hyperparams, data):
     doc, params, seed = data.draw(_valid_documents(algorithm, hyperparams))
-    expected = _resumed(json.loads(json.dumps(doc)), params, seed)
-    for change, key, text in _mutations(doc):
-        try:
-            actual = _resumed(json.loads(text), params, seed)
-        except ValueError as error:
-            assert re.search(rf"\b{key}\b", str(error)), (change, key, str(error))
-        else:
-            assert actual == expected, (change, key)
+    weights = {layer.id: layer.weights for layer in params}
+    ckpt = checkpoint_to_dict(Checkpoint(doc["step_count"], weights, doc))
+    for resume, valid, places in [
+        (_resumed, doc, _state_places(doc)),
+        (_resumed_checkpoint, ckpt, [lambda d: d, lambda d: d["weights"]]),
+    ]:
+        expected = resume(json.loads(json.dumps(valid)), params, seed)
+        for change, key, text in _mutations(valid, places):
+            try:
+                actual = resume(json.loads(text), params, seed)
+            except ValueError as error:
+                assert re.search(rf"\b{key}\b", str(error)), (change, key, str(error))
+            else:
+                assert actual == expected, (change, key)
 
 
 class TestConfigs:
@@ -930,12 +956,12 @@ class TestConfigs:
                     OptimizerDriver(algorithm, cls())
 
     def test_make_config_rejects_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown hyperparameter 'beta3'"):
+        with pytest.raises(ValueError, match="unknown key 'beta3' in hyperparams"):
             make_config("adam", {"beta3": 0.5})
 
     @pytest.mark.parametrize("algorithm,decoupled", [("adam", True), ("adamw", False)])
     def test_decoupled_contradicting_the_algorithm_is_rejected(self, algorithm, decoupled):
-        with pytest.raises(ValueError, match="unknown hyperparameter 'decoupled'"):
+        with pytest.raises(ValueError, match="unknown key 'decoupled' in hyperparams"):
             make_config(algorithm, {"decoupled": decoupled})
         doc = OptimizerDriver(algorithm).state_dict()
         doc["config"]["decoupled"] = decoupled

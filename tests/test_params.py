@@ -1,12 +1,28 @@
+import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novobench.optim import AdamConfig, AdamState, NovoGradConfig, NovoGradState, adam_step, novograd_step, state_report, state_to_dict
-from novobench.params import ModelParams, ParameterLayer, l2_norm_sq
+from novobench.harness import Checkpoint
+from novobench.optim import (
+    AdamConfig,
+    AdamState,
+    NovoGradConfig,
+    NovoGradState,
+    SgdMomentumConfig,
+    SngdConfig,
+    adam_step,
+    novograd_step,
+    state_report,
+    state_to_dict,
+)
+from novobench.params import ModelParams, ParameterLayer, _declared, checked_keys, l2_norm_sq
+from novobench.problems import DatasetSpec
+from novobench.schedule import LarcConfig, ScheduleSpec
 
 
 def _params(sizes, rng=None):
@@ -307,3 +323,88 @@ class TestStateReport:
         novograd = state_report("novograd", params).total_state_elements
         adam = state_report("adam", params).total_state_elements
         assert novograd <= -(-adam // 2) + len(sizes)
+
+
+# --- Config.from_dict -----------------------------------------------------------
+
+_CONFIGS = [
+    ScheduleSpec,
+    LarcConfig,
+    NovoGradConfig,
+    AdamConfig,
+    SgdMomentumConfig,
+    SngdConfig,
+    DatasetSpec,
+    Checkpoint,
+]
+_JSON_OBJECTS = st.dictionaries(st.text(max_size=3), st.lists(st.floats(allow_nan=False), max_size=3), max_size=3)
+
+
+def _field_values(expected, bounds):
+    """A strategy for the valid values of a field of type ``expected`` within ``bounds``."""
+    if expected is bool:
+        return st.booleans()
+    if expected is str:
+        return st.sampled_from(bounds["choices"])
+    if expected is int:
+        return st.integers(bounds.get("min", -5), bounds.get("max", 50))
+    if expected is float:
+        return st.floats(
+            min_value=bounds.get("min", bounds.get("above")),
+            max_value=bounds.get("max", bounds.get("below")),
+            exclude_min="above" in bounds,
+            exclude_max="below" in bounds,
+            allow_nan=False,
+            allow_infinity=False,
+        )
+    return _JSON_OBJECTS  # a dict, such as a checkpoint's weights and optimizer state
+
+
+@st.composite
+def _valid_configs(draw, cls):
+    """An instance of the config dataclass ``cls``, its fields drawn within their declared bounds."""
+    values = {name: draw(_field_values(expected, bounds)) for name, expected, bounds in _declared(cls)}
+    if cls is ScheduleSpec:  # the rules that span fields
+        values["warmup_steps"] %= values["total_steps"]
+        values["min_lr"] = min(values["min_lr"], values["base_lr"])
+    if cls is DatasetSpec and values["task"] != "multiclass-blobs":
+        values.update(n_classes=2, dim=2)
+    return cls(**values)
+
+
+class TestFromDict:
+    @pytest.mark.parametrize("cls", _CONFIGS, ids=lambda cls: cls.__name__)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_from_dict_inverts_asdict(self, cls, data):
+        config = data.draw(_valid_configs(cls))
+        assert cls.from_dict(json.loads(json.dumps(asdict(config))), "section") == config
+
+    @pytest.mark.parametrize(
+        "section,message",
+        [
+            ({"base_lr": 0.1, "total_steps": 5, "bogus": 1}, "unknown key 'bogus' in schedule"),
+            ({"total_steps": 5}, "missing key 'base_lr' in schedule"),
+            ([("base_lr", 0.1)], "schedule must be of type dict, got [('base_lr', 0.1)]"),
+            ({"base_lr": -1, "total_steps": 5}, "base_lr must be > 0, got -1 (in schedule)"),
+        ],
+    )
+    def test_a_key_error_names_the_key_and_the_section(self, section, message):
+        with pytest.raises(ValueError) as info:
+            ScheduleSpec.from_dict(section, "schedule")
+        assert str(info.value) == message
+
+    def test_fixed_fields_are_no_keys(self):
+        assert ScheduleSpec.from_dict({"base_lr": 0.1}, "schedule", total_steps=5) == ScheduleSpec(0.1, 5)
+        with pytest.raises(ValueError, match="^unknown key 'total_steps' in schedule$"):
+            ScheduleSpec.from_dict({"base_lr": 0.1, "total_steps": 5}, "schedule", total_steps=5)
+
+
+class TestCheckedKeys:
+    def test_unknown_then_missing_keys_name_the_key_and_the_section(self):
+        assert checked_keys({"a": 1}, "s", ["a", "b"], ["a"]) == {"a": 1}
+        assert checked_keys({"z": 1, "a": 1}, "s", None, ["a"]) == {"z": 1, "a": 1}
+        with pytest.raises(ValueError, match="^unknown key 'z' in s$"):
+            checked_keys({"z": 1}, "s", ["a", "b"], ["a"])
+        with pytest.raises(ValueError, match="^missing key 'a' in s$"):
+            checked_keys({"b": 1}, "s", ["a", "b"], ["a"])

@@ -15,11 +15,12 @@ order:
   accumulation {1, 3} x LARC {off, on} x ``gradient_scale`` {1, 2^-20}),
   plus one stop / JSON checkpoint / resume round trip per algorithm;
 - ``grad_check``: one ``grad_check`` report per problem above;
-- ``grids``: the files and exit codes of ``novobench compare`` and
-  ``novobench sweep`` (csv and jsonl, a loss threshold, custom and
-  duplicate labels, divergent rows and points), and a ``compare_runs``
-  call that mixes batch sizes, accumulation factors, step counts and log
-  intervals;
+- ``grids``: the files and exit codes of ``novobench run`` (csv and
+  jsonl, with LARC, hyperparameters and problem options, and one run that
+  diverges), ``novobench compare`` and ``novobench sweep`` (csv and
+  jsonl, a loss threshold, custom and duplicate labels, divergent rows and
+  points), and a ``compare_runs`` call that mixes batch sizes,
+  accumulation factors, step counts and log intervals;
 - ``accumulation``: 40 ``train()`` runs with long accumulation ({logreg,
   the default mlp} x 5 algorithms x accumulation {8, 9} x LARC {off, on}),
   a ``compare_runs`` call of all five algorithms on float32 MLP weights
@@ -208,6 +209,46 @@ CLI_CASES = [
             "total_steps": 50,
             "log_every": 10,
             "sweep": {"lr_min": 0.01, "lr_max": 2.0, "points": 4, "spacing": "linear"},
+        },
+    ),
+    (
+        "run",
+        "csv",
+        {
+            "problem": {"kind": "mlp", "hidden": 12, "dataset_seed": 3, "train_fraction": 0.75, "gradient_scale": 0.5},
+            "optimizer": {"algorithm": "novograd", "beta2": 0.5, "ams": True, "weight_decay": 0.001},
+            "schedule": {"base_lr": 0.05, "family": "polynomial", "power": 2.0, "warmup_steps": 3},
+            "larc": {"clip": False, "trust_coefficient": 0.01},
+            "batch_size": 8,
+            "accumulation_factor": 2,
+            "total_steps": 25,
+            "seed": 4,
+            "log_every": 3,
+        },
+    ),
+    (
+        "run",
+        "jsonl",
+        {
+            "problem": {"kind": "logreg", "size": 80, "dim": 3, "separation": 2.0, "noise": 0.5},
+            "optimizer": {"algorithm": "adamw", "weight_decay": 0.01, "bias_correction": False},
+            "schedule": {"base_lr": 0.02, "min_lr": 0.001},
+            "larc": {},
+            "batch_size": 4,
+            "total_steps": 20,
+            "log_every": 4,
+        },
+    ),
+    (
+        "run",
+        "jsonl",
+        {
+            "problem": {"kind": "quadratic", "dim": 6, "matrix_seed": 2, "b_scale": 3.0, "gradient_scale": 2.0**-10},
+            "optimizer": {"algorithm": "sgd", "momentum": 0.5},
+            "schedule": {"base_lr": 1e30, "family": "constant"},
+            "larc": None,
+            "total_steps": 40,
+            "log_every": 5,
         },
     ),
 ]
