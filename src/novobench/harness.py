@@ -162,6 +162,8 @@ def train(
     keeps a post-update weights snapshot per step (testing aid).
     """
     stop_after = checked("stop_after", int | None, stop_after, {"min": 0})
+    resume_from = checked("resume_from", Checkpoint | None, resume_from)
+    record_weight_trace = checked("record_weight_trace", bool, record_weight_trace)
     if resume_from is not None and resume_from.step >= cfg.total_steps:
         raise ValueError(f"checkpoint step {resume_from.step} is not below total_steps {cfg.total_steps}")
     problem = build_problem(cfg.problem)
@@ -203,31 +205,10 @@ class _Row:
     def logs_at(self, t: int) -> bool:
         return t % self.cfg.log_every == 0 or t == self.cfg.total_steps - 1
 
-    def update(self, t: int, loss: float, finite: bool, grad_norms, w_norms, start_ns: int) -> None:
-        """Step ``t``, once the averaged gradient is in ``params.grad``: LARC,
-        the optimizer step and the record.  ``finite`` tells whether that
-        gradient is finite; ``grad_norms`` and ``w_norms`` are its and the
-        weights' layer norms, given when a record or LARC needs them.  A
-        non-finite loss, gradient or LARC-scaled gradient ends the row
-        "diverged" instead."""
-        cfg, params = self.cfg, self.params
-        if not (finite and math.isfinite(loss)):
-            self.termination = "diverged"
-            return
-        lr_t = lr_at(cfg.schedule, t)
-        if cfg.larc is not None:
-            scales = [larc_scale(w_n, g_n, lr_t, cfg.larc) for w_n, g_n in zip(w_norms, grad_norms)]
-            if any(scale != 1.0 for scale in scales):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    params.grad *= params.broadcast(scales, params.grad.dtype)
-                if not np.isfinite(params.grad).all():  # the trust ratio overflowed
-                    self.termination = "diverged"
-                    return
-
-        # a float32 step can overflow; the next step's finiteness check ends the row
-        with np.errstate(over="ignore"):
-            self.driver.step(params, lr_t)
-
+    def record(self, t: int, lr_t: float, loss: float, grad_norms: list[float], start_ns: int) -> None:
+        """Log step ``t``, once it is taken, if due (``grad_norms`` holds the
+        gradient's layer norms), and keep its weights when traced."""
+        params = self.params
         if self.logs_at(t):
             self.records.append(
                 MetricsRecord(
@@ -263,15 +244,17 @@ def _run_grid(problem: Problem, rows: list[_Row]) -> list[TrajectoryLog]:
 
     Rows that share seed, batch size and accumulation factor form a group
     that runs in lockstep from its first row's start step (only a one-row
-    grid resumes).  Each step takes one batch draw and one ``eval_grad``
-    over all of the step's micro-batches and the group's rows, one
-    finiteness check, one norm call for the gradients when some row logs
-    or uses LARC and one for the weights when some row uses LARC; then
-    each row's divergence check, LARC, schedule, optimizer step and
-    record.  A row that stops
-    (completed, checkpointed or diverged) leaves the stack; the others go
-    on.  Every row's log is bit for bit that of its run alone;
-    ``wall_time_ns`` counts from the grid's start.
+    grid resumes), in one row-stacked model.  Each step takes one batch
+    draw and one ``eval_grad`` over all of the step's micro-batches and the
+    group's rows, one finiteness check, one norm call for the gradients
+    when some row logs or uses LARC and one for the weights when some row
+    uses LARC; then each row's divergence check and schedule, LARC for all
+    rows at once (one ``larc_scale`` call per LARC config), one optimizer
+    step per stack of rows that share an algorithm, optimizer config and
+    step count, and each row's record.  A row that stops (completed,
+    checkpointed or diverged) leaves the stack; the others go on.  Every
+    row's log is bit for bit that of its run alone; ``wall_time_ns``
+    counts from the grid's start.
     """
     start_ns = time.monotonic_ns()
     groups: dict[tuple, list[_Row]] = {}
@@ -295,14 +278,12 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
         if not running:
             break
         if len(running) != len(active):  # the stack holds exactly the running rows
-            active = running
-            model = ModelParams.stack([row.params for row in active])
+            model, stacks, larcs = _stack_group(running)
+            active = [row for members, *_ in stacks for row in members]
             # what the eval sees: weights (R, 1, N) and one gradient slot per
             # micro-batch, (R, slots, N); with k == 1 that slot is model.grad
-            view = active[0].params.copy()
             shape = (len(active), slots, model.grad.shape[-1])
-            view._bind(model.weights[:, None], model.grad[:, None] if k == 1 else np.empty(shape, model.grad.dtype))
-            larc = any(row.cfg.larc is not None for row in active)
+            view = model.view(model.weights[:, None], model.grad[:, None] if k == 1 else np.empty(shape, model.grad.dtype))
         indices = _batch_indices(cfg.seed, t, problem.n_examples, size * k)
         # overflow to inf/nan is the divergence signal, not an anomaly
         with np.errstate(over="ignore", invalid="ignore"):
@@ -318,15 +299,71 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
                     model.grad += view.grad[:, j % slots]
                 model.grad /= k
                 losses = total / k
+        losses = losses.tolist()
         finite = np.isfinite(model.grad).all(axis=-1).tolist()
-        grad_norms = w_norms = [None] * len(active)
-        if larc or any(row.logs_at(t) for row in active):
-            grad_norms = np.sqrt(l2_norm_sq(model.grad, model.offsets)).tolist()
-        if larc:
-            w_norms = np.sqrt(l2_norm_sq(model.weights, model.offsets)).tolist()
-        for row, *values in zip(active, losses.tolist(), finite, grad_norms, w_norms):
-            row.update(t, *values, start_ns)
+        grad_norms = None
+        if larcs or any(row.logs_at(t) for row in active):
+            grad_norms = np.sqrt(l2_norm_sq(model.grad, model.offsets))
+        lrs = []
+        for row, loss, ok in zip(active, losses, finite):
+            if not (ok and math.isfinite(loss)):
+                row.termination = "diverged"
+            lrs.append(lr_at(row.cfg.schedule, t) if row.termination is None else 0.0)
+        lr_column = np.array(lrs)[:, None]
+        if larcs:
+            w_norms = np.sqrt(l2_norm_sq(model.weights, model.offsets))
+            scales = np.ones_like(w_norms)
+            for larc, at in larcs.items():
+                scales[at] = larc_scale(w_norms[at], grad_norms[at], lr_column[at], larc)
+            if (scales != 1.0).any():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    model.grad *= model.broadcast(scales, model.grad.dtype)
+                for row, ok in zip(active, np.isfinite(model.grad).all(axis=-1).tolist()):
+                    if not ok:  # the trust ratio overflowed
+                        row.termination = "diverged"
+        # a float32 step can overflow, or meet a rate that is inf in float32 (inf * 0
+        # is NaN); the next step's finiteness check ends the row
+        with np.errstate(over="ignore", invalid="ignore"):
+            for members, at, part, driver in stacks:
+                if all(row.termination is None for row in members):
+                    driver.step(part, lr_column[at])
+                else:  # the diverged rows leave the stack at the next step; until then the rest step alone
+                    for row, lr_t in zip(members, lrs[at]):
+                        if row.termination is None:
+                            row.driver.step(row.params, lr_t)
+        norms = [None] * len(active) if grad_norms is None else grad_norms.tolist()
+        for row, lr_t, loss, layer_norms in zip(active, lrs, losses, norms):
+            if row.termination is None:
+                row.record(t, lr_t, loss, layer_norms, start_ns)
         t += 1
+
+
+def _stack_group(rows: list[_Row]):
+    """The stacks of a group's running ``rows``: its row-stacked model, in which
+    rows that share an algorithm, an optimizer config and a step count sit
+    together; for each such stack its rows, their slice of the model, a view
+    of that slice and their stacked driver; and each LARC config's rows, as
+    a slice where they sit together (indexing it copies nothing), else as
+    their indices."""
+    same: dict[tuple, list[_Row]] = {}
+    for row in rows:
+        driver = row.driver
+        same.setdefault((driver.algorithm, driver.cfg, driver.state.step_count), []).append(row)
+    rows = [row for members in same.values() for row in members]
+    model = ModelParams.stack([row.params for row in rows])
+    stacks, start = [], 0
+    for members in same.values():
+        at = slice(start, start + len(members))
+        part = model.view(model.weights[at], model.grad[at])
+        drivers = [row.driver for row in members]
+        stacks.append((members, at, part, OptimizerDriver.stack(drivers, [row.params for row in members], part)))
+        start = at.stop
+    larcs: dict[LarcConfig, list[int]] = {}
+    for i, row in enumerate(rows):
+        if row.cfg.larc is not None:
+            larcs.setdefault(row.cfg.larc, []).append(i)
+    larcs = {larc: slice(at[0], at[-1] + 1) if len(at) == at[-1] + 1 - at[0] else at for larc, at in larcs.items()}
+    return model, stacks, larcs
 
 
 @dataclass

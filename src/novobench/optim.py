@@ -22,7 +22,9 @@ schedules stay outside the optimizer.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
+from copy import copy
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 from typing import Callable, ClassVar, NamedTuple
@@ -100,6 +102,9 @@ class _State:
     pending: list[dict] | None = field(default_factory=list, init=False)
     order: list[int] = field(default_factory=list, init=False)
     _model: ModelParams | None = field(default=None, init=False, repr=False, compare=False)
+    # a stack's row states (see ``_stack``), whose fields are views of its rows
+    rows: list | None = field(default=None, init=False, repr=False, compare=False)
+    _work: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @cache
@@ -173,14 +178,39 @@ class SngdState(_State):
     """No fields, so no layers: SNGD keeps no state."""
 
 
-def _check_step(params: ModelParams, lr_t: float) -> None:
-    """A step's inputs: ``lr_t`` >= 0, and a finite gradient, in one check of the
-    whole buffer; the error names the first non-finite layer."""
-    if lr_t < 0:
+def _check_step(params: ModelParams, lr_t, sums=None) -> np.ndarray:
+    """A step's inputs: ``lr_t``, a learning rate >= 0 (one per row of a stacked
+    ``params``), returned as a float64 column; and a finite gradient.  Finite
+    ``sums`` (the gradient's layer sums of squares) prove the gradient finite
+    without a pass over it; the error names the first non-finite layer."""
+    lr = np.asarray(lr_t, np.float64).reshape(params.grad.shape[:-1] + (1,))
+    if any(x < 0 for x in lr.ravel().tolist()):  # on a few values faster than numpy's reduction
         raise ValueError(f"negative learning rate: {lr_t}")
-    if not np.isfinite(params.grad).all():
+    # a finite total of the sums (>= 0 each) proves them finite; on a few values Python's sum is fastest
+    if (sums is None or not math.isfinite(sum(sums.ravel().tolist()))) and not np.isfinite(params.grad).all():
         bad = next(layer.id for layer in params if not np.isfinite(layer.grad).all())
         raise ValueError(f"non-finite gradient in layer '{bad}'")
+    return lr
+
+
+def _workspace(state, params: ModelParams) -> tuple:
+    """A step's scratch, kept on ``state`` while it is laid out like ``params``:
+    two buffers like the weights, and one in float64 for squares, which a
+    step reads before it writes the first buffer (so for a float64 model the
+    first buffer holds them, and a step touches one buffer less)."""
+    if state._work is None:
+        w = params.weights
+        work = np.empty((2, *w.shape), w.dtype)
+        state._work = (*work, work[0] if w.dtype == np.float64 else np.empty(w.shape))
+    return state._work
+
+
+def _advance(state) -> int:
+    """Count a step on ``state`` and on its rows; returns the new count."""
+    for row in state.rows or ():
+        row.step_count += 1
+    state.step_count += 1
+    return state.step_count
 
 
 def _entries(state) -> list[dict]:
@@ -215,31 +245,55 @@ def _bind(state, params: ModelParams) -> None:
             else:
                 setattr(state, name, np.array([values.get(i, np.nan) for i in params.layer_ids], np.float64))
         state.order = [params.layer_ids.index(e["id"]) for e in entries] if entries or state.lazy else list(range(len(params)))
-        state._model, state.pending = params, None
+        state._model, state.pending, state._work = params, None, None
 
 
-def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig, lr_t: float) -> None:
-    """One fused NovoGrad update at learning rate ``lr_t`` over the whole model.
+def _stack(states: list, models: list[ModelParams], params: ModelParams):
+    """One state stepping ``states`` (of one class and step count, each laid out
+    like its model of ``models``) as the rows of ``params``, a stack of those
+    models: each field, per weight or per layer, becomes one buffer of R rows,
+    and each state's field a view of its row, so a step on the stack writes
+    through to every state.  The states keep their ``order``."""
+    stack = type(states[0])()
+    for state, model in zip(states, models):
+        _bind(state, model)
+    for name in _layout(type(stack)):
+        buffer = np.stack([getattr(state, name) for state in states])
+        setattr(stack, name, buffer)
+        for state, row in zip(states, buffer):
+            setattr(state, name, row)
+    stack.step_count, stack.rows, stack.pending, stack._model = states[0].step_count, states, None, params
+    return stack
+
+
+def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig, lr_t) -> None:
+    """One fused NovoGrad update at learning rate ``lr_t`` over the whole model,
+    or over every row of a stack (``lr_t`` one rate per row; see ``_stack``).
 
     Initialized layers take the moment update; layers holding their first
     nonzero gradient are initialized (v_1 = ||g||^2, m_1 = g/||g|| + d*w)
     and take the paired update; the rest stay untouched.  Weight decay uses
     the pre-step weights.  The per-layer scalars are computed in float64 and
     broadcast over their layers' elements in the model's dtype, so every
-    element sees the arithmetic of a per-layer loop.
+    element sees the arithmetic of a per-layer loop.  Once every layer of
+    every row has initialized, the step writes in place and allocates
+    nothing the size of the model.
     """
-    _check_step(params, lr_t)
     _bind(state, params)
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     decoupled = cfg.wd_placement == "decoupled_update"
     g, w, m = params.grad, params.weights, state.m
-    gsq = l2_norm_sq(g, params.offsets)
+    work, other, squares = _workspace(state, params)
+    gsq = l2_norm_sq(g, params.offsets, out=squares)
+    lr = _check_step(params, lr_t, gsq)
     with np.errstate(invalid="ignore") if beta2 in (0.0, 1.0) else nullcontext():  # 0 * inf is NaN, silently, as in Python floats
         v = np.add(beta2 * state.v, (1.0 - beta2) * gsq, out=state.v)  # a layer not yet initialized stays NaN
     known = active = True  # initialized before this step, and updated in it: every layer, once all have initialized
-    if fresh := len(state.order) < len(params):
-        known = np.zeros(len(params), bool)
-        known[state.order] = True
+    if fresh := any(len(row.order) < len(params) for row in state.rows or [state]):
+        orders = [row.order for row in state.rows or [state]]
+        known = np.zeros(v.shape, bool)
+        for row, order in zip(known.reshape(len(orders), -1), orders):
+            row[order] = True
         active = known | (gsq != 0.0)  # an all-zero first gradient defers init
         v = np.where(known, v, gsq)
         np.copyto(state.v, v, where=active)
@@ -247,96 +301,105 @@ def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig
         v = np.fmax(state.v_hat, v)  # a layer initializing has no v_hat yet
         np.copyto(state.v_hat, v, where=active)
     denoms = np.sqrt(v) + eps * known  # an initializing layer divides by ||g||; 0 leaves g at 0
-    denom = params.broadcast(denoms, g.dtype)
-    if all(denoms.tolist()):  # on L values Python's all() is faster than numpy's reduction
-        normalized = g / denom
-    else:  # zero where denom == 0 (only reachable when g == 0)
-        normalized = np.zeros_like(g)
-        np.divide(g, denom, out=normalized, where=params.broadcast(denoms != 0.0))
+    denom = params.broadcast(denoms, g.dtype, out=work)
+    if all(denoms.ravel().tolist()):  # on a few values Python's all() is faster than numpy's reduction
+        contrib = np.divide(g, denom, out=work)
+    else:  # where denom == 0 (only reachable when g == 0) its zero stays
+        contrib = np.divide(g, denom, out=work, where=params.broadcast(denoms != 0.0))
     if d != 0.0 and not decoupled:
-        contrib = normalized + d * w
-    else:
-        contrib = normalized
-    if cfg.first_moment_style == "ema":
-        m_new = beta1 * m + (1.0 - beta1) * contrib
-    else:
-        m_new = beta1 * m + contrib
-    if fresh:  # a layer being initialized takes m_1 = contrib
-        m_new = np.where(params.broadcast(known), m_new, contrib)
-        state.order += np.flatnonzero(active & ~known).tolist()
-    where = params.broadcast(active) if fresh and not all(active.tolist()) else True
-    np.copyto(m, m_new, where=where)
+        contrib += np.multiply(w, d, out=other)
+    if not fresh:  # every layer takes the moment update, in place
+        m *= beta1
+        if cfg.first_moment_style == "ema":
+            contrib *= 1.0 - beta1
+        m += contrib
+    else:  # a layer being initialized takes m_1 = contrib
+        m_new = beta1 * m + ((1.0 - beta1) * contrib if cfg.first_moment_style == "ema" else contrib)
+        np.copyto(m, np.where(params.broadcast(known), m_new, contrib), where=params.broadcast(active))
+        for row, order in zip(active & ~known.reshape(len(orders), -1), orders):
+            order += np.flatnonzero(row).tolist()
+    where = params.broadcast(active) if fresh else True
+    step = np.multiply(m, lr.astype(g.dtype, copy=False), out=work)
     if d != 0.0 and decoupled:
-        decay = lr_t * d * w
-        np.subtract(w, lr_t * m, out=w, where=where)
+        decay = np.multiply(w, (lr * d).astype(g.dtype), out=other)
+        np.subtract(w, step, out=w, where=where)
         np.subtract(w, decay, out=w, where=where)
     else:
-        np.subtract(w, lr_t * m, out=w, where=where)
-    state.step_count += 1
+        np.subtract(w, step, out=w, where=where)
+    _advance(state)
 
 
-def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: float, decoupled: bool) -> None:
-    _check_step(params, lr_t)
+def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t, decoupled: bool) -> None:
+    lr = _check_step(params, lr_t)
     _bind(state, params)
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
-    state.step_count += 1
-    t = state.step_count
+    t = _advance(state)
     w, m, v = params.weights, state.m, state.v
+    work, other, _ = _workspace(state, params)
     g = params.grad
     if d != 0.0 and not decoupled:
-        g = g + d * w
-    m[...] = beta1 * m + (1.0 - beta1) * g
-    v[...] = beta2 * v + (1.0 - beta2) * g * g
+        g = np.add(g, np.multiply(w, d, out=work), out=work)
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=other)
+    v *= beta2
+    v += np.multiply(np.multiply(g, 1.0 - beta2, out=other), g, out=other)
     if cfg.bias_correction:
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
+        m_hat = np.divide(m, 1.0 - beta1**t, out=work)
+        v_hat = np.divide(v, 1.0 - beta2**t, out=other)
     else:
         m_hat, v_hat = m, v
-    denom = np.sqrt(v_hat) + eps
+    denom = np.sqrt(v_hat, out=other)
+    denom += eps
     if eps > 0.0:
-        update = m_hat / denom
+        update = np.divide(m_hat, denom, out=work)
     else:  # a zero second moment (only zero or underflowing gradients so far): no update
         update = np.zeros_like(m_hat)
         np.divide(m_hat, denom, out=update, where=denom != 0.0)
     if d != 0.0 and decoupled:
-        update = update + d * w
-    w -= lr_t * update
+        update += np.multiply(w, d, out=other)
+    w -= np.multiply(update, lr.astype(w.dtype, copy=False), out=update)
 
 
-def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: float) -> None:
+def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t) -> None:
     """One Adam update; coupled weight decay folds d*w into the gradient."""
     _adam_step(params, state, cfg, lr_t, False)
 
 
-def adamw_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t: float) -> None:
+def adamw_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t) -> None:
     """One AdamW update: moments see the raw gradient, decay goes into the
     weight update as -lr_t * d * w."""
     _adam_step(params, state, cfg, lr_t, True)
 
 
-def sgd_momentum_step(params: ModelParams, state: SgdMomentumState, cfg: SgdMomentumConfig, lr_t: float) -> None:
+def sgd_momentum_step(params: ModelParams, state: SgdMomentumState, cfg: SgdMomentumConfig, lr_t) -> None:
     """One heavy-ball SGD update with coupled L2 decay."""
-    _check_step(params, lr_t)
+    lr = _check_step(params, lr_t)
     _bind(state, params)
     mu, d = cfg.momentum, cfg.weight_decay
     w, m = params.weights, state.m
+    work, _, _ = _workspace(state, params)
     g = params.grad
     if d != 0.0:
-        g = g + d * w
-    m[...] = mu * m + g
-    w -= lr_t * m
-    state.step_count += 1
+        g = np.add(g, np.multiply(w, d, out=work), out=work)
+    m *= mu
+    m += g
+    w -= np.multiply(m, lr.astype(w.dtype, copy=False), out=work)
+    _advance(state)
 
 
-def sngd_step(params: ModelParams, state: SngdState, cfg: SngdConfig, lr_t: float) -> None:
+def sngd_step(params: ModelParams, state: SngdState, cfg: SngdConfig, lr_t) -> None:
     """One normalized-gradient step; layers with zero gradient are no-ops.
-    ``state`` has no fields and stays as it is."""
-    _check_step(params, lr_t)
-    norms = np.sqrt(l2_norm_sq(params.grad, params.offsets))
+    ``state`` has no fields and keeps its count."""
+    _bind(state, params)
+    work, _, squares = _workspace(state, params)
+    gsq = l2_norm_sq(params.grad, params.offsets, out=squares)
+    lr = _check_step(params, lr_t, gsq)
+    norms = np.sqrt(gsq)
     moving = norms != 0.0
-    denom = params.broadcast(np.where(moving, norms + cfg.epsilon, 1.0), params.grad.dtype)
-    where = True if moving.all() else params.broadcast(moving)
-    np.subtract(params.weights, lr_t * (params.grad / denom), out=params.weights, where=where)
+    denom = params.broadcast(np.where(moving, norms + cfg.epsilon, 1.0), params.grad.dtype, out=work)
+    step = np.multiply(np.divide(params.grad, denom, out=work), lr.astype(work.dtype, copy=False), out=work)
+    where = True if all(moving.ravel().tolist()) else params.broadcast(moving)
+    np.subtract(params.weights, step, out=params.weights, where=where)
 
 
 class _Algorithm(NamedTuple):
@@ -452,8 +515,20 @@ class OptimizerDriver:
         self.cfg = make_config(algorithm) if cfg is None else checked("cfg", entry.config, cfg)
         self.state = checked("state", entry.state | None, state) or entry.state()
 
-    def step(self, params: ModelParams, lr_t: float) -> None:
+    def step(self, params: ModelParams, lr_t) -> None:
+        """One update of ``params`` at rate ``lr_t``; of a stack's rows (see
+        :meth:`stack`) at one rate per row."""
         _REGISTRY[self.algorithm].step(params, self.state, self.cfg, lr_t)
+
+    @classmethod
+    def stack(cls, drivers: list["OptimizerDriver"], models: list[ModelParams], params: ModelParams) -> "OptimizerDriver":
+        """A copy of the first of ``drivers`` (one algorithm, config and step
+        count) that steps all of them as the rows of ``params``, the stack of
+        ``models`` (see :meth:`ModelParams.stack`), their states' models; each
+        driver's state then holds views of its row of the copy's state."""
+        stack = copy(drivers[0])
+        stack.state = _stack([driver.state for driver in drivers], models, params)
+        return stack
 
     def second_moments(self, params: ModelParams) -> dict[str, float] | None:
         """Per-layer second-moment summary of the state, bound to ``params``: its

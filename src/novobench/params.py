@@ -46,7 +46,7 @@ _START = np.zeros(1, dtype=np.intp)  # offsets of a single segment
 _START.setflags(write=False)
 
 
-def l2_norm_sq(v, offsets=None):
+def l2_norm_sq(v, offsets=None, out=None):
     """Sum of squares of ``v``, accumulated in float64.
 
     Without ``offsets`` the result is one float over all of ``v``.  With
@@ -59,15 +59,18 @@ def l2_norm_sq(v, offsets=None):
     results are bit-reproducible for one numpy build, and scaling every
     element by a power of two scales each sum exactly while no square
     under- or overflows.  An overflowing sum is ``inf``, without a warning.
+    ``out``, a float64 array shaped like ``v``, takes the squares in place
+    of a new array.
     """
-    x = np.asarray(v, dtype=np.float64)
+    x = v if isinstance(v, np.ndarray) else np.asarray(v, dtype=np.float64)
     single = offsets is None
     if single:
         x = x.ravel()
         if x.size == 0:
             raise ValueError("empty layer")
     with np.errstate(over="ignore"):
-        sums = np.add.reduceat(x * x, _START if single else offsets, axis=-1)
+        squares = np.multiply(x, x, out=out, dtype=np.float64)
+        sums = np.add.reduceat(squares, _START if single else offsets, axis=-1)
     return float(sums[0]) if single else sums
 
 
@@ -175,8 +178,7 @@ class ModelParams:
                 raise ValueError("stacked models must share one layout")
             if model.weights.dtype != first.weights.dtype:
                 raise ValueError("stacked models must share one dtype")
-        stacked = first.copy()
-        stacked._bind(np.stack([m.weights for m in models]), np.stack([m.grad for m in models]))
+        stacked = first.view(np.stack([m.weights for m in models]), np.stack([m.grad for m in models]))
         for model, weights, grad in zip(models, stacked.weights, stacked.grad):
             model._bind(weights, grad)
         return stacked
@@ -218,16 +220,28 @@ class ModelParams:
                 raise ValueError(f"missing layer '{layer_id}'")
         return flat
 
-    def broadcast(self, per_layer, dtype=None) -> np.ndarray:
-        """Repeat one value per layer over that layer's elements."""
-        return np.repeat(np.asarray(per_layer, dtype=dtype), self.sizes)
+    def broadcast(self, per_layer, dtype=None, out=None) -> np.ndarray:
+        """Repeat one value per layer over that layer's elements, along the last
+        axis, so (R, L) values give (R, N).  With ``out``, shaped like the result,
+        they are written there a layer at a time and nothing is allocated."""
+        values = np.asarray(per_layer, dtype=dtype)
+        if out is None:
+            return np.repeat(values, self.sizes, axis=-1)
+        for i, s in enumerate(self._slices):
+            out[..., s] = values[..., i, None]
+        return out
+
+    def view(self, weights: np.ndarray, grad: np.ndarray) -> "ModelParams":
+        """A model of this layout over the buffers ``weights`` and ``grad`` (not
+        copied), which may hold rows, such as a slice of a stack's."""
+        row = (0,) * (self.weights.ndim - 1)
+        model = ModelParams([ParameterLayer(layer.id, layer.weights[row]) for layer in self.layers])
+        model._bind(weights, grad)
+        return model
 
     def copy(self) -> "ModelParams":
         """An independent model of the same layout and, for a stack, rows."""
-        row = (0,) * (self.weights.ndim - 1)
-        copy = ModelParams([ParameterLayer(layer.id, layer.weights[row]) for layer in self.layers])
-        copy._bind(self.weights.copy(), self.grad.copy())
-        return copy
+        return self.view(self.weights.copy(), self.grad.copy())
 
 
 # the bounds a field may declare in its metadata, with their text and test

@@ -147,6 +147,13 @@ class TestTrainBasics:
         assert log.termination == "diverged"
         assert [rec.step for rec in log.records] == [0]
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_rate_beyond_float32_range_ends_diverged_without_a_warning(self, algorithm):
+        # 1e300 is inf in float32; LARC scales some gradients to zero, and inf * 0 is NaN
+        with mlp_weights_in(np.float32):
+            log = train(mlp_config(algorithm, total_steps=3, base_lr=1e300, larc=LarcConfig()))
+        assert log.termination == "diverged"
+
     def test_larc_run_completes(self):
         cfg = logreg_config("sgd", larc=LarcConfig(trust_coefficient=0.02), total_steps=15)
         log = train(cfg)
@@ -216,6 +223,17 @@ class TestCheckpointing:
         for wa, wb in zip(first.weight_trace + second.weight_trace, full.weight_trace):
             for layer_id in wa:
                 np.testing.assert_array_equal(wa[layer_id], wb[layer_id])
+
+    def test_resume_from_must_be_a_checkpoint(self):
+        cfg = logreg_config(total_steps=10)
+        doc = checkpoint_to_dict(train(cfg, stop_after=3).checkpoint)  # a document, not the Checkpoint read from it
+        with pytest.raises(ValueError, match="resume_from must be of type Checkpoint"):
+            train(cfg, resume_from=doc)
+
+    @pytest.mark.parametrize("value", ["yes", 1, None])
+    def test_record_weight_trace_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="record_weight_trace must be of type bool"):
+            train(logreg_config(total_steps=5), record_weight_trace=value)
 
     def test_checkpoint_algorithm_mismatch_rejected(self):
         cfg = logreg_config("adam", total_steps=10)
@@ -630,6 +648,51 @@ class TestLockstep:
             driver.step(params, lr_at(sgd.schedule, t))
         for layer in params:
             assert layer.weights.tobytes() == logs[3].final_weights[layer.id].tobytes()
+
+    # one variant per stack: every algorithm, and NovoGrad with ams, ema and decoupled decay
+    STACKED = [
+        ("novograd", {}),
+        ("novograd", {"ams": True, "first_moment_style": "ema", "wd_placement": "decoupled_update", "weight_decay": 0.01}),
+        ("adam", {"weight_decay": 0.01}),
+        ("adamw", {"weight_decay": 0.01}),
+        ("sgd", {"weight_decay": 0.01}),
+        ("sngd", {"epsilon": 0.0}),
+    ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        variant=st.sampled_from(STACKED),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        accumulation=st.sampled_from([1, 3]),
+        data=st.data(),
+    )
+    def test_stacked_rows_equal_standalone_runs_as_other_rows_leave(self, variant, dtype, accumulation, data):
+        """Rows of one group, most of one algorithm and config (so they step as
+        one stack), each with its own rate, LARC config and step count, some
+        diverging (base_lr 1e300) or checkpointing mid-run: each row's log and
+        checkpoint are those of its run alone."""
+        algorithm, hyperparams = variant
+        runs = []
+        for _ in range(data.draw(st.integers(2, 5))):
+            steps = data.draw(st.integers(3, 10))
+            cfg = mlp_config(
+                algorithm,
+                total_steps=steps,
+                accumulation_factor=accumulation,
+                hyperparams=data.draw(st.sampled_from([hyperparams, hyperparams, {}])),
+                base_lr=data.draw(st.sampled_from([0.01, 0.05, 0.3, 1e300])),
+                larc=data.draw(st.sampled_from([None, LarcConfig(), LarcConfig(clip=False, eps_div=0.0)])),
+            )
+            runs.append((cfg, data.draw(st.none() | st.integers(0, steps - 1))))
+        problem = build(SMALL_MLP.kind, SMALL_MLP.options)
+        with mlp_weights_in(dtype):
+            logs = harness._run_grid(problem, [harness._Row(cfg, problem, stop) for cfg, stop in runs])
+            alone = [train(cfg, stop_after=stop) for cfg, stop in runs]
+        for log, ref in zip(logs, alone):
+            _same_run(log, ref)
+            assert log.termination == ref.termination
+            if ref.checkpoint is not None:
+                assert json.dumps(checkpoint_to_dict(log.checkpoint)) == json.dumps(checkpoint_to_dict(ref.checkpoint))
 
     def test_sweep_rows_equal_standalone_runs_past_a_divergent_point(self):
         cfg = quadratic_config("sgd", total_steps=60, accumulation_factor=2, log_every=1)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import asdict, fields
 from types import SimpleNamespace
 
@@ -1172,54 +1173,102 @@ def _assert_same_state(algorithm, cfg, state, ref):
             assert np.array(layers[layer_id]["v"], v.dtype).tobytes() == v.tobytes()
 
 
+def _ref_state(algorithm, cfg, params):
+    """The references' state for ``params``: per-layer dicts, which a driver's state holds as arrays."""
+    zeros = {layer.id: np.zeros_like(layer.weights) for layer in params}
+    if algorithm == "novograd":
+        return SimpleNamespace(m={}, v={}, v_hat={} if cfg.ams else None)
+    if algorithm in ("adam", "adamw"):
+        return SimpleNamespace(m=dict(zeros), v={k: z.copy() for k, z in zeros.items()}, step_count=0)
+    if algorithm == "sgd":
+        return SimpleNamespace(m=dict(zeros))
+    return None
+
+
+def _ref_step(algorithm, cfg, layers, ref, lr):
+    if algorithm == "novograd":
+        _ref_novograd(layers, ref, cfg, lr)
+    elif algorithm in ("adam", "adamw"):
+        _ref_adam(layers, ref, cfg, lr, decoupled=algorithm == "adamw")
+    elif algorithm == "sgd":
+        _ref_sgd(layers, ref, cfg, lr)
+    else:
+        _ref_sngd(layers, cfg, lr)
+
+
 @pytest.mark.parametrize("algorithm,hyperparams", _FUSED_CASES)
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
+    rows=st.sampled_from([1, 2, 5]),
     sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
     dtype=st.sampled_from([np.float64, np.float32]),
     seed=st.integers(0, 2**32 - 1),
+    stacked=st.booleans(),
 )
-def test_fused_step_equals_per_layer_reference(algorithm, hyperparams, sizes, dtype, seed):
+def test_fused_step_equals_per_layer_reference(algorithm, hyperparams, rows, sizes, dtype, seed, stacked):
+    """R models stepped as one stack (one row: a stack, or the model alone) at
+    one learning rate per row, 0 among them, each row's zero layers (so
+    NovoGrad's deferred init) its own, equal R per-layer reference loops."""
     rng = np.random.default_rng(seed)
     cfg = make_config(algorithm, hyperparams)
-    params = ModelParams(
-        [ParameterLayer(f"l{i}", rng.standard_normal(n).astype(dtype)) for i, n in enumerate(sizes)]
-    )
-    ref_weights = [layer.weights.copy() for layer in params]
-    driver = OptimizerDriver(algorithm, cfg)
-    # the references' state: per-layer dicts, which the driver's state holds as arrays
-    zeros = {layer.id: np.zeros_like(layer.weights) for layer in params}
-    if algorithm == "novograd":
-        ref = SimpleNamespace(m={}, v={}, v_hat={} if cfg.ams else None)
-    elif algorithm in ("adam", "adamw"):
-        ref = SimpleNamespace(m=dict(zeros), v={k: z.copy() for k, z in zeros.items()}, step_count=0)
-    elif algorithm == "sgd":
-        ref = SimpleNamespace(m=dict(zeros))
+    models = [
+        ModelParams([ParameterLayer(f"l{i}", rng.standard_normal(n).astype(dtype)) for i, n in enumerate(sizes)])
+        for _ in range(rows)
+    ]
+    ref_weights = [[layer.weights.copy() for layer in model] for model in models]
+    drivers = [OptimizerDriver(algorithm, cfg) for _ in models]
+    refs = [_ref_state(algorithm, cfg, model) for model in models]
+    if rows == 1 and not stacked:
+        driver, params = drivers[0], models[0]
     else:
-        ref = None
+        params = ModelParams.stack(models)
+        driver = OptimizerDriver.stack(drivers, models, params)
     for step in range(6):
+        lrs = rng.uniform(0.0, 0.1, rows) * (rng.uniform(size=rows) < 0.8)
         grads = []
-        for i, layer in enumerate(params):
-            # the first layer's first gradient is zero: NovoGrad defers its init
-            zero = (step == 0 and i == 0) or rng.uniform() < 0.2
-            scale = 0.0 if zero else 10.0 ** rng.uniform(-3, 3)
-            grads.append((scale * rng.standard_normal(layer.size)).astype(dtype))
-            layer.grad[...] = grads[-1]
-        lr = float(rng.uniform(0.0, 0.1))
-        driver.step(params, lr)
-        layers = [(layer.id, w, g) for layer, w, g in zip(params, ref_weights, grads)]
-        if algorithm == "novograd":
-            _ref_novograd(layers, ref, cfg, lr)
-        elif algorithm in ("adam", "adamw"):
-            _ref_adam(layers, ref, cfg, lr, decoupled=algorithm == "adamw")
-        elif algorithm == "sgd":
-            _ref_sgd(layers, ref, cfg, lr)
-        else:
-            _ref_sngd(layers, cfg, lr)
-        for layer, w in zip(params, ref_weights):
-            assert layer.weights.dtype == w.dtype
-            assert layer.weights.tobytes() == w.tobytes(), (step, layer.id)
-        _assert_same_state(algorithm, cfg, driver.state, ref)
+        for r, model in enumerate(models):
+            grads.append([])
+            for i, layer in enumerate(model):
+                # the first layer's first gradient is zero in row 0: NovoGrad defers its init
+                zero = (step == 0 and i == 0 and r == 0) or rng.uniform() < 0.2
+                scale = 0.0 if zero else 10.0 ** rng.uniform(-3, 3)
+                grads[-1].append((scale * rng.standard_normal(layer.size)).astype(dtype))
+                layer.grad[...] = grads[-1][-1]
+        driver.step(params, lrs.tolist() if params is not models[0] else float(lrs[0]))
+        for model, weights, grad, ref, lr in zip(models, ref_weights, grads, refs, lrs.tolist()):
+            _ref_step(algorithm, cfg, [(layer.id, w, g) for layer, w, g in zip(model, weights, grad)], ref, lr)
+            for layer, w in zip(model, weights):
+                assert layer.weights.dtype == w.dtype
+                assert layer.weights.tobytes() == w.tobytes(), (step, layer.id)
+    for row_driver, ref in zip(drivers, refs):
+        _assert_same_state(algorithm, cfg, row_driver.state, ref)
+        if algorithm != "sngd":
+            assert row_driver.state.step_count == 6
+
+
+@pytest.mark.parametrize("algorithm,hyperparams", _FUSED_CASES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_a_warm_stacked_step_allocates_nothing_the_size_of_the_model(algorithm, hyperparams, dtype):
+    rng = np.random.default_rng(0)
+    # large enough that numpy's fixed casting buffers (8,192 elements an operand) stay below the bound
+    sizes = (60000, 7, 300)
+    models = [
+        ModelParams([ParameterLayer(f"l{i}", rng.standard_normal(n).astype(dtype)) for i, n in enumerate(sizes)])
+        for _ in range(3)
+    ]
+    drivers = [OptimizerDriver(algorithm, make_config(algorithm, hyperparams)) for _ in models]
+    params = ModelParams.stack(models)
+    driver = OptimizerDriver.stack(drivers, models, params)
+    params.grad[...] = rng.standard_normal(params.grad.shape)
+    for _ in range(2):  # every layer initializes, and the workspace is made
+        driver.step(params, [0.01, 0.0, 0.02])
+    tracemalloc.start()
+    try:
+        driver.step(params, [0.01, 0.0, 0.02])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.weights.nbytes / 2
 
 
 def test_non_finite_gradient_leaves_the_model_untouched():

@@ -6,7 +6,7 @@ refactor) prints the same digest as its parent:
     python3 tools/output_hash.py                      # this checkout's src/
     python3 tools/output_hash.py --src ../parent/src  # another checkout's package
 
-The digest covers seven sets of outputs, each fed to the hash in a fixed
+The digest covers eight sets of outputs, each fed to the hash in a fixed
 order:
 
 - ``train``: 200 ``train()`` runs serialized with ``log_to_jsonl``
@@ -46,7 +46,16 @@ order:
   (``gradient_scale`` 1e308), and an MLP run from weights with ``w2``
   zeroed, so ``w1`` and ``b1`` have a zero gradient at step 0 (NovoGrad
   leaves their ``v`` cells empty); plus one float32 MLP run per algorithm
-  at accumulation 2 with LARC.
+  at accumulation 2 with LARC;
+- ``stacks``: multi-row grids whose rows of one algorithm and config step
+  as one stack, in float64 and float32, for every algorithm and for
+  NovoGrad with ``ams``, the EMA first moment and decoupled decay: a
+  6-point ``lr_sweep`` of the default MLP (its largest rate diverges
+  mid-run, except for float32 SNGD), the same sweep at accumulation 2
+  with LARC from weights with ``w2`` zeroed (the rates whose steps leave
+  ``w2`` at zero defer NovoGrad's init of ``w1`` and ``b1`` for their rows
+  only), and a ``compare_runs`` grid of one config whose rows end at steps
+  6, 9 and 12, with LARC on two of them, one at that largest rate.
 
 The per-set digests go to standard error.  BLAS is capped at one thread;
 equal digests are expected on one machine and numpy/BLAS build only.
@@ -449,6 +458,64 @@ def serializer_outputs(h):
         h.update(re.sub(r",\d+$", ",0", harness.log_to_csv(log, True), flags=re.M).encode())
 
 
+# every algorithm, and NovoGrad with ams, the EMA first moment and decoupled decay
+STACK_VARIANTS = [(a, {}) for a in ("novograd", "adam", "adamw", "sgd", "sngd")] + [
+    ("novograd", {"ams": True}),
+    ("novograd", {"first_moment_style": "ema", "weight_decay": 0.01}),
+    ("novograd", {"wd_placement": "decoupled_update", "weight_decay": 0.01}),
+]
+# a rate whose steps underflow (0 in float32), a tiny one, two usual ones, a huge one
+# and one whose row diverges mid-run (float64 at its second step, float32 later)
+STACK_LRS = {"float64": [5e-324, 1e-50, 0.003, 0.05, 1e300, 1e308], "float32": [1e-50, 1e-30, 0.003, 0.05, 1e30, 1e38]}
+
+
+@contextlib.contextmanager
+def _zero_w2_mlp():
+    """MLP models start with ``w2`` zeroed within the block: ``w1`` and ``b1``
+    get a zero gradient until ``w2`` moves, so NovoGrad defers their init, and
+    a rate that leaves ``w2`` at zero defers it for that row only."""
+    from novobench.problems import MlpProblem
+
+    original = MlpProblem.__dict__["init_params"]
+
+    def init_params(self, rng):
+        params = original(self, rng)
+        params.layer("w2").weights[...] = 0.0
+        return params
+
+    MlpProblem.init_params = init_params
+    try:
+        yield
+    finally:
+        MlpProblem.init_params = original
+
+
+def stack_outputs(h):
+    from dataclasses import replace
+
+    from novobench import harness
+    from novobench.schedule import LarcConfig
+
+    for dtype, precision in (("float64", contextlib.nullcontext), ("float32", _float32_mlp)):
+        lrs = STACK_LRS[dtype]
+        with precision():
+            for algorithm, hyperparams in STACK_VARIANTS:
+                cfg = _config("mlp", {}, algorithm, hyperparams=hyperparams, total_steps=12, log_every=1)
+                _sweep_outputs(h, cfg, lrs)
+                with _zero_w2_mlp():
+                    _sweep_outputs(h, replace(cfg, accumulation_factor=2, larc=LarcConfig()), lrs)
+                # rows of one config ending at different steps, LARC on some, one diverging
+                runs = [(6, 0.01, None), (9, 0.05, LarcConfig()), (12, 0.02, None), (9, lrs[-1], LarcConfig(clip=False))]
+                cfgs = [
+                    _config("mlp", {}, algorithm, hyperparams=hyperparams, total_steps=n, base_lr=lr, log_every=2, larc=larc)
+                    for n, lr, larc in runs
+                ]
+                rows, logs = harness.compare_runs(cfgs, loss_threshold=1.0)
+                h.update(harness.comparison_to_csv(rows).encode())
+                for log in logs:
+                    h.update(harness.log_to_jsonl(log).encode())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(REPO_SRC), help="directory holding the novobench package")
@@ -463,6 +530,7 @@ def main(argv=None) -> int:
         ("states", state_outputs),
         ("wide", wide_outputs),
         ("serializers", serializer_outputs),
+        ("stacks", stack_outputs),
     )
     for name, part in parts:
         h = hashlib.sha256()
