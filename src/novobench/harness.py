@@ -191,6 +191,7 @@ class _Row:
         self.records: list[MetricsRecord] = []
         self.trace: list[dict[str, np.ndarray]] | None = [] if record_weight_trace else None
         self.termination: str | None = None  # set when the row stops
+        self.lr_t = 0.0  # the rate of the step being taken
         self.checkpoint_step: int | None = None
 
     def ends_before(self, t: int) -> bool:
@@ -205,7 +206,26 @@ class _Row:
     def logs_at(self, t: int) -> bool:
         return t % self.cfg.log_every == 0 or t == self.cfg.total_steps - 1
 
-    def record(self, t: int, lr_t: float, loss: float, grad_norms: list[float], start_ns: int) -> None:
+    def prepare(self, t: int, loss: float, finite: bool, grad_norms, w_norms) -> None:
+        """Set ``lr_t``, step ``t``'s rate, and apply LARC to the averaged
+        gradient in ``params.grad``.  ``finite`` tells whether that gradient
+        is finite; ``grad_norms`` and ``w_norms`` are its and the weights'
+        layer norms, given when LARC needs them.  A non-finite loss, gradient
+        or LARC-scaled gradient ends the row "diverged" instead."""
+        cfg, params = self.cfg, self.params
+        if not (finite and math.isfinite(loss)):
+            self.termination = "diverged"
+            return
+        self.lr_t = lr_t = lr_at(cfg.schedule, t)
+        if cfg.larc is not None:
+            scales = [larc_scale(w_n, g_n, lr_t, cfg.larc) for w_n, g_n in zip(w_norms, grad_norms)]
+            if any(scale != 1.0 for scale in scales):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    params.grad *= params.broadcast(scales, params.grad.dtype)
+                if not np.isfinite(params.grad).all():  # the trust ratio overflowed
+                    self.termination = "diverged"
+
+    def record(self, t: int, loss: float, grad_norms: list[float], start_ns: int) -> None:
         """Log step ``t``, once it is taken, if due (``grad_norms`` holds the
         gradient's layer norms), and keep its weights when traced."""
         params = self.params
@@ -213,7 +233,7 @@ class _Row:
             self.records.append(
                 MetricsRecord(
                     step=t,
-                    lr_effective=lr_t,
+                    lr_effective=self.lr_t,
                     loss=loss,
                     grad_norms=dict(zip(params.layer_ids, grad_norms)),
                     second_moments=self.driver.second_moments(params),
@@ -248,10 +268,9 @@ def _run_grid(problem: Problem, rows: list[_Row]) -> list[TrajectoryLog]:
     draw and one ``eval_grad`` over all of the step's micro-batches and the
     group's rows, one finiteness check, one norm call for the gradients
     when some row logs or uses LARC and one for the weights when some row
-    uses LARC; then each row's divergence check and schedule, LARC for all
-    rows at once (one ``larc_scale`` call per LARC config), one optimizer
-    step per stack of rows that share an algorithm, optimizer config and
-    step count, and each row's record.  A row that stops (completed,
+    uses LARC; then each row's divergence check, schedule and LARC, one
+    optimizer step per stack of rows that share an algorithm and optimizer
+    config, and each row's record.  A row that stops (completed,
     checkpointed or diverged) leaves the stack; the others go on.  Every
     row's log is bit for bit that of its run alone; ``wall_time_ns``
     counts from the grid's start.
@@ -278,8 +297,9 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
         if not running:
             break
         if len(running) != len(active):  # the stack holds exactly the running rows
-            model, stacks, larcs = _stack_group(running)
-            active = [row for members, *_ in stacks for row in members]
+            model, stacks = _stack_group(running)
+            active = [row for members, _, _ in stacks for row in members]
+            larc = any(row.cfg.larc is not None for row in active)
             # what the eval sees: weights (R, 1, N) and one gradient slot per
             # micro-batch, (R, slots, N); with k == 1 that slot is model.grad
             shape = (len(active), slots, model.grad.shape[-1])
@@ -299,71 +319,50 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
                     model.grad += view.grad[:, j % slots]
                 model.grad /= k
                 losses = total / k
-        losses = losses.tolist()
         finite = np.isfinite(model.grad).all(axis=-1).tolist()
-        grad_norms = None
-        if larcs or any(row.logs_at(t) for row in active):
-            grad_norms = np.sqrt(l2_norm_sq(model.grad, model.offsets))
-        lrs = []
-        for row, loss, ok in zip(active, losses, finite):
-            if not (ok and math.isfinite(loss)):
-                row.termination = "diverged"
-            lrs.append(lr_at(row.cfg.schedule, t) if row.termination is None else 0.0)
-        lr_column = np.array(lrs)[:, None]
-        if larcs:
-            w_norms = np.sqrt(l2_norm_sq(model.weights, model.offsets))
-            scales = np.ones_like(w_norms)
-            for larc, at in larcs.items():
-                scales[at] = larc_scale(w_norms[at], grad_norms[at], lr_column[at], larc)
-            if (scales != 1.0).any():
-                with np.errstate(over="ignore", invalid="ignore"):
-                    model.grad *= model.broadcast(scales, model.grad.dtype)
-                for row, ok in zip(active, np.isfinite(model.grad).all(axis=-1).tolist()):
-                    if not ok:  # the trust ratio overflowed
-                        row.termination = "diverged"
+        grad_norms = w_norms = [None] * len(active)
+        if larc or any(row.logs_at(t) for row in active):
+            grad_norms = np.sqrt(l2_norm_sq(model.grad, model.offsets)).tolist()
+        if larc:
+            w_norms = np.sqrt(l2_norm_sq(model.weights, model.offsets)).tolist()
+        losses = losses.tolist()
+        for row, *values in zip(active, losses, finite, grad_norms, w_norms):
+            row.prepare(t, *values)
         # a float32 step can overflow, or meet a rate that is inf in float32 (inf * 0
         # is NaN); the next step's finiteness check ends the row
         with np.errstate(over="ignore", invalid="ignore"):
-            for members, at, part, driver in stacks:
-                if all(row.termination is None for row in members):
-                    driver.step(part, lr_column[at])
-                else:  # the diverged rows leave the stack at the next step; until then the rest step alone
-                    for row, lr_t in zip(members, lrs[at]):
+            for members, part, driver in stacks:
+                if driver is not None and all(row.termination is None for row in members):
+                    driver.step(part, [row.lr_t for row in members])
+                else:  # one row, or diverged rows, which leave the stack at the next step
+                    for row in members:
                         if row.termination is None:
-                            row.driver.step(row.params, lr_t)
-        norms = [None] * len(active) if grad_norms is None else grad_norms.tolist()
-        for row, lr_t, loss, layer_norms in zip(active, lrs, losses, norms):
+                            row.driver.step(row.params, row.lr_t)
+        for row, loss, layer_norms in zip(active, losses, grad_norms):
             if row.termination is None:
-                row.record(t, lr_t, loss, layer_norms, start_ns)
+                row.record(t, loss, layer_norms, start_ns)
         t += 1
 
 
 def _stack_group(rows: list[_Row]):
-    """The stacks of a group's running ``rows``: its row-stacked model, in which
-    rows that share an algorithm, an optimizer config and a step count sit
-    together; for each such stack its rows, their slice of the model, a view
-    of that slice and their stacked driver; and each LARC config's rows, as
-    a slice where they sit together (indexing it copies nothing), else as
-    their indices."""
+    """A group's running ``rows`` as its row-stacked model, in which rows that
+    share an algorithm and an optimizer config sit together, and for each
+    such stack its rows and, for more than one row, a view of their slice
+    of the model and their stacked driver."""
     same: dict[tuple, list[_Row]] = {}
     for row in rows:
-        driver = row.driver
-        same.setdefault((driver.algorithm, driver.cfg, driver.state.step_count), []).append(row)
-    rows = [row for members in same.values() for row in members]
-    model = ModelParams.stack([row.params for row in rows])
+        same.setdefault((row.driver.algorithm, row.driver.cfg), []).append(row)
+    model = ModelParams.stack([row.params for members in same.values() for row in members])
     stacks, start = [], 0
     for members in same.values():
-        at = slice(start, start + len(members))
-        part = model.view(model.weights[at], model.grad[at])
-        drivers = [row.driver for row in members]
-        stacks.append((members, at, part, OptimizerDriver.stack(drivers, [row.params for row in members], part)))
-        start = at.stop
-    larcs: dict[LarcConfig, list[int]] = {}
-    for i, row in enumerate(rows):
-        if row.cfg.larc is not None:
-            larcs.setdefault(row.cfg.larc, []).append(i)
-    larcs = {larc: slice(at[0], at[-1] + 1) if len(at) == at[-1] + 1 - at[0] else at for larc, at in larcs.items()}
-    return model, stacks, larcs
+        part = driver = None
+        if len(members) > 1:
+            at = slice(start, start + len(members))
+            part = model.view(model.weights[at], model.grad[at])
+            driver = OptimizerDriver.stack([row.driver for row in members], [row.params for row in members], part)
+        stacks.append((members, part, driver))
+        start += len(members)
+    return model, stacks
 
 
 @dataclass

@@ -178,30 +178,39 @@ class SngdState(_State):
     """No fields, so no layers: SNGD keeps no state."""
 
 
-def _check_step(params: ModelParams, lr_t, sums=None) -> np.ndarray:
-    """A step's inputs: ``lr_t``, a learning rate >= 0 (one per row of a stacked
-    ``params``), returned as a float64 column; and a finite gradient.  Finite
-    ``sums`` (the gradient's layer sums of squares) prove the gradient finite
-    without a pass over it; the error names the first non-finite layer."""
-    lr = np.asarray(lr_t, np.float64).reshape(params.grad.shape[:-1] + (1,))
-    if any(x < 0 for x in lr.ravel().tolist()):  # on a few values faster than numpy's reduction
+def _check_step(params: ModelParams, lr_t, sums=None):
+    """A step's inputs: ``lr_t``, a learning rate >= 0, and a finite gradient.
+    Returns the rate as given and as a step multiplies a vector by it: for a
+    single model ``lr_t`` both times (numpy rounds a number to the model's
+    dtype), for a stacked ``params`` (one rate per row) a float64 column and
+    that column in the model's dtype.  Finite ``sums`` (the gradient's layer
+    sums of squares) prove the gradient finite without a pass over it; the
+    error names the first non-finite layer."""
+    if params.weights.ndim == 1:
+        lr = rate = lr_t
+        negative = lr_t < 0
+    else:
+        lr = np.asarray(lr_t, np.float64).reshape(params.grad.shape[:-1] + (1,))
+        rate = lr.astype(params.weights.dtype)
+        negative = any(x < 0 for x in lr.ravel().tolist())  # on a few values faster than numpy's reduction
+    if negative:
         raise ValueError(f"negative learning rate: {lr_t}")
     # a finite total of the sums (>= 0 each) proves them finite; on a few values Python's sum is fastest
     if (sums is None or not math.isfinite(sum(sums.ravel().tolist()))) and not np.isfinite(params.grad).all():
         bad = next(layer.id for layer in params if not np.isfinite(layer.grad).all())
         raise ValueError(f"non-finite gradient in layer '{bad}'")
-    return lr
+    return lr, rate
 
 
 def _workspace(state, params: ModelParams) -> tuple:
-    """A step's scratch, kept on ``state`` while it is laid out like ``params``:
-    two buffers like the weights, and one in float64 for squares, which a
-    step reads before it writes the first buffer (so for a float64 model the
-    first buffer holds them, and a step touches one buffer less)."""
-    if state._work is None:
-        w = params.weights
-        work = np.empty((2, *w.shape), w.dtype)
-        state._work = (*work, work[0] if w.dtype == np.float64 else np.empty(w.shape))
+    """A step's scratch, made for a ``state`` that has none and kept on it while
+    it is laid out like ``params`` (``_bind`` drops it): two buffers like the
+    weights, and one in float64 for squares, which a step reads before it
+    writes the first buffer (so for a float64 model the first buffer holds
+    them, and a step touches one buffer less)."""
+    w = params.weights
+    work = np.empty((2, *w.shape), w.dtype)
+    state._work = (*work, work[0] if w.dtype == np.float64 else np.empty(w.shape))
     return state._work
 
 
@@ -253,7 +262,10 @@ def _stack(states: list, models: list[ModelParams], params: ModelParams):
     like its model of ``models``) as the rows of ``params``, a stack of those
     models: each field, per weight or per layer, becomes one buffer of R rows,
     and each state's field a view of its row, so a step on the stack writes
-    through to every state.  The states keep their ``order``."""
+    through to every state.  The states keep their ``order``.  Rows of a
+    lockstep group start together, so their states share one count."""
+    if len({state.step_count for state in states}) > 1:
+        raise ValueError("stacked states must share one step count")
     stack = type(states[0])()
     for state, model in zip(states, models):
         _bind(state, model)
@@ -283,14 +295,14 @@ def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     decoupled = cfg.wd_placement == "decoupled_update"
     g, w, m = params.grad, params.weights, state.m
-    work, other, squares = _workspace(state, params)
+    work, other, squares = state._work or _workspace(state, params)
     gsq = l2_norm_sq(g, params.offsets, out=squares)
-    lr = _check_step(params, lr_t, gsq)
+    lr, rate = _check_step(params, lr_t, gsq)
     with np.errstate(invalid="ignore") if beta2 in (0.0, 1.0) else nullcontext():  # 0 * inf is NaN, silently, as in Python floats
         v = np.add(beta2 * state.v, (1.0 - beta2) * gsq, out=state.v)  # a layer not yet initialized stays NaN
     known = active = True  # initialized before this step, and updated in it: every layer, once all have initialized
-    if fresh := any(len(row.order) < len(params) for row in state.rows or [state]):
-        orders = [row.order for row in state.rows or [state]]
+    orders = [row.order for row in state.rows or (state,)]
+    if fresh := min(map(len, orders)) < len(params):
         known = np.zeros(v.shape, bool)
         for row, order in zip(known.reshape(len(orders), -1), orders):
             row[order] = True
@@ -319,9 +331,9 @@ def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig
         for row, order in zip(active & ~known.reshape(len(orders), -1), orders):
             order += np.flatnonzero(row).tolist()
     where = params.broadcast(active) if fresh else True
-    step = np.multiply(m, lr.astype(g.dtype, copy=False), out=work)
-    if d != 0.0 and decoupled:
-        decay = np.multiply(w, (lr * d).astype(g.dtype), out=other)
+    step = np.multiply(m, rate, out=work)
+    if d != 0.0 and decoupled:  # lr_t * d rounded once to the model's dtype, as for one layer
+        decay = np.multiply(w, np.asarray(lr * d, g.dtype), out=other)
         np.subtract(w, step, out=w, where=where)
         np.subtract(w, decay, out=w, where=where)
     else:
@@ -330,12 +342,12 @@ def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig
 
 
 def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t, decoupled: bool) -> None:
-    lr = _check_step(params, lr_t)
+    _, rate = _check_step(params, lr_t)
     _bind(state, params)
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     t = _advance(state)
     w, m, v = params.weights, state.m, state.v
-    work, other, _ = _workspace(state, params)
+    work, other, _ = state._work or _workspace(state, params)
     g = params.grad
     if d != 0.0 and not decoupled:
         g = np.add(g, np.multiply(w, d, out=work), out=work)
@@ -357,7 +369,7 @@ def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t, dec
         np.divide(m_hat, denom, out=update, where=denom != 0.0)
     if d != 0.0 and decoupled:
         update += np.multiply(w, d, out=other)
-    w -= np.multiply(update, lr.astype(w.dtype, copy=False), out=update)
+    w -= np.multiply(update, rate, out=update)
 
 
 def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t) -> None:
@@ -373,17 +385,17 @@ def adamw_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t) -> 
 
 def sgd_momentum_step(params: ModelParams, state: SgdMomentumState, cfg: SgdMomentumConfig, lr_t) -> None:
     """One heavy-ball SGD update with coupled L2 decay."""
-    lr = _check_step(params, lr_t)
+    _, rate = _check_step(params, lr_t)
     _bind(state, params)
     mu, d = cfg.momentum, cfg.weight_decay
     w, m = params.weights, state.m
-    work, _, _ = _workspace(state, params)
+    work, _, _ = state._work or _workspace(state, params)
     g = params.grad
     if d != 0.0:
         g = np.add(g, np.multiply(w, d, out=work), out=work)
     m *= mu
     m += g
-    w -= np.multiply(m, lr.astype(w.dtype, copy=False), out=work)
+    w -= np.multiply(m, rate, out=work)
     _advance(state)
 
 
@@ -391,13 +403,13 @@ def sngd_step(params: ModelParams, state: SngdState, cfg: SngdConfig, lr_t) -> N
     """One normalized-gradient step; layers with zero gradient are no-ops.
     ``state`` has no fields and keeps its count."""
     _bind(state, params)
-    work, _, squares = _workspace(state, params)
+    work, _, squares = state._work or _workspace(state, params)
     gsq = l2_norm_sq(params.grad, params.offsets, out=squares)
-    lr = _check_step(params, lr_t, gsq)
+    _, rate = _check_step(params, lr_t, gsq)
     norms = np.sqrt(gsq)
     moving = norms != 0.0
     denom = params.broadcast(np.where(moving, norms + cfg.epsilon, 1.0), params.grad.dtype, out=work)
-    step = np.multiply(np.divide(params.grad, denom, out=work), lr.astype(work.dtype, copy=False), out=work)
+    step = np.multiply(np.divide(params.grad, denom, out=work), rate, out=work)
     where = True if all(moving.ravel().tolist()) else params.broadcast(moving)
     np.subtract(params.weights, step, out=params.weights, where=where)
 

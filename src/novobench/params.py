@@ -62,14 +62,17 @@ def l2_norm_sq(v, offsets=None, out=None):
     ``out``, a float64 array shaped like ``v``, takes the squares in place
     of a new array.
     """
-    x = v if isinstance(v, np.ndarray) else np.asarray(v, dtype=np.float64)
+    if out is not None and v.dtype != out.dtype:  # cast into ``out`` once and square it there
+        np.copyto(out, v)
+        v = out
+    x = np.asarray(v, dtype=np.float64)
     single = offsets is None
     if single:
         x = x.ravel()
         if x.size == 0:
             raise ValueError("empty layer")
     with np.errstate(over="ignore"):
-        squares = np.multiply(x, x, out=out, dtype=np.float64)
+        squares = np.multiply(x, x, out=out)
         sums = np.add.reduceat(squares, _START if single else offsets, axis=-1)
     return float(sums[0]) if single else sums
 

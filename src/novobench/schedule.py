@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .params import Config
 
 __all__ = ["ScheduleSpec", "LarcConfig", "lr_at", "larc_scale", "FAMILIES"]
@@ -75,27 +73,24 @@ class LarcConfig(Config):
     eps_div: float = field(default=1e-8, metadata={"min": 0})
 
 
-def larc_scale(layer_weights_norm, layer_grad_norm, lr_t, cfg: LarcConfig):
+def larc_scale(layer_weights_norm: float, layer_grad_norm: float, lr_t: float, cfg: LarcConfig) -> float:
     """Multiplicative gradient scale implementing per-layer rate clipping.
 
     The trust ratio tau = trust_coefficient * ||w|| / (||g|| + eps_div)
     caps the layer's effective learning rate at min(lr_t, tau); the
     returned scale (effective / lr_t) is applied to the layer gradient
     before the optimizer step.  Degenerate layers (||w|| = 0, lr_t = 0, or
-    a zero denominator) pass through unscaled, and so does a NaN trust
-    ratio under clipping (``np.fmin``, like Python's ``min(lr_t, tau)``).
-    The arguments may be arrays that broadcast together, such as the (R, L)
-    norms of a stack's rows and an (R, 1) column of their rates, which give
-    (R, L) scales; numbers give a float.
+    a zero denominator) pass through unscaled.
     """
-    w, g, lr = (np.asarray(x, np.float64) for x in (layer_weights_norm, layer_grad_norm, lr_t))
-    if (np.fmin(np.fmin(w, g), lr) < 0).any():  # one check of all three; fmin, like < 0, lets NaN pass
-        if (np.fmin(w, g) < 0).any():
-            raise ValueError("norms must be nonnegative")
+    if layer_weights_norm < 0 or layer_grad_norm < 0:
+        raise ValueError("norms must be nonnegative")
+    if lr_t < 0:
         raise ValueError(f"negative learning rate: {lr_t}")
-    denom = g + cfg.eps_div
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        trust = cfg.trust_coefficient * w / denom
-        scale = (np.fmin(lr, trust) if cfg.clip else trust) / lr
-    scale = np.where((w == 0.0) | (lr == 0.0) | (denom == 0.0), 1.0, scale)
-    return scale if scale.ndim else float(scale)
+    if layer_weights_norm == 0.0 or lr_t == 0.0:
+        return 1.0
+    denom = layer_grad_norm + cfg.eps_div
+    if denom == 0.0:
+        return 1.0
+    trust = cfg.trust_coefficient * layer_weights_norm / denom
+    effective = min(lr_t, trust) if cfg.clip else trust
+    return effective / lr_t

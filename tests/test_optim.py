@@ -1240,10 +1240,10 @@ def test_fused_step_equals_per_layer_reference(algorithm, hyperparams, rows, siz
             for layer, w in zip(model, weights):
                 assert layer.weights.dtype == w.dtype
                 assert layer.weights.tobytes() == w.tobytes(), (step, layer.id)
-    for row_driver, ref in zip(drivers, refs):
-        _assert_same_state(algorithm, cfg, row_driver.state, ref)
-        if algorithm != "sngd":
-            assert row_driver.state.step_count == 6
+        for row_driver, ref in zip(drivers, refs):
+            _assert_same_state(algorithm, cfg, row_driver.state, ref)
+            if algorithm != "sngd":
+                assert row_driver.state.step_count == step + 1
 
 
 @pytest.mark.parametrize("algorithm,hyperparams", _FUSED_CASES)
@@ -1269,6 +1269,15 @@ def test_a_warm_stacked_step_allocates_nothing_the_size_of_the_model(algorithm, 
     finally:
         tracemalloc.stop()
     assert peak < params.weights.nbytes / 2
+
+
+def test_stacking_rejects_states_of_different_step_counts():
+    models = [ModelParams([ParameterLayer("w", np.ones(3))]) for _ in range(2)]
+    drivers = [OptimizerDriver("adam") for _ in models]
+    models[0].grad[...] = 1.0
+    drivers[0].step(models[0], 0.1)
+    with pytest.raises(ValueError, match="share one step count"):
+        OptimizerDriver.stack(drivers, models, ModelParams.stack(models))
 
 
 def test_non_finite_gradient_leaves_the_model_untouched():
