@@ -268,7 +268,8 @@ def _run_grid(problem: Problem, rows: list[_Row]) -> list[TrajectoryLog]:
     draw and one ``eval_grad`` over all of the step's micro-batches and the
     group's rows, one finiteness check, one norm call for the gradients
     when some row logs or uses LARC and one for the weights when some row
-    uses LARC; then each row's divergence check, schedule and LARC, one
+    uses LARC (both square into one float64 buffer kept with the stack);
+    then each row's divergence check, schedule and LARC, one
     optimizer step per stack of rows that share an algorithm and optimizer
     config, and each row's record.  A row that stops (completed,
     checkpointed or diverged) leaves the stack; the others go on.  Every
@@ -304,6 +305,7 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
             # micro-batch, (R, slots, N); with k == 1 that slot is model.grad
             shape = (len(active), slots, model.grad.shape[-1])
             view = model.view(model.weights[:, None], model.grad[:, None] if k == 1 else np.empty(shape, model.grad.dtype))
+            squares = np.empty(model.grad.shape)  # the norms' float64 squares
         indices = _batch_indices(cfg.seed, t, problem.n_examples, size * k)
         # overflow to inf/nan is the divergence signal, not an anomaly
         with np.errstate(over="ignore", invalid="ignore"):
@@ -322,9 +324,9 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
         finite = np.isfinite(model.grad).all(axis=-1).tolist()
         grad_norms = w_norms = [None] * len(active)
         if larc or any(row.logs_at(t) for row in active):
-            grad_norms = np.sqrt(l2_norm_sq(model.grad, model.offsets)).tolist()
+            grad_norms = np.sqrt(l2_norm_sq(model.grad, model.offsets, out=squares)).tolist()
         if larc:
-            w_norms = np.sqrt(l2_norm_sq(model.weights, model.offsets)).tolist()
+            w_norms = np.sqrt(l2_norm_sq(model.weights, model.offsets, out=squares)).tolist()
         losses = losses.tolist()
         for row, *values in zip(active, losses, finite, grad_norms, w_norms):
             row.prepare(t, *values)

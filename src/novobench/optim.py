@@ -105,6 +105,8 @@ class _State:
     # a stack's row states (see ``_stack``), whose fields are views of its rows
     rows: list | None = field(default=None, init=False, repr=False, compare=False)
     _work: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # per-layer views of a per-weight ``v``, kept while it is laid out like its model
+    _v_layers: list | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @cache
@@ -254,7 +256,7 @@ def _bind(state, params: ModelParams) -> None:
             else:
                 setattr(state, name, np.array([values.get(i, np.nan) for i in params.layer_ids], np.float64))
         state.order = [params.layer_ids.index(e["id"]) for e in entries] if entries or state.lazy else list(range(len(params)))
-        state._model, state.pending, state._work = params, None, None
+        state._model, state.pending, state._work, state._v_layers = params, None, None, None
 
 
 def _stack(states: list, models: list[ModelParams], params: ModelParams):
@@ -274,6 +276,7 @@ def _stack(states: list, models: list[ModelParams], params: ModelParams):
         setattr(stack, name, buffer)
         for state, row in zip(states, buffer):
             setattr(state, name, row)
+            state._v_layers = None
     stack.step_count, stack.rows, stack.pending, stack._model = states[0].step_count, states, None, params
     return stack
 
@@ -549,10 +552,14 @@ class OptimizerDriver:
         per = _layout(type(self.state)).get("v")
         if per is None:
             return None
-        _bind(self.state, params)
-        v = self.state.v  # per weight: each layer's mean, by np.mean's arithmetic without its wrapper
-        v = [float(np.add.reduce(x) / x.size) for x in params.split(v)] if per == "weight" else v.tolist()
-        return {params.layer_ids[i]: v[i] for i in self.state.order}
+        state = self.state
+        _bind(state, params)
+        if per == "weight":  # each layer's mean, by np.mean's arithmetic without its wrapper
+            state._v_layers = state._v_layers or params.split(state.v)
+            v = [float(np.add.reduce(x) / x.size) for x in state._v_layers]
+        else:
+            v = state.v.tolist()
+        return {params.layer_ids[i]: v[i] for i in state.order}
 
     def state_dict(self) -> dict:
         return state_to_dict(self.algorithm, self.cfg, self.state)

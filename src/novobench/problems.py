@@ -19,7 +19,8 @@ gradient are bit for bit those of its own call.  ``MlpProblem`` computes
 its hidden activation and that activation's gradient in place in a
 workspace it owns and reuses while the activation's shape and dtype stay
 the same; no returned array is a view of it, but one instance must not be
-evaluated from two threads at once.  ``finite_diff_grad``
+evaluated from two threads at once.  ``build`` returns a fresh instance per
+call, which shares only read-only arrays with other builds.  ``finite_diff_grad``
 is the independent oracle used to verify every analytic gradient; it only
 reads the model and evaluates its central-difference probes as row stacks.
 """
@@ -27,8 +28,11 @@ reads the model and evaluates its central-difference probes as row stacks.
 from __future__ import annotations
 
 import io
+import json
 import math
+from copy import copy
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -449,17 +453,20 @@ def finite_diff_grad(
     h = rel_step * (np.abs(w.astype(np.float64)) + 1.0)
     plus, minus = w + h.astype(w.dtype), w - h.astype(w.dtype)
     r_max = max(1, _FD_STACK_ELEMENTS // (2 * max(n, 1)))
-    # buf[k, 0] moves coordinate j0 + k up, buf[k, 1] moves it down
-    buf = np.tile(w, (min(r_max, n), 2, 1))
-    probe = params.copy()
+    # row 2k moves coordinate j0 + k up and row 2k + 1 moves it down; in the
+    # flat buffer those cells lie 2n + 1 apart, so a chunk's moves are two slices
+    buf = np.empty((2 * min(r_max, n), n), w.dtype)
+    buf[...] = w
+    cells = buf.reshape(-1)
+    probe = params.view(buf, np.broadcast_to(params.grad, buf.shape))
     out = np.empty(n, dtype=np.float64)
     for j0 in range(0, n, r_max):
-        r = min(r_max, n - j0)
-        rows = np.arange(r)
-        cols = j0 + rows
-        buf[rows, 0, cols], buf[rows, 1, cols] = plus[cols], minus[cols]
-        stack = buf[:r].reshape(2 * r, n)
-        probe._bind(stack, np.broadcast_to(params.grad, stack.shape))
+        cols = slice(j0, min(j0 + r_max, n))
+        r = cols.stop - j0
+        up, down = cells[j0 :: 2 * n + 1][:r], cells[j0 + n :: 2 * n + 1][:r]
+        up[...], down[...] = plus[cols], minus[cols]
+        if 2 * r < len(buf):  # the last, short chunk
+            probe._bind(buf[: 2 * r], np.broadcast_to(params.grad, (2 * r, n)))
         f = np.asarray(problem.eval(probe, batch), dtype=np.float64)
         if f.ndim == 0:
             f = np.full(2 * r, f)
@@ -471,7 +478,7 @@ def finite_diff_grad(
             layer = np.searchsorted(params.offsets, j0 + np.argmin(finite), side="right") - 1
             raise ValueError(f"non-finite loss while probing layer '{params.layer_ids[layer]}'")
         out[cols] = (f[:, 0] - f[:, 1]) / (2.0 * h[cols])
-        buf[rows, :, cols] = w[cols, None]
+        up[...] = down[...] = w[cols]
     return {layer.id: part for layer, part in zip(params, params.split(out))}
 
 
@@ -629,8 +636,25 @@ def _dataset_spec(kind: str, options: dict) -> DatasetSpec:
 
 def build(kind: str, options: dict | None = None) -> Problem:
     """Construct a problem by tag; options are checked by :func:`validate_options`,
-    and each absent one takes the default of the constructor it feeds, or the kind's own."""
+    and each absent one takes the default of the constructor it feeds, or the kind's own.
+    Each call returns a fresh instance, a shallow copy of the one built for the last 16
+    distinct (kind, checked options); the arrays copies share are read-only."""
     options = validate_options(kind, options or {})
+    return copy(_prototype(kind, json.dumps(options, sort_keys=True)))
+
+
+@lru_cache(maxsize=16)
+def _prototype(kind: str, options: str) -> Problem:
+    """``kind`` built from its checked ``options`` (JSON text), each array it holds
+    read-only; never evaluated, so it owns no workspace.  A build that raises is not kept."""
+    problem = _construct(kind, json.loads(options))
+    for value in vars(problem).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return problem
+
+
+def _construct(kind: str, options: dict) -> Problem:
     if kind == "quadratic":
         if "diag" in options:
             return QuadraticProblem.diagonal(**options)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -33,7 +34,7 @@ from novobench import harness
 from novobench import problems as problems_mod
 from novobench.optim import ALGORITHMS, OptimizerDriver, make_config
 from novobench.params import ModelParams, ParameterLayer
-from novobench.problems import MlpProblem, build
+from novobench.problems import MlpProblem, Problem, build
 from novobench.schedule import LarcConfig, ScheduleSpec, lr_at
 
 
@@ -534,6 +535,18 @@ class TestSharedProblem:
             compare_runs([cfg, cfg], labels=labels)
         assert calls == []
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_run_on_a_memoized_build_equals_one_on_a_fresh_build(self, algorithm):
+        """``build`` hands out copies of a memoized problem; a run on one, after
+        other runs evaluated earlier copies, is byte for byte a run on a problem
+        built after the memo was cleared, also with a scaled gradient stream."""
+        scaled = ProblemSpec("quadratic", {"dim": 6, "matrix_seed": 1}, gradient_scale=2.0**-20)
+        for cfg in (mlp_config(algorithm, total_steps=8), quadratic_config(algorithm, total_steps=8, problem=scaled)):
+            train(cfg)
+            warm = train(cfg)
+            problems_mod._prototype.cache_clear()
+            _same_run(warm, train(cfg))
+
 
 SMALL_MLP = ProblemSpec("mlp", {"size": 48, "dim": 3, "n_classes": 3, "hidden": 5, "dataset_seed": 4})
 
@@ -693,6 +706,47 @@ class TestLockstep:
             assert log.termination == ref.termination
             if ref.checkpoint is not None:
                 assert json.dumps(checkpoint_to_dict(log.checkpoint)) == json.dumps(checkpoint_to_dict(ref.checkpoint))
+
+    def test_a_warm_float32_grid_step_allocates_nothing_the_size_of_the_model(self, monkeypatch):
+        """A step of a float32 stack that logs and takes LARC (which leaves these
+        gradients unscaled), harness included, squares its gradient and weight
+        norms into the float64 buffer kept with the stack and allocates less
+        than half of the stack's weights."""
+
+        class InPlace(Problem):
+            """A large float32 model whose gradient, its weights, is written in place."""
+
+            def layer_layout(self):
+                return [("a", 60000), ("b", 7), ("c", 300)]
+
+            def init_params(self, rng):
+                return ModelParams(
+                    [ParameterLayer(name, rng.standard_normal(size).astype(np.float32)) for name, size in self.layer_layout()]
+                )
+
+            def _loss(self, params, batch, grad):
+                if grad:
+                    np.copyto(params.grad, params.weights)
+                return np.zeros(params.weights.shape[:-1])
+
+        peaks = []
+        draw = harness._batch_indices
+
+        def traced(seed, step, n, count):  # called once at the start of each step
+            if step == 3:  # every layer has initialized, and the workspaces are made
+                tracemalloc.start()
+            elif step == 4:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            return draw(seed, step, n, count)
+
+        monkeypatch.setattr(harness, "_batch_indices", traced)
+        problem = InPlace()
+        larc = LarcConfig(trust_coefficient=1.0)
+        cfgs = [mlp_config("novograd", total_steps=6, base_lr=lr, larc=larc) for lr in (0.01, 0.02, 0.03)]
+        logs = harness._run_grid(problem, [harness._Row(cfg, problem) for cfg in cfgs])
+        assert [log.termination for log in logs] == ["completed"] * 3
+        assert len(peaks) == 1 and peaks[0] < 3 * (60000 + 7 + 300) * 4 / 2
 
     def test_sweep_rows_equal_standalone_runs_past_a_divergent_point(self):
         cfg = quadratic_config("sgd", total_steps=60, accumulation_factor=2, log_every=1)

@@ -650,10 +650,11 @@ class TestSerialization:
         for _ in range(3):
             params.grad[...] = rng.standard_normal(params.grad.size) * np.exp2(rng.integers(-30, 30, params.grad.size))
             driver.step(params, 0.01)
-        moments = driver.second_moments(params)
-        assert driver.state.v.dtype == dtype
-        for layer_id, layer in layers_of(driver.state).items():
-            assert moments[layer_id] == float(np.mean(np.array(layer["v"], dtype)))
+            moments = driver.second_moments(params)
+            assert driver.state.v.dtype == dtype
+            for layer_id, layer in layers_of(driver.state).items():
+                assert moments[layer_id] == float(np.mean(np.array(layer["v"], dtype)))
+            params = params.copy()  # the state moves to a copy at its next step
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

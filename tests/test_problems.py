@@ -618,8 +618,11 @@ class TestBuild:
         ],
     )
     def test_option_that_overflows_the_data_is_a_value_error(self, kind, options, key):
-        with pytest.raises(ValueError, match=key):
-            build(kind, options)
+        kept = problems_mod._prototype.cache_info().currsize
+        for _ in range(2):  # a build that raises is not kept
+            with pytest.raises(ValueError, match=key):
+                build(kind, options)
+        assert problems_mod._prototype.cache_info().currsize == kept
 
     def test_quadratic_needs_shape(self):
         with pytest.raises(ValueError, match="'diag' or 'dim'"):
@@ -637,3 +640,57 @@ class TestBuild:
         problem = build("logreg", {})
         assert problem.n_examples == 200
         assert problem.dim == 2
+
+    @pytest.mark.parametrize(
+        "kind,options,arrays",
+        [
+            ("quadratic", {"dim": 5, "matrix_seed": 2, "w0": [1.0, 2.0, 3.0, 4.0, 5.0]}, ("a", "b", "w0")),
+            ("rosenbrock", {"w0": [0.5, 0.5]}, ("w0",)),
+            ("logreg", {"size": 40, "train_fraction": 0.5}, ("features", "labels", "test_features", "test_labels")),
+            ("mlp", {"size": 30, "train_fraction": 0.8}, ("features", "labels", "test_features", "test_labels")),
+        ],
+    )
+    def test_each_build_is_a_fresh_instance_over_read_only_arrays(self, kind, options, arrays):
+        first, second = build(kind, options), build(kind, options)
+        problems_mod._prototype.cache_clear()
+        fresh = build(kind, options)
+        assert first is not second
+        for name in arrays:
+            value = getattr(first, name)
+            assert value.tobytes() == getattr(second, name).tobytes() == getattr(fresh, name).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0
+
+    def test_mlp_copies_give_the_outputs_of_fresh_instances(self):
+        """Two builds of one MLP evaluated in turn, one at a single row and the
+        other at 7 rows with 3 micro-batches, then the other way round, give the
+        losses and gradients of instances built after the memo was cleared;
+        the memoized problem is never evaluated."""
+        options = {"size": 64, "dim": 8, "hidden": 24}
+        rng = np.random.default_rng(3)
+        models = [build("mlp", options).init_params(rng) for _ in range(7)]
+        batches = rng.integers(0, 64, size=(3, 16))
+
+        def one_row(problem):
+            model = models[0].copy()
+            return problem.eval_grad(model, batches[0]), model.grad.tobytes()
+
+        def seven_rows(problem):
+            stacked = ModelParams.stack([model.copy() for model in models])
+            view = stacked.view(stacked.weights[:, None], np.empty((7, 3, stacked.grad.shape[-1])))
+            return problem.eval_grad(view, batches).tobytes(), view.grad.tobytes()
+
+        first, second = build("mlp", options), build("mlp", options)
+        calls = [(one_row, first), (seven_rows, second), (seven_rows, first), (one_row, second)]
+        outputs = [call(problem) for call, problem in calls]
+        assert first._work is not second._work and build("mlp", options)._work_key is None
+        for (call, _), output in zip(calls, outputs):
+            problems_mod._prototype.cache_clear()
+            assert call(build("mlp", options)) == output
+
+    def test_the_memo_keeps_at_most_its_size(self):
+        size = problems_mod._prototype.cache_info().maxsize
+        for dim in range(1, size + 5):
+            build("quadratic", {"dim": dim})
+            assert problems_mod._prototype.cache_info().currsize <= size
+        assert problems_mod._prototype.cache_info().currsize == size
