@@ -220,8 +220,7 @@ class _Row:
         if cfg.larc is not None:
             scales = [larc_scale(w_n, g_n, lr_t, cfg.larc) for w_n, g_n in zip(w_norms, grad_norms)]
             if any(scale != 1.0 for scale in scales):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    params.grad *= params.broadcast(scales, params.grad.dtype)
+                params.grad *= params.broadcast(scales, params.grad.dtype)
                 if not np.isfinite(params.grad).all():  # the trust ratio overflowed
                     self.termination = "diverged"
 
@@ -280,8 +279,11 @@ def _run_grid(problem: Problem, rows: list[_Row]) -> list[TrajectoryLog]:
     groups: dict[tuple, list[_Row]] = {}
     for row in rows:
         groups.setdefault((row.cfg.seed, row.cfg.batch_size, row.cfg.accumulation_factor), []).append(row)
-    for group in groups.values():
-        _run_group(problem, group, start_ns)
+    # an overflow to inf or NaN in a loss, a gradient, a LARC scale or a float32
+    # step signals divergence, and the next finiteness check acts on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in groups.values():
+            _run_group(problem, group, start_ns)
     return [row.log() for row in rows]
 
 
@@ -307,20 +309,18 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
             view = model.view(model.weights[:, None], model.grad[:, None] if k == 1 else np.empty(shape, model.grad.dtype))
             squares = np.empty(model.grad.shape)  # the norms' float64 squares
         indices = _batch_indices(cfg.seed, t, problem.n_examples, size * k)
-        # overflow to inf/nan is the divergence signal, not an anomaly
-        with np.errstate(over="ignore", invalid="ignore"):
-            losses = problem.eval_grad(view, None if indices is None else indices.reshape(k, size))
-            if k == 1:
-                losses = losses[:, 0]
-            else:
-                # summed from zero in micro-batch order, as k separate evals were
-                total = 0.0
-                model.grad[...] = 0.0
-                for j in range(k):
-                    total += losses[:, j % slots]
-                    model.grad += view.grad[:, j % slots]
-                model.grad /= k
-                losses = total / k
+        losses = problem.eval_grad(view, None if indices is None else indices.reshape(k, size))
+        if k == 1:
+            losses = losses[:, 0]
+        else:
+            # summed from zero in micro-batch order, as k separate evals were
+            total = 0.0
+            model.grad[...] = 0.0
+            for j in range(k):
+                total += losses[:, j % slots]
+                model.grad += view.grad[:, j % slots]
+            model.grad /= k
+            losses = total / k
         finite = np.isfinite(model.grad).all(axis=-1).tolist()
         grad_norms = w_norms = [None] * len(active)
         if larc or any(row.logs_at(t) for row in active):
@@ -330,16 +330,13 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
         losses = losses.tolist()
         for row, *values in zip(active, losses, finite, grad_norms, w_norms):
             row.prepare(t, *values)
-        # a float32 step can overflow, or meet a rate that is inf in float32 (inf * 0
-        # is NaN); the next step's finiteness check ends the row
-        with np.errstate(over="ignore", invalid="ignore"):
-            for members, part, driver in stacks:
-                if driver is not None and all(row.termination is None for row in members):
-                    driver.step(part, [row.lr_t for row in members])
-                else:  # one row, or diverged rows, which leave the stack at the next step
-                    for row in members:
-                        if row.termination is None:
-                            row.driver.step(row.params, row.lr_t)
+        for members, part, driver in stacks:
+            if driver is not None and all(row.termination is None for row in members):
+                driver.step(part, [row.lr_t for row in members])
+            else:  # one row, or diverged rows, which leave the stack at the next step
+                for row in members:
+                    if row.termination is None:
+                        row.driver.step(row.params, row.lr_t)
         for row, loss, layer_norms in zip(active, losses, grad_norms):
             if row.termination is None:
                 row.record(t, loss, layer_norms, start_ns)
@@ -501,8 +498,11 @@ def lr_sweep(cfg: RunConfig, lrs) -> tuple[list[SweepRow], list[TrajectoryLog]]:
 
 
 def _cell(x) -> str:
-    """One CSV cell; a string holding a comma, a quote or a line break is
-    quoted as in RFC 4180 (a number's text never holds one)."""
+    """One CSV cell, a numpy scalar written as its Python value; a string
+    holding a comma, a quote or a line break is quoted as in RFC 4180 (a
+    number's text never holds one)."""
+    if isinstance(x, np.generic):
+        x = x.item()
     if isinstance(x, float):
         return repr(x)
     if isinstance(x, str):

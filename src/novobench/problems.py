@@ -62,6 +62,7 @@ class Problem:
     kind = "abstract"
     fd_rtol = 1e-6  # relative tolerance the analytic gradient must meet
     n_examples: int | None = None  # None: batchless full objective
+    w0: np.ndarray | None = None  # a one-layer problem's fixed initial weights, if any
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -72,10 +73,14 @@ class Problem:
         raise NotImplementedError
 
     def init_params(self, rng: np.random.Generator) -> ModelParams:
-        """Default init: small random weights for every layer."""
-        return ModelParams(
-            [ParameterLayer(name, 0.1 * rng.standard_normal(size)) for name, size in self.layer_layout()]
-        )
+        """The initial model: the layers of :meth:`layer_layout`, in order, each
+        as :meth:`_init` starts it, drawing from ``rng`` in that order."""
+        return ModelParams([ParameterLayer(name, self._init(name, size, rng)) for name, size in self.layer_layout()])
+
+    def _init(self, name: str, size: int, rng: np.random.Generator) -> np.ndarray:
+        """Layer ``name``'s ``size`` initial weights: a copy of ``w0`` if set,
+        else small random ones."""
+        return 0.1 * rng.standard_normal(size) if self.w0 is None else self.w0.copy()
 
     def eval(self, params: ModelParams, batch: np.ndarray | None = None):
         """The loss; no buffer is written.  A float for one model, a float64
@@ -148,11 +153,6 @@ class QuadraticProblem(Problem):
     def layer_layout(self):
         return [("w", self.dim)]
 
-    def init_params(self, rng):
-        if self.w0 is not None:
-            return ModelParams([ParameterLayer("w", self.w0.copy())])
-        return super().init_params(rng)
-
     def solution(self) -> np.ndarray:
         return np.linalg.solve(self.a, self.b)
 
@@ -181,9 +181,6 @@ class RosenbrockProblem(Problem):
 
     def layer_layout(self):
         return [("w", 2)]
-
-    def init_params(self, rng):
-        return ModelParams([ParameterLayer("w", self.w0.copy())])
 
     def _loss(self, params, batch, grad):
         self._check_layout(params)
@@ -257,13 +254,8 @@ class LogisticRegressionProblem(_DatasetProblem):
     def layer_layout(self):
         return [("w", self.dim), ("b", 1)]
 
-    def init_params(self, rng):
-        return ModelParams(
-            [
-                ParameterLayer("w", 0.01 * rng.standard_normal(self.dim)),
-                ParameterLayer("b", np.zeros(1)),
-            ]
-        )
+    def _init(self, name, size, rng):
+        return 0.01 * rng.standard_normal(size) if name == "w" else np.zeros(size)
 
     def _logits(self, params, x):
         self._check_layout(params)
@@ -319,16 +311,11 @@ class MlpProblem(_DatasetProblem):
         d, h, c = self.dim, self.hidden, self.n_classes
         return [("w1", d * h), ("b1", h), ("w2", h * c), ("b2", c)]
 
-    def init_params(self, rng):
-        d, h, c = self.dim, self.hidden, self.n_classes
-        return ModelParams(
-            [
-                ParameterLayer("w1", rng.standard_normal(d * h) / math.sqrt(d)),
-                ParameterLayer("b1", np.zeros(h)),
-                ParameterLayer("w2", rng.standard_normal(h * c) / math.sqrt(h)),
-                ParameterLayer("b2", np.zeros(c)),
-            ]
-        )
+    def _init(self, name, size, rng):
+        # biases start at zero, each weight matrix at unit-variance draws over sqrt(fan-in)
+        if name.startswith("b"):
+            return np.zeros(size)
+        return rng.standard_normal(size) / math.sqrt(self.dim if name == "w1" else self.hidden)
 
     def _views(self, params):
         """Weight matrices and bias rows, each with the model's leading row axis, if any."""

@@ -34,7 +34,7 @@ from novobench import harness
 from novobench import problems as problems_mod
 from novobench.optim import ALGORITHMS, OptimizerDriver, make_config
 from novobench.params import ModelParams, ParameterLayer
-from novobench.problems import MlpProblem, Problem, build
+from novobench.problems import GradientScaledProblem, MlpProblem, Problem, build
 from novobench.schedule import LarcConfig, ScheduleSpec, lr_at
 
 
@@ -198,6 +198,85 @@ class TestScaleInvariance:
         log_a = train(base)
         log_b = train(scaled)
         assert not np.array_equal(log_a.final_weights["w"], log_b.final_weights["w"])
+
+
+class LayerScaledProblem(GradientScaledProblem):
+    """Multiplies each layer's written gradient by its own factor, as
+    ``GradientScaledProblem`` does the whole gradient; the loss is unchanged."""
+
+    def __init__(self, inner, factors):
+        super().__init__(inner, 1.0)
+        self.factors = factors
+
+    def _loss(self, params, batch, grad):
+        loss = self.inner._loss(params, batch, grad)
+        if grad:
+            params.grad *= params.broadcast(self.factors, params.grad.dtype)
+        return loss
+
+
+def _layer_scaled_sweep(cfg, exponents, dtype, lrs=(0.01, 0.05, 0.2)):
+    """``cfg``'s 3-row ``lr_sweep`` logs, its MLP in ``dtype`` with layer l's
+    gradient times 2**exponents[l]; the rows share a config, so they step as one stack."""
+    inner = harness.build_problem
+
+    def build_problem(spec):
+        return LayerScaledProblem(inner(spec), np.exp2(exponents))
+
+    with mlp_weights_in(dtype), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "build_problem", build_problem)
+        return lr_sweep(cfg, list(lrs))[1]
+
+
+def _same_run_but_grad_norms(log, ref, exponents):
+    """``log`` is ``ref`` with each layer's logged gradient norm exactly 2**k_l times its own."""
+    assert log.termination == ref.termination == "completed"
+    for layer_id, w in ref.final_weights.items():
+        assert log.final_weights[layer_id].tobytes() == w.tobytes()
+    assert len(log.records) == len(ref.records)
+    for record, expected in zip(log.records, ref.records):
+        assert (record.step, record.lr_effective, record.loss) == (expected.step, expected.lr_effective, expected.loss)
+        factors = dict(zip(expected.grad_norms, np.exp2(exponents).tolist()))
+        assert record.grad_norms == {k: factors[k] * v for k, v in expected.grad_norms.items()}
+
+
+# configurations whose trajectory is invariant to scaling each layer's gradient
+# by its own power of two (the layer-wise normalization, and Adam's element-wise one)
+PER_LAYER_INVARIANT = [
+    ("novograd", {"epsilon": 0.0}),
+    ("novograd", {"epsilon": 0.0, "first_moment_style": "ema", "ams": True, "weight_decay": 0.01}),
+    ("sngd", {"epsilon": 0.0}),
+    ("adam", {"epsilon": 0.0}),
+    ("adamw", {"epsilon": 0.0, "weight_decay": 0.01}),
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    variant=st.sampled_from(PER_LAYER_INVARIANT),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    accumulation=st.sampled_from([1, 3]),
+    data=st.data(),
+)
+def test_per_layer_power_of_two_gradient_scaling_leaves_a_sweep_unchanged(variant, dtype, accumulation, data):
+    """A 3-row sweep of the MLP with each layer's gradient scaled by its own 2**k
+    (|k| <= 60 in float64, 40 in float32) ends in the same weights and logs the
+    same losses, and each layer's gradient norm exactly 2**k times its own."""
+    algorithm, hyperparams = variant
+    bound = 60 if dtype == np.float64 else 40
+    exponents = data.draw(st.lists(st.integers(-bound, bound), min_size=4, max_size=4))
+    cfg = mlp_config(algorithm, hyperparams=hyperparams, accumulation_factor=accumulation)
+    plain = _layer_scaled_sweep(cfg, [0] * 4, dtype)
+    for log, ref in zip(_layer_scaled_sweep(cfg, exponents, dtype), plain, strict=True):
+        _same_run_but_grad_norms(log, ref, exponents)
+
+
+@pytest.mark.parametrize("algorithm,hyperparams", [("novograd", {}), ("sgd", {})], ids=["novograd-eps", "sgd"])
+def test_per_layer_scaling_changes_novograd_at_its_default_epsilon_and_sgd(algorithm, hyperparams):
+    cfg = mlp_config(algorithm, hyperparams=hyperparams)
+    exponents = [37, -45, 12, -3]
+    for log, ref in zip(_layer_scaled_sweep(cfg, exponents, np.float64), _layer_scaled_sweep(cfg, [0] * 4, np.float64)):
+        assert log.final_weights["w1"].tobytes() != ref.final_weights["w1"].tobytes()
 
 
 class TestCheckpointing:
@@ -918,6 +997,10 @@ class TestSerialization:
         assert parsed[1] == ["a,b", "adam", "0.5", "0.25", "", "false"]
         assert [row[0] for row in parsed[1:]] == labels + ["plain label"]
         assert all(len(row) == 6 for row in parsed)
+
+    def test_numpy_scalar_cells_are_written_as_their_python_values(self):
+        row = ComparisonRow("a", "adam", np.float64(0.5), 0.25, np.int64(3), np.bool_(True))
+        assert comparison_to_csv([row]).splitlines()[1] == "a,adam,0.5,0.25,3,true"
 
     def test_checkpoint_round_trip_exact(self):
         log = train(logreg_config(total_steps=10), stop_after=7)

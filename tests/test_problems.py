@@ -694,3 +694,43 @@ class TestBuild:
             build("quadratic", {"dim": dim})
             assert problems_mod._prototype.cache_info().currsize <= size
         assert problems_mod._prototype.cache_info().currsize == size
+
+
+def _reference_init(problem, rng):
+    """Each kind's initial model as its own init body drew it, layer by layer."""
+    if problem.kind == "quadratic":
+        return {"w": 0.1 * rng.standard_normal(problem.dim) if problem.w0 is None else problem.w0.copy()}
+    if problem.kind == "rosenbrock":
+        return {"w": problem.w0.copy()}
+    if problem.kind == "logreg":
+        return {"w": 0.01 * rng.standard_normal(problem.dim), "b": np.zeros(1)}
+    d, h, c = problem.dim, problem.hidden, problem.n_classes
+    w1 = rng.standard_normal(d * h) / math.sqrt(d)
+    b1 = np.zeros(h)
+    w2 = rng.standard_normal(h * c) / math.sqrt(h)
+    return {"w1": w1, "b1": b1, "w2": w2, "b2": np.zeros(c)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+@pytest.mark.parametrize("scale", [None, 2.0**-20], ids=["plain", "scaled"])
+@pytest.mark.parametrize(
+    "kind,options",
+    [
+        ("quadratic", {"diag": [1.0, 4.0, 9.0]}),
+        ("quadratic", {"diag": [1.0, 4.0, 9.0], "w0": [1.0, -2.0, 3.0]}),
+        ("quadratic", {"dim": 7, "matrix_seed": 3}),
+        ("rosenbrock", {}),
+        ("logreg", {}),
+        ("mlp", {}),
+        ("mlp", {"dim": 5, "hidden": 7}),
+    ],
+)
+def test_initial_models_are_pinned_bit_for_bit(kind, options, scale, seed):
+    problem = build(kind, options)
+    wrapped = problem if scale is None else GradientScaledProblem(problem, scale)
+    params = wrapped.init_params(np.random.default_rng(seed))
+    expected = _reference_init(problem, np.random.default_rng(seed))
+    assert params.layer_ids == tuple(expected)
+    for layer in params:
+        assert layer.weights.dtype == expected[layer.id].dtype == np.float64
+        assert layer.weights.tobytes() == expected[layer.id].tobytes()

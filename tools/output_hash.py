@@ -300,7 +300,7 @@ def _float32_mlp():
     from novobench.params import ModelParams, ParameterLayer
     from novobench.problems import MlpProblem
 
-    original = MlpProblem.__dict__["init_params"]
+    original = MlpProblem.init_params
 
     def init_params(self, rng):
         params = original(self, rng)
@@ -476,7 +476,7 @@ def _zero_w2_mlp():
     a rate that leaves ``w2`` at zero defers it for that row only."""
     from novobench.problems import MlpProblem
 
-    original = MlpProblem.__dict__["init_params"]
+    original = MlpProblem.init_params
 
     def init_params(self, rng):
         params = original(self, rng)
