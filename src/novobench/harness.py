@@ -203,20 +203,18 @@ class _Row:
             self.termination, self.checkpoint_step = "checkpoint", t
         return self.termination is not None
 
-    def logs_at(self, t: int) -> bool:
-        return t % self.cfg.log_every == 0 or t == self.cfg.total_steps - 1
-
-    def prepare(self, t: int, loss: float, finite: bool, grad_norms, w_norms) -> None:
+    def prepare(self, t: int, loss: float, grad_norms: list[float], w_norms) -> None:
         """Set ``lr_t``, step ``t``'s rate, and apply LARC to the averaged
-        gradient in ``params.grad``.  ``finite`` tells whether that gradient
-        is finite; ``grad_norms`` and ``w_norms`` are its and the weights'
-        layer norms, given when LARC needs them.  A non-finite loss, gradient
-        or LARC-scaled gradient ends the row "diverged" instead."""
+        gradient in ``params.grad``.  ``grad_norms`` and ``w_norms`` are its
+        and the weights' layer norms (``w_norms`` given when LARC needs them).
+        A non-finite loss, gradient, rate (warmup's ``base_lr * (t + 1)`` can
+        overflow) or LARC-scaled gradient ends the row "diverged" instead."""
         cfg, params = self.cfg, self.params
-        if not (finite and math.isfinite(loss)):
+        finite = math.isfinite(sum(grad_norms)) or np.isfinite(params.grad).all()  # squares may overflow
+        if not (finite and math.isfinite(loss) and (lr_t := lr_at(cfg.schedule, t)) < math.inf):
             self.termination = "diverged"
             return
-        self.lr_t = lr_t = lr_at(cfg.schedule, t)
+        self.lr_t = lr_t
         if cfg.larc is not None:
             scales = [larc_scale(w_n, g_n, lr_t, cfg.larc) for w_n, g_n in zip(w_norms, grad_norms)]
             if any(scale != 1.0 for scale in scales):
@@ -227,20 +225,19 @@ class _Row:
     def record(self, t: int, loss: float, grad_norms: list[float], start_ns: int) -> None:
         """Log step ``t``, once it is taken, if due (``grad_norms`` holds the
         gradient's layer norms), and keep its weights when traced."""
-        params = self.params
-        if self.logs_at(t):
+        if t % self.cfg.log_every == 0 or t == self.cfg.total_steps - 1:
             self.records.append(
                 MetricsRecord(
                     step=t,
                     lr_effective=self.lr_t,
                     loss=loss,
-                    grad_norms=dict(zip(params.layer_ids, grad_norms)),
-                    second_moments=self.driver.second_moments(params),
+                    grad_norms=dict(zip(self.params.layer_ids, grad_norms)),
+                    second_moments=self.driver.second_moments(self.params),
                     wall_time_ns=time.monotonic_ns() - start_ns,
                 )
             )
         if self.trace is not None:
-            self.trace.append({layer.id: layer.weights.copy() for layer in params})
+            self.trace.append({layer.id: layer.weights.copy() for layer in self.params})
 
     def log(self) -> TrajectoryLog:
         final_weights = {layer.id: layer.weights.copy() for layer in self.params}
@@ -265,10 +262,11 @@ def _run_grid(problem: Problem, rows: list[_Row]) -> list[TrajectoryLog]:
     that runs in lockstep from its first row's start step (only a one-row
     grid resumes), in one row-stacked model.  Each step takes one batch
     draw and one ``eval_grad`` over all of the step's micro-batches and the
-    group's rows, one finiteness check, one norm call for the gradients
-    when some row logs or uses LARC and one for the weights when some row
-    uses LARC (both square into one float64 buffer kept with the stack);
-    then each row's divergence check, schedule and LARC, one
+    group's rows and one ``l2_norm_sq`` call, whose layer sums give every
+    row's finiteness, logged norms and step (with LARC, one more for the
+    weights and one for the scaled gradients; all square into one float64
+    buffer, made for the group's first stack, whose leading rows the later
+    ones use); then each row's divergence check, schedule and LARC, one
     optimizer step per stack of rows that share an algorithm and optimizer
     config, and each row's record.  A row that stops (completed,
     checkpointed or diverged) leaves the stack; the others go on.  Every
@@ -301,13 +299,13 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
             break
         if len(running) != len(active):  # the stack holds exactly the running rows
             model, stacks = _stack_group(running)
-            active = [row for members, _, _ in stacks for row in members]
+            squares = squares[: len(running)] if active else np.empty(model.grad.shape)  # the norms' squares
+            active = [row for members, _, _, _ in stacks for row in members]
             larc = any(row.cfg.larc is not None for row in active)
             # what the eval sees: weights (R, 1, N) and one gradient slot per
             # micro-batch, (R, slots, N); with k == 1 that slot is model.grad
             shape = (len(active), slots, model.grad.shape[-1])
             view = model.view(model.weights[:, None], model.grad[:, None] if k == 1 else np.empty(shape, model.grad.dtype))
-            squares = np.empty(model.grad.shape)  # the norms' float64 squares
         indices = _batch_indices(cfg.seed, t, problem.n_examples, size * k)
         losses = problem.eval_grad(view, None if indices is None else indices.reshape(k, size))
         if k == 1:
@@ -321,22 +319,22 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
                 model.grad += view.grad[:, j % slots]
             model.grad /= k
             losses = total / k
-        finite = np.isfinite(model.grad).all(axis=-1).tolist()
-        grad_norms = w_norms = [None] * len(active)
-        if larc or any(row.logs_at(t) for row in active):
-            grad_norms = np.sqrt(l2_norm_sq(model.grad, model.offsets, out=squares)).tolist()
+        sums = l2_norm_sq(model.grad, model.offsets, out=squares)
+        grad_norms = np.sqrt(sums).tolist()
         if larc:
             w_norms = np.sqrt(l2_norm_sq(model.weights, model.offsets, out=squares)).tolist()
         losses = losses.tolist()
-        for row, *values in zip(active, losses, finite, grad_norms, w_norms):
-            row.prepare(t, *values)
-        for members, part, driver in stacks:
+        for i, (row, loss, layer_norms) in enumerate(zip(active, losses, grad_norms)):
+            row.prepare(t, loss, layer_norms, w_norms[i] if larc else None)
+        if larc:  # the sums of the gradients as LARC left them
+            sums = l2_norm_sq(model.grad, model.offsets, out=squares)
+        for members, at, part, driver in stacks:
             if driver is not None and all(row.termination is None for row in members):
-                driver.step(part, [row.lr_t for row in members])
+                driver.step(part, [row.lr_t for row in members], sums[at])
             else:  # one row, or diverged rows, which leave the stack at the next step
-                for row in members:
+                for row, row_sums in zip(members, sums[at]):
                     if row.termination is None:
-                        row.driver.step(row.params, row.lr_t)
+                        row.driver.step(row.params, row.lr_t, row_sums)
         for row, loss, layer_norms in zip(active, losses, grad_norms):
             if row.termination is None:
                 row.record(t, loss, layer_norms, start_ns)
@@ -346,20 +344,19 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
 def _stack_group(rows: list[_Row]):
     """A group's running ``rows`` as its row-stacked model, in which rows that
     share an algorithm and an optimizer config sit together, and for each
-    such stack its rows and, for more than one row, a view of their slice
-    of the model and their stacked driver."""
+    such stack its rows, their slice of the model's rows and, for more than
+    one row, a view of that slice and their stacked driver."""
     same: dict[tuple, list[_Row]] = {}
     for row in rows:
         same.setdefault((row.driver.algorithm, row.driver.cfg), []).append(row)
     model = ModelParams.stack([row.params for members in same.values() for row in members])
     stacks, start = [], 0
     for members in same.values():
-        part = driver = None
+        at, part, driver = slice(start, start + len(members)), None, None
         if len(members) > 1:
-            at = slice(start, start + len(members))
             part = model.view(model.weights[at], model.grad[at])
             driver = OptimizerDriver.stack([row.driver for row in members], [row.params for row in members], part)
-        stacks.append((members, part, driver))
+        stacks.append((members, at, part, driver))
         start += len(members)
     return model, stacks
 

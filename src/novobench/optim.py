@@ -17,7 +17,7 @@ maximum of v (``ams``) that makes the effective step size monotone.
 
 Reference optimizers (SGD with momentum, SNGD, Adam, AdamW) share the same
 calling convention: the caller supplies the learning rate for the step, so
-schedules stay outside the optimizer.
+schedules stay outside the optimizer; it may also pass the gradient's layer sums.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ class SngdState(_State):
 
 
 def _check_step(params: ModelParams, lr_t, sums=None):
-    """A step's inputs: ``lr_t``, a learning rate >= 0, and a finite gradient.
+    """A step's inputs: ``lr_t``, a finite learning rate >= 0, and a finite gradient.
     Returns the rate as given and as a step multiplies a vector by it: for a
     single model ``lr_t`` both times (numpy rounds a number to the model's
     dtype), for a stacked ``params`` (one rate per row) a float64 column and
@@ -190,13 +190,13 @@ def _check_step(params: ModelParams, lr_t, sums=None):
     error names the first non-finite layer."""
     if params.weights.ndim == 1:
         lr = rate = lr_t
-        negative = lr_t < 0
+        valid = 0.0 <= lr_t < math.inf  # NaN fails both
     else:
         lr = np.asarray(lr_t, np.float64).reshape(params.grad.shape[:-1] + (1,))
         rate = lr.astype(params.weights.dtype)
-        negative = any(x < 0 for x in lr.ravel().tolist())  # on a few values faster than numpy's reduction
-    if negative:
-        raise ValueError(f"negative learning rate: {lr_t}")
+        valid = all(0.0 <= x < math.inf for x in lr.ravel().tolist())  # on a few values faster than numpy's reduction
+    if not valid:
+        raise ValueError(f"{'negative' if np.any(np.asarray(lr_t) < 0) else 'non-finite'} learning rate: {lr_t}")
     # a finite total of the sums (>= 0 each) proves them finite; on a few values Python's sum is fastest
     if (sums is None or not math.isfinite(sum(sums.ravel().tolist()))) and not np.isfinite(params.grad).all():
         bad = next(layer.id for layer in params if not np.isfinite(layer.grad).all())
@@ -281,7 +281,7 @@ def _stack(states: list, models: list[ModelParams], params: ModelParams):
     return stack
 
 
-def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig, lr_t) -> None:
+def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig, lr_t, sums=None) -> None:
     """One fused NovoGrad update at learning rate ``lr_t`` over the whole model,
     or over every row of a stack (``lr_t`` one rate per row; see ``_stack``).
 
@@ -299,7 +299,7 @@ def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig
     decoupled = cfg.wd_placement == "decoupled_update"
     g, w, m = params.grad, params.weights, state.m
     work, other, squares = state._work or _workspace(state, params)
-    gsq = l2_norm_sq(g, params.offsets, out=squares)
+    gsq = l2_norm_sq(g, params.offsets, out=squares) if sums is None else sums
     lr, rate = _check_step(params, lr_t, gsq)
     with np.errstate(invalid="ignore") if beta2 in (0.0, 1.0) else nullcontext():  # 0 * inf is NaN, silently, as in Python floats
         v = np.add(beta2 * state.v, (1.0 - beta2) * gsq, out=state.v)  # a layer not yet initialized stays NaN
@@ -344,8 +344,8 @@ def novograd_step(params: ModelParams, state: NovoGradState, cfg: NovoGradConfig
     _advance(state)
 
 
-def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t, decoupled: bool) -> None:
-    _, rate = _check_step(params, lr_t)
+def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t, sums, decoupled: bool) -> None:
+    _, rate = _check_step(params, lr_t, sums)
     _bind(state, params)
     beta1, beta2, d, eps = cfg.beta1, cfg.beta2, cfg.weight_decay, cfg.epsilon
     t = _advance(state)
@@ -375,20 +375,20 @@ def _adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t, dec
     w -= np.multiply(update, rate, out=update)
 
 
-def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t) -> None:
+def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t, sums=None) -> None:
     """One Adam update; coupled weight decay folds d*w into the gradient."""
-    _adam_step(params, state, cfg, lr_t, False)
+    _adam_step(params, state, cfg, lr_t, sums, False)
 
 
-def adamw_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t) -> None:
+def adamw_step(params: ModelParams, state: AdamState, cfg: AdamConfig, lr_t, sums=None) -> None:
     """One AdamW update: moments see the raw gradient, decay goes into the
     weight update as -lr_t * d * w."""
-    _adam_step(params, state, cfg, lr_t, True)
+    _adam_step(params, state, cfg, lr_t, sums, True)
 
 
-def sgd_momentum_step(params: ModelParams, state: SgdMomentumState, cfg: SgdMomentumConfig, lr_t) -> None:
+def sgd_momentum_step(params: ModelParams, state: SgdMomentumState, cfg: SgdMomentumConfig, lr_t, sums=None) -> None:
     """One heavy-ball SGD update with coupled L2 decay."""
-    _, rate = _check_step(params, lr_t)
+    _, rate = _check_step(params, lr_t, sums)
     _bind(state, params)
     mu, d = cfg.momentum, cfg.weight_decay
     w, m = params.weights, state.m
@@ -402,12 +402,12 @@ def sgd_momentum_step(params: ModelParams, state: SgdMomentumState, cfg: SgdMome
     _advance(state)
 
 
-def sngd_step(params: ModelParams, state: SngdState, cfg: SngdConfig, lr_t) -> None:
+def sngd_step(params: ModelParams, state: SngdState, cfg: SngdConfig, lr_t, sums=None) -> None:
     """One normalized-gradient step; layers with zero gradient are no-ops.
     ``state`` has no fields and keeps its count."""
     _bind(state, params)
     work, _, squares = state._work or _workspace(state, params)
-    gsq = l2_norm_sq(params.grad, params.offsets, out=squares)
+    gsq = l2_norm_sq(params.grad, params.offsets, out=squares) if sums is None else sums
     _, rate = _check_step(params, lr_t, gsq)
     norms = np.sqrt(gsq)
     moving = norms != 0.0
@@ -419,7 +419,7 @@ def sngd_step(params: ModelParams, state: SngdState, cfg: SngdConfig, lr_t) -> N
 
 class _Algorithm(NamedTuple):
     """Registry entry: config class, state class (called for the empty state) and
-    ``step(params, state, cfg, lr_t)``."""
+    ``step(params, state, cfg, lr_t, sums)``."""
 
     config: type
     state: type
@@ -530,10 +530,12 @@ class OptimizerDriver:
         self.cfg = make_config(algorithm) if cfg is None else checked("cfg", entry.config, cfg)
         self.state = checked("state", entry.state | None, state) or entry.state()
 
-    def step(self, params: ModelParams, lr_t) -> None:
+    def step(self, params: ModelParams, lr_t, sums=None) -> None:
         """One update of ``params`` at rate ``lr_t``; of a stack's rows (see
-        :meth:`stack`) at one rate per row."""
-        _REGISTRY[self.algorithm].step(params, self.state, self.cfg, lr_t)
+        :meth:`stack`) at one rate per row.  ``sums``, if given, must be exactly
+        ``l2_norm_sq(params.grad, params.offsets)`` of the gradient being stepped:
+        the step then reads its layer norms and its finiteness from them."""
+        _REGISTRY[self.algorithm].step(params, self.state, self.cfg, lr_t, sums)
 
     @classmethod
     def stack(cls, drivers: list["OptimizerDriver"], models: list[ModelParams], params: ModelParams) -> "OptimizerDriver":

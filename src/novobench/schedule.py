@@ -80,12 +80,13 @@ def larc_scale(layer_weights_norm: float, layer_grad_norm: float, lr_t: float, c
     caps the layer's effective learning rate at min(lr_t, tau); the
     returned scale (effective / lr_t) is applied to the layer gradient
     before the optimizer step.  Degenerate layers (||w|| = 0, lr_t = 0, or
-    a zero denominator) pass through unscaled.
+    a zero denominator) pass through unscaled.  A norm may be infinite (its
+    squares overflowed), not NaN; ``lr_t`` must be finite.
     """
-    if layer_weights_norm < 0 or layer_grad_norm < 0:
-        raise ValueError("norms must be nonnegative")
-    if lr_t < 0:
-        raise ValueError(f"negative learning rate: {lr_t}")
+    if not (layer_weights_norm >= 0 and layer_grad_norm >= 0):  # NaN fails too
+        raise ValueError(f"norms must be nonnegative, got {layer_weights_norm} and {layer_grad_norm}")
+    if not 0 <= lr_t < math.inf:
+        raise ValueError(f"{'negative' if lr_t < 0 else 'non-finite'} learning rate: {lr_t}")
     if layer_weights_norm == 0.0 or lr_t == 0.0:
         return 1.0
     denom = layer_grad_norm + cfg.eps_div

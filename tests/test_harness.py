@@ -30,12 +30,12 @@ from novobench.harness import (
     sweep_to_csv,
     train,
 )
-from novobench import harness
+from novobench import harness, optim
 from novobench import problems as problems_mod
 from novobench.optim import ALGORITHMS, OptimizerDriver, make_config
-from novobench.params import ModelParams, ParameterLayer
+from novobench.params import ModelParams, ParameterLayer, l2_norm_sq
 from novobench.problems import GradientScaledProblem, MlpProblem, Problem, build
-from novobench.schedule import LarcConfig, ScheduleSpec, lr_at
+from novobench.schedule import LarcConfig, ScheduleSpec, larc_scale, lr_at
 
 
 def logreg_config(algorithm="novograd", total_steps=40, seed=0, **kwargs):
@@ -159,6 +159,28 @@ class TestTrainBasics:
         cfg = logreg_config("sgd", larc=LarcConfig(trust_coefficient=0.02), total_steps=15)
         log = train(cfg)
         assert log.termination == "completed"
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_larc_run_steps_its_scaled_gradient(self, algorithm):
+        """A LARC run equals a loop of direct steps on the scaled gradient, whose
+        layer norms the step computes itself (on the batchless quadratic the
+        harness's gradient is the problem's, bit for bit)."""
+        larc = LarcConfig(trust_coefficient=0.01)
+        cfg = quadratic_config(algorithm, total_steps=8, larc=larc)
+        log = train(cfg)
+        problem = harness.build_problem(cfg.problem)
+        params = problem.init_params(np.random.default_rng([cfg.seed, harness._INIT_STREAM, 0]))
+        driver = OptimizerDriver(algorithm, make_config(algorithm, cfg.hyperparams))
+        scales = []
+        for t in range(cfg.total_steps):
+            problem.eval_grad(params, None)
+            lr = lr_at(cfg.schedule, t)
+            norms = [math.sqrt(l2_norm_sq(params.weights)), math.sqrt(l2_norm_sq(params.grad))]  # its one layer, w
+            scales.append(larc_scale(*norms, lr, larc))
+            params.grad *= scales[-1]
+            driver.step(params, lr)
+        assert min(scales) < 1.0
+        assert log.final_weights["w"].tobytes() == params.weights.tobytes()
 
 
 class TestAccumulation:
@@ -826,6 +848,73 @@ class TestLockstep:
         logs = harness._run_grid(problem, [harness._Row(cfg, problem) for cfg in cfgs])
         assert [log.termination for log in logs] == ["completed"] * 3
         assert len(peaks) == 1 and peaks[0] < 3 * (60000 + 7 + 300) * 4 / 2
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("larc", [None, LarcConfig()], ids=["plain", "larc"])
+    def test_one_reduction_of_the_gradient_per_step(self, monkeypatch, algorithm, larc):
+        """The harness's one ``l2_norm_sq`` call per step gives the finiteness
+        check, the logged norms and the step's sums; LARC adds one call for the
+        weights and one for the scaled gradients.  Without LARC no ``isfinite``
+        pass covers the gradient while it stays finite."""
+        norms, passes = [], []
+        kernel, isfinite = harness.l2_norm_sq, np.isfinite
+
+        def counted_kernel(*args, **kwargs):
+            norms.append(args[0].shape)
+            return kernel(*args, **kwargs)
+
+        def counted_isfinite(x, *args, **kwargs):
+            if np.shape(x)[-1:] == (99,):  # the default MLP's weights, or a buffer of them
+                passes.append(x)
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "l2_norm_sq", counted_kernel)
+        monkeypatch.setattr(optim, "l2_norm_sq", counted_kernel)
+        monkeypatch.setattr(np, "isfinite", counted_isfinite)
+        cfg = RunConfig(
+            problem=ProblemSpec("mlp", {}),
+            algorithm=algorithm,
+            schedule=ScheduleSpec(base_lr=0.05, total_steps=50),
+            larc=larc,
+            total_steps=50,
+            log_every=10,
+        )
+        log = train(cfg)
+        assert log.termination == "completed" and len(log.records) == 6
+        assert len(norms) == (150 if larc else 50)
+        if larc is None:
+            assert passes == []
+
+    def test_a_sweep_whose_squares_overflow_equals_its_standalone_runs(self):
+        """At ``gradient_scale=2**600`` every row's squares overflow while its
+        gradient stays finite: the sums are infinite, and the finiteness check
+        and the step fall back to a pass over the gradient, for each row as alone."""
+        for algorithm in ("novograd", "sgd"):
+            cfg = quadratic_config(algorithm, total_steps=12, log_every=1)
+            cfg = replace(cfg, problem=replace(cfg.problem, gradient_scale=2.0**600))
+            lrs = [0.01, 0.05, 0.2]
+            _, logs = lr_sweep(cfg, lrs)
+            # NovoGrad divides by the infinite norm and stands still; SGD's first step
+            # overflows the next loss.  Exact norms (the known fault) change both.
+            expected = ("completed", 12) if algorithm == "novograd" else ("diverged", 1)
+            assert [(log.termination, len(log.records)) for log in logs] == [expected] * 3
+            assert math.isinf(logs[0].records[0].grad_norms["w"])
+            for lr, log in zip(lrs, logs):
+                _same_run(log, train(replace(cfg, schedule=replace(cfg.schedule, base_lr=lr))))
+
+    def test_a_warmup_rate_that_overflows_ends_the_run_diverged(self):
+        """Warmup's ``base_lr * (t + 1)`` overflows at step 1 for ``base_lr=1e308``;
+        the run (at the minimum, so its steps leave it there) ends "diverged"
+        at that step instead of stepping at an infinite rate."""
+        cfg = quadratic_config(
+            problem=ProblemSpec("quadratic", {"diag": [2.0, 4.0], "w0": [0.0, 0.0]}),
+            schedule=ScheduleSpec(base_lr=1e308, total_steps=50, warmup_steps=2),
+            log_every=1,
+        )
+        log = train(cfg)
+        assert log.termination == "diverged"
+        assert [record.step for record in log.records] == [0]
+        assert log.final_weights["w"].tolist() == [0.0, 0.0]
 
     def test_sweep_rows_equal_standalone_runs_past_a_divergent_point(self):
         cfg = quadratic_config("sgd", total_steps=60, accumulation_factor=2, log_every=1)

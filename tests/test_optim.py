@@ -231,6 +231,23 @@ class TestNovoGradStep:
         novograd_step(params, state, NovoGradConfig(), 0.1)
         with pytest.raises(ValueError, match="negative learning rate"):
             novograd_step(params, state, NovoGradConfig(), -0.1)
+        # every algorithm, on one model and on a stack (one bad rate in the column),
+        # rejects a negative, NaN or infinite rate and leaves the weights untouched
+        for algorithm in ALGORITHMS:
+            for rows in (None, 3):
+                models = [_two_layer_model() for _ in range(rows or 1)]
+                drivers = [OptimizerDriver(algorithm) for _ in models]
+                driver, params = drivers[0], models[0]
+                if rows:
+                    params = ModelParams.stack(models)
+                    driver = OptimizerDriver.stack(drivers, models, params)
+                params.grad[...] = 1.0
+                before = params.weights.copy(), json.dumps(drivers[0].state_dict())
+                for bad, message in [(-0.1, "negative"), (-math.inf, "negative"), (math.nan, "non-finite"), (math.inf, "non-finite")]:
+                    with pytest.raises(ValueError, match=f"{message} learning rate"):
+                        driver.step(params, [0.1, bad, 0.0] if rows else bad)
+                assert params.weights.tobytes() == before[0].tobytes(), algorithm
+                assert json.dumps(drivers[0].state_dict()) == before[1]
 
     def test_non_finite_gradient_names_layer(self):
         params = ModelParams(
@@ -1245,6 +1262,59 @@ def test_fused_step_equals_per_layer_reference(algorithm, hyperparams, rows, siz
             _assert_same_state(algorithm, cfg, row_driver.state, ref)
             if algorithm != "sngd":
                 assert row_driver.state.step_count == step + 1
+
+
+_HANDOFF_CASES = [
+    ("novograd", {}),
+    ("novograd", {"ams": True}),
+    ("novograd", {"first_moment_style": "ema", "weight_decay": 0.01}),
+    ("novograd", {"wd_placement": "decoupled_update", "weight_decay": 0.03}),
+    ("adam", {"weight_decay": 0.01}),
+    ("adamw", {"weight_decay": 0.05}),
+    ("sgd", {"weight_decay": 0.01}),
+    ("sngd", {}),
+]
+
+
+@pytest.mark.parametrize("algorithm,hyperparams", _HANDOFF_CASES)
+@settings(max_examples=15, deadline=None)
+@given(
+    rows=st.sampled_from([None, 3]),
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_step_given_the_gradients_sums_equals_one_that_computes_them(algorithm, hyperparams, rows, sizes, dtype, seed):
+    """Stepping with ``sums=l2_norm_sq(grad, offsets)``, as the harness hands them
+    over, equals stepping without, bit for bit in the weights and the state: on
+    one model and on a 3-row stack, with all-zero layers that defer NovoGrad's init."""
+    rng = np.random.default_rng(seed)
+    cfg = make_config(algorithm, hyperparams)
+    weights = [rng.standard_normal(n).astype(dtype) for n in sizes]
+    pairs = []  # (model, driver), stepped without and with sums
+    for _ in range(2):
+        models = [ModelParams([ParameterLayer(f"l{i}", w.copy()) for i, w in enumerate(weights)]) for _ in range(rows or 1)]
+        drivers = [OptimizerDriver(algorithm, cfg) for _ in models]
+        if rows:
+            stacked = ModelParams.stack(models)
+            pairs.append((stacked, OptimizerDriver.stack(drivers, models, stacked), drivers))
+        else:
+            pairs.append((models[0], drivers[0], drivers))
+    bounds = np.cumsum([0, *sizes]).tolist()
+    for step in range(5):
+        shape = pairs[0][0].grad.shape
+        grad = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)).astype(dtype)
+        for start, end in zip(bounds, bounds[1:]):
+            if step == 0 or rng.uniform() < 0.3:  # the layer all zero in about half of the rows
+                grad[..., start:end] *= rng.uniform(size=shape[:-1] + (1,)) < 0.5
+        lrs = rng.uniform(0.0, 0.1, rows).tolist() if rows else float(rng.uniform(0.0, 0.1))
+        for (params, driver, _), handoff in zip(pairs, (False, True)):
+            params.grad[...] = grad
+            driver.step(params, lrs, l2_norm_sq(params.grad, params.offsets) if handoff else None)
+        (plain, _, plain_rows), (given_sums, _, sums_rows) = pairs
+        assert given_sums.weights.tobytes() == plain.weights.tobytes(), step
+        for a, b in zip(plain_rows, sums_rows):
+            assert json.dumps(b.state_dict()) == json.dumps(a.state_dict())
 
 
 @pytest.mark.parametrize("algorithm,hyperparams", _FUSED_CASES)

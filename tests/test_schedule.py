@@ -103,6 +103,15 @@ class TestLarcScale:
             larc_scale(1.0, -1.0, 0.1, cfg)
         with pytest.raises(ValueError, match="negative learning rate"):
             larc_scale(1.0, 1.0, -0.1, cfg)
+        for lr in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite learning rate"):
+                larc_scale(1.0, 1.0, lr, cfg)
+        for norms in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="norms must be nonnegative"):
+                larc_scale(*norms, 0.1, cfg)
+        # an infinite norm is what a finite gradient whose squares overflow has
+        assert larc_scale(1.0, math.inf, 0.1, cfg) == 0.0
+        assert larc_scale(math.inf, 1.0, 0.1, cfg) == 1.0
 
     def test_scale_bounded_by_one_when_clipping(self):
         rng = np.random.default_rng(71)
