@@ -178,16 +178,16 @@ class _Row:
         self.cfg = cfg
         self.stop_after = stop_after
         self.params = problem.init_params(np.random.default_rng([cfg.seed, _INIT_STREAM, 0]))
+        self.driver = OptimizerDriver(cfg.algorithm, make_config(cfg.algorithm, cfg.hyperparams))
+        self.start = 0
         if resume_from is not None:
-            self.driver = OptimizerDriver.from_state_dict(resume_from.optimizer)
-            if self.driver.algorithm != cfg.algorithm:
-                raise ValueError("checkpoint algorithm does not match config")
+            resumed = OptimizerDriver.from_state_dict(resume_from.optimizer)
+            config, saved = ({"algorithm": d.algorithm, **asdict(d.cfg)} for d in (self.driver, resumed))
+            if differ := [(key, saved.get(key), value) for key, value in config.items() if value != saved.get(key)]:
+                raise ValueError("checkpoint optimizer %s %r does not match the config's %r" % differ[0])
+            self.driver, self.start = resumed, resume_from.step
             self.params.weights[...] = self.params.flatten(resume_from.weights)
             _bind(self.driver.state, self.params)  # the state's layout is checked here, not at its first step
-            self.start = resume_from.step
-        else:
-            self.driver = OptimizerDriver(cfg.algorithm, make_config(cfg.algorithm, cfg.hyperparams))
-            self.start = 0
         self.records: list[MetricsRecord] = []
         self.trace: list[dict[str, np.ndarray]] | None = [] if record_weight_trace else None
         self.termination: str | None = None  # set when the row stops
@@ -203,14 +203,15 @@ class _Row:
             self.termination, self.checkpoint_step = "checkpoint", t
         return self.termination is not None
 
-    def prepare(self, t: int, loss: float, grad_norms: list[float], w_norms) -> None:
-        """Set ``lr_t``, step ``t``'s rate, and apply LARC to the averaged
-        gradient in ``params.grad``.  ``grad_norms`` and ``w_norms`` are its
-        and the weights' layer norms (``w_norms`` given when LARC needs them).
-        A non-finite loss, gradient, rate (warmup's ``base_lr * (t + 1)`` can
+    def prepare(self, t: int, loss: float, grad_norms: list[float], w_norms, sums, squares) -> None:
+        """Set ``lr_t``, step ``t``'s rate, and apply LARC to the averaged gradient in
+        ``params.grad`` (layer norms ``grad_norms``; the weights' ``w_norms`` for LARC),
+        which its row ``sums`` of the step's sums of squares prove finite by a finite
+        total; a LARC change squares it into ``squares`` (the row of their buffer) and
+        writes its sums over ``sums``.  A non-finite loss, gradient, rate (warmup's can
         overflow) or LARC-scaled gradient ends the row "diverged" instead."""
         cfg, params = self.cfg, self.params
-        finite = math.isfinite(sum(grad_norms)) or np.isfinite(params.grad).all()  # squares may overflow
+        finite = math.isfinite(sum(sums.tolist())) or np.isfinite(params.grad).all()  # squares may overflow
         if not (finite and math.isfinite(loss) and (lr_t := lr_at(cfg.schedule, t)) < math.inf):
             self.termination = "diverged"
             return
@@ -219,7 +220,8 @@ class _Row:
             scales = [larc_scale(w_n, g_n, lr_t, cfg.larc) for w_n, g_n in zip(w_norms, grad_norms)]
             if any(scale != 1.0 for scale in scales):
                 params.grad *= params.broadcast(scales, params.grad.dtype)
-                if not np.isfinite(params.grad).all():  # the trust ratio overflowed
+                sums[...] = l2_norm_sq(params.grad, params.offsets, out=squares)
+                if not (math.isfinite(sum(sums.tolist())) or np.isfinite(params.grad).all()):  # the trust ratio overflowed
                     self.termination = "diverged"
 
     def record(self, t: int, loss: float, grad_norms: list[float], start_ns: int) -> None:
@@ -262,16 +264,16 @@ def _run_grid(problem: Problem, rows: list[_Row]) -> list[TrajectoryLog]:
     that runs in lockstep from its first row's start step (only a one-row
     grid resumes), in one row-stacked model.  Each step takes one batch
     draw and one ``eval_grad`` over all of the step's micro-batches and the
-    group's rows and one ``l2_norm_sq`` call, whose layer sums give every
-    row's finiteness, logged norms and step (with LARC, one more for the
-    weights and one for the scaled gradients; all square into one float64
-    buffer, made for the group's first stack, whose leading rows the later
-    ones use); then each row's divergence check, schedule and LARC, one
-    optimizer step per stack of rows that share an algorithm and optimizer
-    config, and each row's record.  A row that stops (completed,
-    checkpointed or diverged) leaves the stack; the others go on.  Every
-    row's log is bit for bit that of its run alone; ``wall_time_ns``
-    counts from the grid's start.
+    group's rows, and one ``l2_norm_sq`` call whose layer sums give every
+    row's finiteness, logged norms and step (LARC adds one for the weights
+    and, per row whose gradient it changed, one that replaces the row's
+    sums; all square into one float64 buffer, made for the group's first
+    stack, whose leading rows the later ones use); then each row's
+    divergence check, schedule and LARC, one optimizer step per stack of
+    rows that share an algorithm and optimizer config, and each row's
+    record.  A row that stops (completed, checkpointed or diverged) leaves
+    the stack; the others go on.  Every row's log is bit for bit that of
+    its run alone; ``wall_time_ns`` counts from the grid's start.
     """
     start_ns = time.monotonic_ns()
     groups: dict[tuple, list[_Row]] = {}
@@ -325,9 +327,7 @@ def _run_group(problem: Problem, rows: list[_Row], start_ns: int) -> None:
             w_norms = np.sqrt(l2_norm_sq(model.weights, model.offsets, out=squares)).tolist()
         losses = losses.tolist()
         for i, (row, loss, layer_norms) in enumerate(zip(active, losses, grad_norms)):
-            row.prepare(t, loss, layer_norms, w_norms[i] if larc else None)
-        if larc:  # the sums of the gradients as LARC left them
-            sums = l2_norm_sq(model.grad, model.offsets, out=squares)
+            row.prepare(t, loss, layer_norms, w_norms[i] if larc else None, sums[i], squares[i])
         for members, at, part, driver in stacks:
             if driver is not None and all(row.termination is None for row in members):
                 driver.step(part, [row.lr_t for row in members], sums[at])

@@ -305,6 +305,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: malformed config") and message in err
 
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    @pytest.mark.parametrize("root", [[], [{"total_steps": 5}], "run", 5, None, True])
+    def test_a_config_root_that_is_not_an_object_is_a_config_error(self, tmp_path, capsys, command, root):
+        path = write_config(tmp_path / "cfg.json", root)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: config root must be an object\n"
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["run"]) == 1  # --config is required
         assert main(["frobnicate"]) == 1

@@ -237,9 +237,10 @@ class LayerScaledProblem(GradientScaledProblem):
         return loss
 
 
-def _layer_scaled_sweep(cfg, exponents, dtype, lrs=(0.01, 0.05, 0.2)):
-    """``cfg``'s 3-row ``lr_sweep`` logs, its MLP in ``dtype`` with layer l's
-    gradient times 2**exponents[l]; the rows share a config, so they step as one stack."""
+@contextmanager
+def layers_scaled(exponents, dtype):
+    """The harness's problems write layer l's gradient times 2**exponents[l],
+    and MLP models start in ``dtype``."""
     inner = harness.build_problem
 
     def build_problem(spec):
@@ -247,6 +248,13 @@ def _layer_scaled_sweep(cfg, exponents, dtype, lrs=(0.01, 0.05, 0.2)):
 
     with mlp_weights_in(dtype), pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "build_problem", build_problem)
+        yield
+
+
+def _layer_scaled_sweep(cfg, exponents, dtype, lrs=(0.01, 0.05, 0.2)):
+    """``cfg``'s 3-row ``lr_sweep`` logs, its MLP in ``dtype`` with layer l's
+    gradient times 2**exponents[l]; the rows share a config, so they step as one stack."""
+    with layers_scaled(exponents, dtype):
         return lr_sweep(cfg, list(lrs))[1]
 
 
@@ -290,6 +298,45 @@ def test_per_layer_power_of_two_gradient_scaling_leaves_a_sweep_unchanged(varian
     cfg = mlp_config(algorithm, hyperparams=hyperparams, accumulation_factor=accumulation)
     plain = _layer_scaled_sweep(cfg, [0] * 4, dtype)
     for log, ref in zip(_layer_scaled_sweep(cfg, exponents, dtype), plain, strict=True):
+        _same_run_but_grad_norms(log, ref, exponents)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    pair=st.lists(st.sampled_from(range(len(PER_LAYER_INVARIANT))), min_size=2, max_size=2, unique=True),
+    larc_algorithm=st.none() | st.sampled_from(ALGORITHMS),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    accumulation=st.sampled_from([1, 3]),
+    data=st.data(),
+)
+def test_per_layer_power_of_two_gradient_scaling_leaves_a_mixed_comparison_unchanged(
+    pair, larc_algorithm, dtype, accumulation, data
+):
+    """A ``compare_runs`` grid of one lockstep group, in which two rows of one
+    invariant config step as a stack (the shorter leaves it after 14 steps),
+    one of another steps alone and, if drawn, a row of any algorithm takes
+    LARC in scale mode: with each layer's gradient scaled by its own 2**k,
+    every row ends in the same weights and logs the same losses, and each
+    layer's gradient norm exactly 2**k times its own.  LARC passes a layer
+    with ``||w|| = 0`` (the biases start at zero) through unscaled, so with
+    the LARC row only w1's and w2's gradients are scaled."""
+    (a, a_params), (b, b_params) = (PER_LAYER_INVARIANT[i] for i in pair)
+    bound = 60 if dtype == np.float64 else 40
+    exponents = data.draw(st.lists(st.integers(-bound, bound), min_size=4, max_size=4))
+    cfgs = [
+        mlp_config(a, hyperparams=a_params, accumulation_factor=accumulation, base_lr=0.01),
+        mlp_config(a, hyperparams=a_params, accumulation_factor=accumulation, base_lr=0.05, total_steps=14),
+        mlp_config(b, hyperparams=b_params, accumulation_factor=accumulation, base_lr=0.2, log_every=3),
+    ]
+    if larc_algorithm is not None:
+        larc = LarcConfig(clip=False, eps_div=0.0)
+        cfgs.append(mlp_config(larc_algorithm, accumulation_factor=accumulation, larc=larc))
+        exponents[1] = exponents[3] = 0  # b1 and b2
+    with layers_scaled([0] * 4, dtype):
+        plain = compare_runs(cfgs)[1]
+    with layers_scaled(exponents, dtype):
+        scaled = compare_runs(cfgs)[1]
+    for log, ref in zip(scaled, plain, strict=True):
         _same_run_but_grad_norms(log, ref, exponents)
 
 
@@ -343,6 +390,28 @@ class TestCheckpointing:
         wrong = logreg_config("sgd", total_steps=10)
         with pytest.raises(ValueError, match="algorithm"):
             train(wrong, resume_from=partial.checkpoint)
+
+    def test_checkpoint_hyperparameter_mismatch_rejected(self):
+        """A checkpoint resumes only under the optimizer config it was saved
+        with: its state would otherwise keep stepping with the saved values
+        while the log echoed the config's."""
+
+        def cfg(**hyperparams):
+            return RunConfig(
+                problem=ProblemSpec("mlp", {}),
+                algorithm="novograd",
+                schedule=ScheduleSpec(base_lr=0.05, total_steps=20),
+                hyperparams=hyperparams,
+                total_steps=20,
+            )
+
+        partial = train(cfg(beta2=0.25), stop_after=10)
+        with pytest.raises(ValueError, match=r"^checkpoint optimizer beta2 0\.25 does not match the config's 0\.9$"):
+            train(cfg(beta2=0.9), resume_from=partial.checkpoint)
+        with pytest.raises(ValueError, match="checkpoint optimizer weight_decay 0.0 does not match the config's 0.5"):
+            train(cfg(beta2=0.25, weight_decay=0.5), resume_from=partial.checkpoint)
+        # the defaults are the saved values, given or not
+        assert train(cfg(), resume_from=partial.checkpoint).termination == "completed"
 
     def test_bad_checkpoint_version(self):
         with pytest.raises(ValueError, match="format version"):
@@ -854,10 +923,10 @@ class TestLockstep:
     def test_one_reduction_of_the_gradient_per_step(self, monkeypatch, algorithm, larc):
         """The harness's one ``l2_norm_sq`` call per step gives the finiteness
         check, the logged norms and the step's sums; LARC adds one call for the
-        weights and one for the scaled gradients.  Without LARC no ``isfinite``
-        pass covers the gradient while it stays finite."""
-        norms, passes = [], []
-        kernel, isfinite = harness.l2_norm_sq, np.isfinite
+        weights, and one for the gradient on each step whose gradient LARC
+        changed.  No ``isfinite`` pass covers the gradient while it stays finite."""
+        norms, passes, scales = [], [], []
+        kernel, isfinite, scale = harness.l2_norm_sq, np.isfinite, harness.larc_scale
 
         def counted_kernel(*args, **kwargs):
             norms.append(args[0].shape)
@@ -868,9 +937,14 @@ class TestLockstep:
                 passes.append(x)
             return isfinite(x, *args, **kwargs)
 
+        def counted_scale(*args, **kwargs):
+            scales.append(scale(*args, **kwargs))
+            return scales[-1]
+
         monkeypatch.setattr(harness, "l2_norm_sq", counted_kernel)
         monkeypatch.setattr(optim, "l2_norm_sq", counted_kernel)
         monkeypatch.setattr(np, "isfinite", counted_isfinite)
+        monkeypatch.setattr(harness, "larc_scale", counted_scale)
         cfg = RunConfig(
             problem=ProblemSpec("mlp", {}),
             algorithm=algorithm,
@@ -881,9 +955,53 @@ class TestLockstep:
         )
         log = train(cfg)
         assert log.termination == "completed" and len(log.records) == 6
-        assert len(norms) == (150 if larc else 50)
-        if larc is None:
-            assert passes == []
+        layers = len(log.final_weights)
+        changed = sum(any(s != 1.0 for s in scales[i : i + layers]) for i in range(0, len(scales), layers))
+        assert len(scales) == (50 * layers if larc else 0)
+        assert 0 < changed < 50 if larc else changed == 0  # LARC changes some steps' gradients, not all
+        assert len(norms) == (100 + changed if larc else 50)
+        assert passes == []
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_every_step_reads_the_sums_of_the_gradient_it_steps(self, monkeypatch, dtype):
+        """Every optimizer step, of a stack or of one row, gets ``sums`` equal
+        bit for bit to a fresh ``l2_norm_sq`` of the gradient it steps: as
+        averaged, or as LARC left it in clip or in scale mode, also in a grid
+        where one row's trust ratio overflows and the row leaves its stack."""
+        kinds = []
+        step = OptimizerDriver.step
+
+        def checked_step(self, params, lr_t, sums=None):
+            fresh = l2_norm_sq(params.grad, params.offsets)
+            assert sums is not None and sums.dtype == np.float64 and sums.tobytes() == fresh.tobytes()
+            kinds.append(params.weights.ndim)
+            return step(self, params, lr_t, sums)
+
+        monkeypatch.setattr(OptimizerDriver, "step", checked_step)
+        modes = [None, LarcConfig(), LarcConfig(clip=False, eps_div=0.0)]
+        # per algorithm, three rows of one config (a stack) and a lone row with its own
+        cfgs = [mlp_config(algorithm, larc=larc) for algorithm in ALGORITHMS for larc in modes]
+        own = {algorithm: {"momentum": 0.5} if algorithm == "sgd" else {"epsilon": 1e-6} for algorithm in ALGORITHMS}
+        cfgs += [mlp_config(algorithm, hyperparams=own[algorithm], larc=modes[2]) for algorithm in ALGORITHMS]
+        with mlp_weights_in(dtype):
+            _, logs = compare_runs(cfgs)
+        assert all(log.termination == "completed" for log in logs)
+        assert kinds.count(2) == 20 * len(ALGORITHMS) and kinds.count(1) == 20 * len(ALGORITHMS)
+        # as in test_larc_overflow_ends_diverged: at step 2 (lr_t = 1e-3 * 0.5**1020)
+        # the first row's trust ratio overflows; its stack partner steps alone
+        kinds.clear()
+        spec = ProblemSpec("quadratic", {"diag": [2.0, 4.0], "w0": [1.0, 1.0]})
+        schedule = ScheduleSpec(base_lr=1e-3, total_steps=4, family="polynomial", power=1020.0)
+        overflow = quadratic_config("sgd", problem=spec, schedule=schedule, total_steps=4, log_every=1)
+        cfgs = [
+            replace(overflow, larc=LarcConfig(trust_coefficient=1.0, clip=False)),
+            replace(overflow, schedule=replace(schedule, power=1.0), larc=LarcConfig(clip=False, eps_div=0.0)),
+            replace(overflow, algorithm="novograd", larc=LarcConfig()),
+        ]
+        _, logs = compare_runs(cfgs)
+        assert [log.termination for log in logs] == ["diverged", "completed", "completed"]
+        assert [rec.step for rec in logs[0].records] == [0, 1]
+        assert kinds == [2, 1, 2, 1, 1, 1, 1, 1]
 
     def test_a_sweep_whose_squares_overflow_equals_its_standalone_runs(self):
         """At ``gradient_scale=2**600`` every row's squares overflow while its
@@ -979,6 +1097,24 @@ class TestSweep:
             outputs.append([sweep_to_csv(rows)] + [log_to_csv(log) + log_to_jsonl(log) for log in logs])
         assert outputs[0] == outputs[1] == outputs[2]
         assert "np." not in "".join(outputs[0])
+
+    def test_rows_that_diverge_before_logging_write_nan_losses(self):
+        """At ``gradient_scale=1e308`` the Rosenbrock gradient overflows at step 0,
+        so no row logs a record; each row's losses are NaN and it is flagged."""
+        cfg = RunConfig(
+            problem=ProblemSpec("rosenbrock", {}, gradient_scale=1e308),
+            algorithm="sgd",
+            schedule=ScheduleSpec(base_lr=0.1, total_steps=5),
+            total_steps=5,
+        )
+        rows, logs = lr_sweep(cfg, [0.001, 0.01])
+        assert [(log.termination, log.records) for log in logs] == [("diverged", [])] * 2
+        assert sweep_to_csv(rows) == "lr,final_loss,best_loss,diverged\n0.001,nan,nan,true\n0.01,nan,nan,true\n"
+        rows, _ = compare_runs([cfg, replace(cfg, algorithm="novograd")], loss_threshold=1.0)
+        assert comparison_to_csv(rows) == (
+            "label,algorithm,final_loss,best_loss,steps_to_threshold,diverged\n"
+            "sgd,sgd,nan,nan,,true\nnovograd,novograd,nan,nan,,true\n"
+        )
 
     @pytest.mark.parametrize("lrs", [5, "0.1", ["x"], [0.1, float("nan")], [0.1, 0.0], np.ones((2, 2)), [[0.1]]])
     def test_malformed_grid_is_a_value_error(self, lrs):

@@ -154,6 +154,18 @@ class TestParameterLayer:
         assert layer.weights.dtype == np.float32
         assert layer.grad.dtype == np.float32
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_, np.float16])
+    def test_other_dtypes_become_float64(self, dtype):
+        layer = ParameterLayer("w", np.array([1, 0, 3], dtype=dtype))
+        assert layer.weights.dtype == layer.grad.dtype == np.float64
+        assert layer.weights.tolist() == np.array([1, 0, 3], dtype=dtype).astype(np.float64).tolist()
+        assert ParameterLayer("w", [2, 5]).weights.tolist() == [2.0, 5.0]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (2, 1, 1)])
+    def test_weights_of_more_than_one_axis_rejected(self, shape):
+        with pytest.raises(ValueError, match="layer 'w': weights must be a flat vector"):
+            ParameterLayer("w", np.ones(shape))
+
 
 class TestModelParams:
     def test_duplicate_ids_rejected(self):

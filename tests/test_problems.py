@@ -76,6 +76,17 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticProblem(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("a", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), 1.0])
+    def test_a_matrix_that_is_not_square_rejected(self, a):
+        with pytest.raises(ValueError, match="A must be a square matrix"):
+            QuadraticProblem(a)
+
+    @pytest.mark.parametrize("key", ["b", "w0"])
+    @pytest.mark.parametrize("value", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], 1.0])
+    def test_b_or_w0_of_the_wrong_dimension_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} has the wrong dimension$"):
+            QuadraticProblem(np.eye(2), **{key: value})
+
     def test_loss_bounded_below_by_optimum(self):
         rng = np.random.default_rng(5)
         problem = QuadraticProblem.random_spd(6, seed=11)
@@ -162,6 +173,20 @@ class TestLogisticRegression(BatchSelectionChecks):
         rng = np.random.default_rng(107)
         fd_check(balanced_logreg(), rng, trials=20, tol=1e-6)
 
+    @pytest.mark.parametrize(
+        "features,labels,error",
+        [
+            (np.ones((3, 2)), [0.0, 1.0, 0.5], "labels must be binary"),
+            (np.ones((3, 2)), [0.0, 1.0, 2.0], "labels must be binary"),
+            (np.ones((3, 2)), [0.0, 1.0], "features must be \\(n, d\\) with n matching labels"),
+            (np.ones(3), [0.0, 1.0, 1.0], "features must be"),
+            (np.ones((3, 2)), [[0.0, 1.0, 1.0]], "features must be"),
+        ],
+    )
+    def test_constructor_rejections(self, features, labels, error):
+        with pytest.raises(ValueError, match=error):
+            LogisticRegressionProblem(features, labels)
+
     def test_predict_shapes(self):
         problem = balanced_logreg()
         params = random_params(problem, np.random.default_rng(1))
@@ -224,6 +249,21 @@ class TestMlp(BatchSelectionChecks):
         problem = small_mlp()
         with pytest.raises(ValueError, match="layout"):
             problem.eval(ModelParams([ParameterLayer("w1", np.zeros(4))]))
+
+    @pytest.mark.parametrize(
+        "options,error",
+        [
+            ({"n_classes": 1, "labels": [0, 0, 0, 0]}, "need at least two classes"),
+            ({"labels": [0, 1, 3, 2]}, "labels out of range"),
+            ({"labels": [0, -1, 2, 1]}, "labels out of range"),
+            ({"hidden": 0}, "hidden width must be >= 1"),
+            ({"labels": [0, 1, 2]}, "features must be"),
+        ],
+    )
+    def test_constructor_rejections(self, options, error):
+        args = {"features": np.ones((4, 2)), "labels": [0, 1, 2, 1], "n_classes": 3, "hidden": 2, **options}
+        with pytest.raises(ValueError, match=error):
+            MlpProblem(**args)
 
 
 @pytest.mark.parametrize(

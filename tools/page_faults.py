@@ -8,12 +8,13 @@ Runs the body of one ``bench/`` workload in a closed loop, as
 
 One warm-up round runs first and is not counted; with ``--check 1`` (the
 default) its outputs then go through the workload's full check, as in
-``bench/run.py``.  That check frees large arrays, and glibc then raises its
-mmap and trim thresholds, so later rounds can fault far less than a loop
-of the body alone (``--check 0``).  The last line of
-standard output is a JSON object with the per-round medians of minor
-faults, user and system seconds and wall seconds.  BLAS is capped at one
-thread, as in the benchmark.
+``bench/run.py``, and any output error is printed to standard error and
+ends the tool with exit status 1 before the timed rounds.  That check frees
+large arrays, and glibc then raises its mmap and trim thresholds, so later
+rounds can fault far less than a loop of the body alone (``--check 0``).
+The last line of standard output is a JSON object with the per-round
+medians of minor faults, user and system seconds and wall seconds.  BLAS
+is capped at one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ def main(argv=None) -> int:
             raw = workload.body()
             after, t1 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
             if i == 0:
-                if args.check:
-                    workload.check(raw)
+                if args.check and (errors := workload.check(raw).errors):
+                    print(*errors, sep="\n", file=sys.stderr)
+                    return 1
                 continue
             per_round["minflt"].append(after.ru_minflt - before.ru_minflt)
             per_round["user_s"].append(after.ru_utime - before.ru_utime)
